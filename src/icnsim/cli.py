@@ -67,12 +67,14 @@ def _cmd_run(args) -> int:
         artifacts = harness.run_scenario(
             config, mode, seed=args.seed,
             telemetry_enabled=not args.no_telemetry)
+        summary = telemetry.summarize(artifacts)
         if args.out:
             outdir = (os.path.join(args.out, mode) if len(modes) > 1
                       else args.out)
-            telemetry.export(artifacts, outdir, fmt=args.format)
+            telemetry.export(artifacts, outdir, fmt=args.format,
+                             summary=summary)
             print(f"[{mode}] artifacts written to {outdir}")
-        sys.stdout.write(telemetry.render_summary(telemetry.summarize(artifacts)))
+        sys.stdout.write(telemetry.render_summary(summary))
         print(f"[{mode}] events_hash={artifacts.meta['events_hash']}")
         for violation in artifacts.meta["violations"]:
             print(f"[{mode}] invariant violation: {violation}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .nap import (IcnHttpTransport, IcnIgmpAdapter, IcnStreamSender, Nap,
 from .pce import Pce, PceParams
 from .simkernel import Engine, US_PER_MS
 from .telemetry import (EventLog, RunArtifacts, Telemetry, canonical_json,
-                        conservation_from_events)
+                        conservation_from_events, encode_lines)
 from .topology import ROLE_FN, ROLE_NAP, TopologyGraph
 
 MODES = ("icn", "ip")
@@ -602,12 +602,14 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     w.fabric.flush_counters()
 
     violations = _check_invariants(w, effective, mode)
+    # the log is encoded once: these bytes are both hashed and exported
+    events_jsonl = encode_lines(w.log.records)
     meta = {
         "scenario": effective["name"],
         "mode": mode,
         "seed": seed,
         "config_hash": config_hash(effective),
-        "events_hash": w.log.hash(),
+        "events_hash": hashlib.sha256(events_jsonl).hexdigest(),
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
         "engine_events": executed,
@@ -616,7 +618,7 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     }
     return RunArtifacts(config=effective, mode=mode, seed=seed,
                         events=w.log.records, samples=w.telemetry.samples,
-                        meta=meta)
+                        meta=meta, events_jsonl=events_jsonl)
 
 
 def _check_invariants(w: World, effective: dict, mode: str) -> list:

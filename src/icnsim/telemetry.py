@@ -17,8 +17,90 @@ import os
 from dataclasses import dataclass, field
 
 
-def canonical_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One shared encoder: the same text as json.dumps(record, sort_keys=True,
+# separators=(",", ":")), without building an encoder per record.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def encode_lines(records) -> bytes:
+    """Canonical JSONL: one canonical record per line, each line ending in
+    a newline; empty for no records.  Canonical JSON escapes control
+    characters, so a raw newline only ever separates records."""
+    if not records:
+        return b""
+    return ("\n".join(map(canonical_json, records)) + "\n").encode()
+
+
+# The event vocabulary: every kind the simulator logs, mapped to the
+# fields its records carry after the common "t", "el" and "ev", in record
+# order.  The kinds in VARIANT_FIELD carry different fields depending on
+# the value of one field; they map each value of that field to its
+# fields.  append() does not check records against this table; the tests
+# check every record of every shipped run.
+EVENT_FIELDS = {
+    "acquisition": ("channel", "dur_us"),
+    "begin": ("scenario", "mode", "seed"),
+    "bitrate_switch": ("direction", "from_mbps", "to_mbps"),
+    "chunk_done": ("path", "size", "ewma_bps", "n"),
+    "cnap_merge": ("name", "clients"),
+    "ctrl": {
+        "fid_update": ("msg", "name", "nap", "fid", "epoch"),
+        "invalidate": ("msg", "physical", "entries", "epoch"),
+        "match": ("msg", "name", "nap", "subscriber"),
+        "partial_tree": ("msg", "name", "failures"),
+        "publish": ("msg", "name", "nap"),
+        "subscribe": ("msg", "name", "nap", "kind"),
+        "tree_reply": ("msg", "name", "nap", "fid", "epoch"),
+        "tree_request": ("msg", "name", "nap", "receivers"),
+        "unpublish": ("msg", "name", "nap"),
+        "unsubscribe": ("msg", "name", "nap"),
+    },
+    "digest": ("tag", "value"),
+    "dns_exhausted": ("host",),
+    "dns_failover": ("host", "addr"),
+    "fetch_abandoned": ("kind", "path"),
+    "fid_write": ("name", "fid", "epoch"),
+    "group_close": ("name", "members"),
+    "group_join": ("name", "members"),
+    "group_open": ("name", "window_us"),
+    "http_req": ("kind", "path", "attempt"),
+    "http_resp": ("kind", "path", "status", "size", "elapsed_us"),
+    "http_timeout": ("kind", "path", "attempt"),
+    "igmp": {
+        "join": ("action", "channel", "stb", "dup"),
+        "leave": ("action", "channel", "stb"),
+    },
+    "link_state": ("up", "epoch"),
+    "no_server": ("host",),
+    "pkt_branch": ("pid", "size", "extra"),
+    "pkt_deliver": ("pid", "kind", "size", "consumers", "spurious"),
+    "pkt_drop": {
+        "blocked": ("pid", "kind", "size", "reason"),
+        "link_down": ("pid", "kind", "size", "reason", "link"),
+        "no_egress": ("pid", "kind", "size", "reason"),
+        "no_route": ("pid", "kind", "size", "reason"),
+        "no_snoop": ("pid", "kind", "size", "reason"),
+        "queue_cap": ("pid", "kind", "size", "reason"),
+        "ttl_exceeded": ("pid", "kind", "size", "reason"),
+        "zero_fid": ("pid", "kind", "size", "reason"),
+    },
+    "pkt_fwd": ("pid", "kind", "link", "size", "start", "arrive"),
+    "pkt_inject": ("pid", "kind", "name", "size"),
+    "server_noreply": ("path",),
+    "server_resp": ("kind", "path", "status", "size"),
+    "server_state": ("up",),
+    "snap_respond": ("name", "rid", "size", "segments", "members"),
+    "stall": ("start", "dur_us"),
+    "stb_active": ("until",),
+    "stb_rx": ("name", "size"),
+    "stp_converged": ("active", "flushed_entries"),
+    "stp_reconverge": ("physical", "up", "window_us"),
+    "stp_tree": ("root", "active"),
+    "surrogate_toggle": ("on",),
+    "topo_event": ("physical", "up", "epoch"),
+    "zap": ("from_channel", "to_channel"),
+}
+VARIANT_FIELD = {"ctrl": "msg", "igmp": "action", "pkt_drop": "reason"}
 
 
 class EventLog:
@@ -33,11 +115,7 @@ class EventLog:
         self.records.append(rec)
 
     def hash(self) -> str:
-        h = hashlib.sha256()
-        for rec in self.records:
-            h.update(canonical_json(rec).encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        return events_hash(self.records)
 
 
 class Telemetry:
@@ -53,11 +131,7 @@ class Telemetry:
         self.samples.append({"t": t, "el": element, "metric": metric, "value": value})
 
     def hash(self) -> str:
-        h = hashlib.sha256()
-        for rec in self.samples:
-            h.update(canonical_json(rec).encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        return hashlib.sha256(encode_lines(self.samples)).hexdigest()
 
 
 @dataclass
@@ -70,6 +144,9 @@ class RunArtifacts:
     events: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # encode_lines(events), when the producer already has it; export
+    # writes these bytes as they are instead of encoding the log again
+    events_jsonl: bytes | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +243,26 @@ def merge_ratios(events) -> dict:
 
 
 def disruption_intervals(arrival_times, active_start: int, active_end: int,
-                         max_gap_us: int) -> list:
-    """Maximal delivery gaps larger than max_gap_us.
+                         max_gap_us) -> list:
+    """Maximal delivery gaps larger than their threshold.
 
     Gaps are measured between consecutive deliveries inside the active
     period; a sink with no deliveries at all counts one disruption
-    spanning its whole active period.
+    spanning its whole active period.  max_gap_us is one threshold for
+    every gap, or a sequence parallel to arrival_times that gives the
+    threshold of the gap ending at each arrival.
     """
-    times = sorted(t for t in arrival_times if active_start <= t <= active_end)
-    if not times:
+    if isinstance(max_gap_us, int):
+        max_gap_us = [max_gap_us] * len(arrival_times)
+    arrivals = sorted((t, gap) for t, gap in zip(arrival_times, max_gap_us)
+                      if active_start <= t <= active_end)
+    if not arrivals:
         if active_end > active_start:
             return [(active_start, active_end)]
         return []
     out = []
-    for prev, nxt in zip(times, times[1:]):
-        if nxt - prev > max_gap_us:
+    for (prev, _), (nxt, gap) in zip(arrivals, arrivals[1:]):
+        if nxt - prev > gap:
             out.append((prev, nxt))
     return out
 
@@ -243,24 +325,31 @@ def summarize(artifacts: RunArtifacts) -> dict:
     if acquisitions:
         summary["acquisitions"] = acquisitions
 
-    # per-sink stream disruption intervals
+    # per-sink stream disruption intervals; a gap is judged by the packet
+    # interval of the channel that ends it, so thresholds follow zaps
+    iptv = artifacts.config.get("apps", {}).get("iptv") or {}
+    max_gap = {ch["name"]: 2 * _stream_packet_interval_us(ch, params)
+               for ch in iptv.get("channels") or []}
     stb_rx: dict[str, list[int]] = {}
+    stb_gap: dict[str, list[int]] = {}
     stb_span: dict[str, list[int]] = {}
     for rec in events:
         if rec["ev"] == "stb_rx":
-            stb_rx.setdefault(rec["el"], []).append(rec["t"])
+            el = rec["el"]
+            stb_rx.setdefault(el, []).append(rec["t"])
+            # stream names are "<plane prefix>:<channel>" in both modes
+            stb_gap.setdefault(el, []).append(
+                max_gap[rec["name"].split(":", 1)[1]])
         elif rec["ev"] == "stb_active":
             stb_span[rec["el"]] = [rec["t"], rec["until"]]
     if stb_rx or stb_span:
-        iptv = artifacts.config.get("apps", {}).get("iptv", {})
-        interval_us = _stream_packet_interval_us(iptv, params)
-        max_gap = 2 * interval_us
         disruptions = {}
         for stb in sorted(set(stb_rx) | set(stb_span)):
             span = stb_span.get(stb)
             if span is None:
                 continue
-            ivs = disruption_intervals(stb_rx.get(stb, []), span[0], span[1], max_gap)
+            ivs = disruption_intervals(stb_rx.get(stb, []), span[0], span[1],
+                                       stb_gap.get(stb, []))
             disruptions[stb] = [
                 {"start": s, "end": e, "us": e - s} for s, e in ivs]
         summary["disruptions"] = disruptions
@@ -268,11 +357,8 @@ def summarize(artifacts: RunArtifacts) -> dict:
     return summary
 
 
-def _stream_packet_interval_us(iptv_cfg: dict, params: dict) -> int:
-    channels = iptv_cfg.get("channels") or []
-    if not channels:
-        return 1_000_000
-    bitrate = channels[0]["bitrate_mbps"] * 1_000_000
+def _stream_packet_interval_us(channel: dict, params: dict) -> int:
+    bitrate = channel["bitrate_mbps"] * 1_000_000
     mtu = params.get("mtu", 1400)
     return max(1, round(mtu * 8 * 1_000_000 / bitrate))
 
@@ -287,11 +373,12 @@ SUMMARY_FILE = "summary.txt"
 META_FILE = "meta.json"
 
 
-def export_jsonl(artifacts: RunArtifacts) -> str:
-    """Events followed by samples, one canonical JSON record per line."""
-    lines = [canonical_json(r) for r in artifacts.events]
-    lines += [canonical_json({"ev": "sample", **r}) for r in artifacts.samples]
-    return "\n".join(lines) + ("\n" if lines else "")
+def export_jsonl(artifacts: RunArtifacts, fh) -> None:
+    """Write events, then samples, one canonical JSON record per line, to
+    the binary file fh."""
+    events = artifacts.events_jsonl
+    fh.write(encode_lines(artifacts.events) if events is None else events)
+    fh.write(encode_lines([{"ev": "sample", **r} for r in artifacts.samples]))
 
 
 def export_csv(samples) -> str:
@@ -335,11 +422,13 @@ def render_summary(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both") -> dict:
+def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both",
+           summary: dict | None = None) -> dict:
     """Write the artifact directory; returns the path map.
 
     fmt selects "jsonl", "csv" or "both" payload files; the effective
-    config, summary and meta files are always written.
+    config, summary and meta files are always written.  summary is
+    summarize(artifacts), when the caller has already computed it.
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {}
@@ -352,10 +441,14 @@ def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both") -> dict:
 
     write(CONFIG_FILE, json.dumps(artifacts.config, sort_keys=True, indent=2) + "\n")
     if fmt in ("jsonl", "both"):
-        write(EVENTS_FILE, export_jsonl(artifacts))
+        paths[EVENTS_FILE] = os.path.join(outdir, EVENTS_FILE)
+        with open(paths[EVENTS_FILE], "wb") as fh:
+            export_jsonl(artifacts, fh)
     if fmt in ("csv", "both"):
         write(METRICS_FILE, export_csv(artifacts.samples))
-    write(SUMMARY_FILE, render_summary(summarize(artifacts)))
+    if summary is None:
+        summary = summarize(artifacts)
+    write(SUMMARY_FILE, render_summary(summary))
     write(META_FILE, json.dumps(artifacts.meta, sort_keys=True, indent=2) + "\n")
     return paths
 
@@ -366,25 +459,21 @@ def import_artifacts(outdir: str) -> RunArtifacts:
         config = json.load(fh)
     with open(os.path.join(outdir, META_FILE)) as fh:
         meta = json.load(fh)
+    # one json.loads for the whole file: a raw newline only ever separates
+    # records, so the non-blank lines joined by commas form one JSON array
+    with open(os.path.join(outdir, EVENTS_FILE), "rb") as fh:
+        lines = [line for line in fh.read().split(b"\n") if line.strip()]
     events, samples = [], []
-    with open(os.path.join(outdir, EVENTS_FILE)) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("ev") == "sample":
-                rec.pop("ev")
-                samples.append(rec)
-            else:
-                events.append(rec)
+    for rec in json.loads(b"[" + b",".join(lines) + b"]"):
+        if rec.get("ev") == "sample":
+            rec.pop("ev")
+            samples.append(rec)
+        else:
+            events.append(rec)
     return RunArtifacts(config=config, mode=meta["mode"], seed=meta["seed"],
                         events=events, samples=samples, meta=meta)
 
 
 def events_hash(events) -> str:
-    h = hashlib.sha256()
-    for rec in events:
-        h.update(canonical_json(rec).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    """sha256 of the canonical JSONL encoding of a record list."""
+    return hashlib.sha256(encode_lines(events)).hexdigest()

@@ -25,6 +25,7 @@ The criteria, in test order:
    log alone.
 """
 
+import hashlib
 import random
 import time
 
@@ -37,13 +38,35 @@ from icnsim.fid import (FidConfig, assign_link_ids, combine_trees,
 from icnsim.harness import load_scenario, run_scenario
 from icnsim.pce import Pce, PceParams, UnreachableError
 from icnsim.simkernel import Engine
-from icnsim.telemetry import (EventLog, conservation_from_events, events_hash,
+from icnsim.telemetry import (EVENT_FIELDS, EVENTS_FILE, VARIANT_FIELD,
+                              EventLog, conservation_from_events, events_hash,
                               export, import_artifacts, link_bytes_from_events,
                               summarize)
 
 SCENARIOS = ("coincidental_multicast", "hls_failover", "iptv_failover",
              "trial_topology")
 MODES = ("icn", "ip")
+
+# events_hash of every shipped run.  A change that claims to keep
+# behaviour must leave each of these byte-identical.
+PINNED_EVENTS_HASH = {
+    ("coincidental_multicast", "icn"):
+        "fca49f97ae99ebb05ef3058c17cfb65d824d6fb7e38d08ac77e56e30f790d7b3",
+    ("coincidental_multicast", "ip"):
+        "98f24704c8778a2fb23c780e44f8af3ead8838b31d602617c96a827b9a3b99c1",
+    ("hls_failover", "icn"):
+        "b51d79b91a5f904bd4f011a20f25f44ba4fe88cf84934a91c479b5b231ea2250",
+    ("hls_failover", "ip"):
+        "53ef76fa5bdd28aaffd2e35153595e25d725244d91eca0a8516b8855064e3e63",
+    ("iptv_failover", "icn"):
+        "6be118fb6ea14a0c4caa3358f3490a6fcfb0693eb5ad9ad1e727f2393da1df60",
+    ("iptv_failover", "ip"):
+        "9a7c9c52adaa691c78297909f6c57f7a5b14dd6152fc5618556b7e7a7009ad91",
+    ("trial_topology", "icn"):
+        "0a8fa9d1344dd29db41f022e58a1ed99b722f3c8f116b6b7a487cc7a2f1d8036",
+    ("trial_topology", "ip"):
+        "0bbc331d0e0da0974367f6917db7167fa16f4365d8d5ba75c892e0fbdee7c466",
+}
 
 
 @pytest.fixture(scope="module")
@@ -343,3 +366,34 @@ def test_c8_byte_conservation(suite, tmp_path):
         back = import_artifacts(str(outdir))
         assert events_hash(back.events) == back.meta["events_hash"]
         assert conservation_from_events(back.events)["balanced"]
+
+
+def test_pinned_events_hashes_match_exported_bytes(suite, tmp_path):
+    """Every shipped run keeps its pinned events_hash, and that hash is
+    the sha256 of the event lines of the exported events.jsonl exactly as
+    written, not of a re-encoding."""
+    assert set(suite["runs"]) == set(PINNED_EVENTS_HASH)
+    for (name, mode), artifacts in suite["runs"].items():
+        assert artifacts.meta["events_hash"] \
+            == PINNED_EVENTS_HASH[(name, mode)], (name, mode)
+        outdir = tmp_path / f"{name}_{mode}"
+        export(artifacts, str(outdir), fmt="jsonl")
+        raw = (outdir / EVENTS_FILE).read_bytes()
+        event_lines = b"".join(line for line in raw.splitlines(keepends=True)
+                               if b'"ev":"sample"' not in line)
+        assert hashlib.sha256(event_lines).hexdigest() \
+            == artifacts.meta["events_hash"], (name, mode)
+
+
+def test_every_record_matches_declared_vocabulary(suite):
+    """Every record of every shipped run has a declared kind and exactly
+    the declared fields, in the declared order."""
+    for (name, mode), artifacts in suite["runs"].items():
+        for rec in artifacts.events:
+            kind = rec["ev"]
+            assert kind in EVENT_FIELDS, (name, mode, rec)
+            fields = EVENT_FIELDS[kind]
+            if kind in VARIANT_FIELD:
+                fields = fields.get(rec.get(VARIANT_FIELD[kind]))
+                assert fields is not None, (name, mode, rec)
+            assert tuple(rec) == ("t", "el", "ev") + fields, (name, mode, rec)

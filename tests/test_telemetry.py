@@ -128,6 +128,35 @@ def test_stall_replay_matches_live_accounting():
     assert out == {"c1": {"total_us": 1_049_000, "events": 1}}
 
 
+def test_disruption_threshold_follows_each_packets_channel():
+    """An 8 Mb/s and a 2 Mb/s channel: each gap is judged by the packet
+    interval of the channel that ends it, across a zap, in both planes."""
+    config = {"params": {"mtu": 1400},
+              "apps": {"iptv": {"channels": [
+                  {"name": "hd", "bitrate_mbps": 8},
+                  {"name": "sd", "bitrate_mbps": 2}]}}}
+    # sd packets every 5600 us, zap, then hd packets every 1400 us with
+    # one late packet 4000 us after its predecessor
+    sd = [5_600 * i for i in range(10)]
+    hd = [52_000 + 1_400 * i for i in range(10)] + [68_600, 70_000, 71_400]
+    events = []
+    for stb, prefix in (("stb_icn", "ch"), ("stb_ip", "g")):
+        events.append(ev(0, stb, "stb_active", until=80_000))
+        events += [ev(t, stb, "stb_rx", name=f"{prefix}:sd", size=1400)
+                   for t in sd]
+        events.append(ev(51_000, stb, "zap", from_channel="sd",
+                         to_channel="hd"))
+        events += [ev(t, stb, "stb_rx", name=f"{prefix}:hd", size=1400)
+                   for t in hd]
+    events.sort(key=lambda r: r["t"])
+    summary = summarize(RunArtifacts(config=config, mode="icn", seed=1,
+                                     events=events))
+    assert summary["disruption_gap_threshold_us"] == {"hd": 2_800,
+                                                      "sd": 11_200}
+    late = [{"start": 64_600, "end": 68_600, "us": 4_000}]
+    assert summary["disruptions"] == {"stb_icn": late, "stb_ip": late}
+
+
 def make_artifacts():
     events = [
         ev(0, "snap", "pkt_inject", size=1000, kind="chunk", pid=1),
