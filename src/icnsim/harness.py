@@ -27,7 +27,7 @@ from .nap import (IcnHttpTransport, IcnIgmpAdapter, IcnStreamSender, Nap,
 from .pce import Pce, PceParams
 from .simkernel import Engine, US_PER_MS
 from .telemetry import (EventLog, RunArtifacts, Telemetry, canonical_json,
-                        conservation_from_events, encode_lines)
+                        conservation_from_events)
 from .topology import ROLE_FN, ROLE_NAP, TopologyGraph
 
 MODES = ("icn", "ip")
@@ -602,14 +602,13 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     w.fabric.flush_counters()
 
     violations = _check_invariants(w, effective, mode)
-    # the log is encoded once: these bytes are both hashed and exported
-    events_jsonl = encode_lines(w.log.records)
     meta = {
         "scenario": effective["name"],
         "mode": mode,
         "seed": seed,
         "config_hash": config_hash(effective),
-        "events_hash": hashlib.sha256(events_jsonl).hexdigest(),
+        # hash() encodes the log once and keeps the bytes for export
+        "events_hash": w.log.hash(),
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
         "engine_events": executed,
@@ -618,7 +617,8 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     }
     return RunArtifacts(config=effective, mode=mode, seed=seed,
                         events=w.log.records, samples=w.telemetry.samples,
-                        meta=meta, events_jsonl=events_jsonl)
+                        meta=meta,
+                        encoded_events=(w.log.records, w.log.jsonl))
 
 
 def _check_invariants(w: World, effective: dict, mode: str) -> list:

@@ -75,14 +75,10 @@ EVENT_FIELDS = {
     "pkt_branch": ("pid", "size", "extra"),
     "pkt_deliver": ("pid", "kind", "size", "consumers", "spurious"),
     "pkt_drop": {
-        "blocked": ("pid", "kind", "size", "reason"),
+        **dict.fromkeys(("blocked", "no_egress", "no_route", "no_snoop",
+                         "queue_cap", "ttl_exceeded", "zero_fid"),
+                        ("pid", "kind", "size", "reason")),
         "link_down": ("pid", "kind", "size", "reason", "link"),
-        "no_egress": ("pid", "kind", "size", "reason"),
-        "no_route": ("pid", "kind", "size", "reason"),
-        "no_snoop": ("pid", "kind", "size", "reason"),
-        "queue_cap": ("pid", "kind", "size", "reason"),
-        "ttl_exceeded": ("pid", "kind", "size", "reason"),
-        "zero_fid": ("pid", "kind", "size", "reason"),
     },
     "pkt_fwd": ("pid", "kind", "link", "size", "start", "arrive"),
     "pkt_inject": ("pid", "kind", "name", "size"),
@@ -108,6 +104,8 @@ class EventLog:
 
     def __init__(self):
         self.records: list[dict] = []
+        # encode_lines(records) as of the last hash(), for export
+        self.jsonl: bytes | None = None
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
         rec = {"t": t, "el": element, "ev": event}
@@ -115,7 +113,11 @@ class EventLog:
         self.records.append(rec)
 
     def hash(self) -> str:
-        return events_hash(self.records)
+        """sha256 of the canonical JSONL encoding of the records; the
+        encoded bytes are kept in self.jsonl, so export need not encode
+        the log again."""
+        self.jsonl = encode_lines(self.records)
+        return hashlib.sha256(self.jsonl).hexdigest()
 
 
 class Telemetry:
@@ -144,9 +146,12 @@ class RunArtifacts:
     events: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    # encode_lines(events), when the producer already has it; export
-    # writes these bytes as they are instead of encoding the log again
-    events_jsonl: bytes | None = field(default=None, repr=False)
+    # (events, encode_lines(events)) when the producer has already encoded
+    # the log.  export writes these bytes only while artifacts.events is
+    # that very list, so artifacts made by dataclasses.replace(...,
+    # events=...) are encoded afresh; the list must not change in place.
+    encoded_events: tuple | None = field(default=None, repr=False,
+                                         compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +254,10 @@ def disruption_intervals(arrival_times, active_start: int, active_end: int,
     Gaps are measured between consecutive deliveries inside the active
     period; a sink with no deliveries at all counts one disruption
     spanning its whole active period.  max_gap_us is one threshold for
-    every gap, or a sequence parallel to arrival_times that gives the
+    every gap, or a list parallel to arrival_times that gives the
     threshold of the gap ending at each arrival.
     """
-    if isinstance(max_gap_us, int):
+    if not isinstance(max_gap_us, (list, tuple)):
         max_gap_us = [max_gap_us] * len(arrival_times)
     arrivals = sorted((t, gap) for t, gap in zip(arrival_times, max_gap_us)
                       if active_start <= t <= active_end)
@@ -376,8 +381,11 @@ META_FILE = "meta.json"
 def export_jsonl(artifacts: RunArtifacts, fh) -> None:
     """Write events, then samples, one canonical JSON record per line, to
     the binary file fh."""
-    events = artifacts.events_jsonl
-    fh.write(encode_lines(artifacts.events) if events is None else events)
+    encoded = artifacts.encoded_events
+    if encoded is not None and encoded[0] is artifacts.events:
+        fh.write(encoded[1])
+    else:
+        fh.write(encode_lines(artifacts.events))
     fh.write(encode_lines([{"ev": "sample", **r} for r in artifacts.samples]))
 
 

@@ -1,9 +1,11 @@
 """Event log reducers, export round-trips, hashing."""
 
+import dataclasses
+
 from icnsim.telemetry import (EventLog, RunArtifacts, Telemetry,
                               canonical_json, conservation_from_events,
                               disruption_intervals, drops_by_reason,
-                              events_hash, export, export_csv,
+                              encode_lines, events_hash, export, export_csv,
                               import_artifacts, link_bytes_from_events,
                               merge_ratios, render_summary,
                               stalls_from_events, summarize)
@@ -104,6 +106,9 @@ def test_merge_ratio_without_transmissions_is_undefined():
 def test_disruption_intervals_report_large_gaps_only():
     times = [100, 200, 300, 1000, 1100]
     assert disruption_intervals(times, 0, 2000, 500) == [(300, 1000)]
+    # any real threshold, not only an int
+    assert disruption_intervals(times, 0, 2000, 699.5) == [(300, 1000)]
+    assert disruption_intervals(times, 0, 2000, 700.0) == []
     # a gap exactly at the threshold is normal jitter
     assert disruption_intervals([0, 500], 0, 1000, 500) == []
     # arrivals outside the active span are ignored
@@ -181,6 +186,26 @@ def test_export_import_round_trip(tmp_path):
     assert back.config == artifacts.config
     assert back.meta == artifacts.meta
     assert events_hash(back.events) == artifacts.meta["events_hash"]
+
+
+def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
+    log = EventLog()
+    log.append(1, "x", "pkt_inject", pid=1, kind="data", name="n", size=10)
+    log.append(2, "y", "pkt_deliver", pid=1, kind="data", size=10,
+               consumers=1, spurious=False)
+    digest = log.hash()
+    artifacts = RunArtifacts(config={"name": "t"}, mode="icn", seed=1,
+                             events=log.records,
+                             meta={"events_hash": digest},
+                             encoded_events=(log.records, log.jsonl))
+    export(artifacts, str(tmp_path / "all"))
+    with open(tmp_path / "all" / "events.jsonl", "rb") as fh:
+        assert fh.read() == log.jsonl == encode_lines(log.records)
+    # a replaced event list is encoded afresh, not taken from the old bytes
+    kept = [r for r in log.records if r["ev"] == "pkt_inject"]
+    export(dataclasses.replace(artifacts, events=kept), str(tmp_path / "kept"))
+    with open(tmp_path / "kept" / "events.jsonl", "rb") as fh:
+        assert fh.read() == encode_lines(kept)
 
 
 def test_export_csv_layout():
