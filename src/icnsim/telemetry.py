@@ -21,14 +21,22 @@ from dataclasses import dataclass, field
 # separators=(",", ":")), without building an encoder per record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# Records encoded per step of encode_lines; bounds its transient memory.
+_BATCH = 4096
 
-def encode_lines(records) -> bytes:
+
+def encode_lines(records) -> bytearray:
     """Canonical JSONL: one canonical record per line, each line ending in
     a newline; empty for no records.  Canonical JSON escapes control
-    characters, so a raw newline only ever separates records."""
-    if not records:
-        return b""
-    return ("\n".join(map(canonical_json, records)) + "\n").encode()
+    characters, so a raw newline only ever separates records.
+
+    Encodes _BATCH records at a time into one growing buffer, so memory
+    peaks at the output plus one batch's text."""
+    out = bytearray()
+    for i in range(0, len(records), _BATCH):
+        out += ("\n".join(map(canonical_json, records[i:i + _BATCH]))
+                + "\n").encode()
+    return out
 
 
 # The event vocabulary: every kind the simulator logs, mapped to the
@@ -105,7 +113,7 @@ class EventLog:
     def __init__(self):
         self.records: list[dict] = []
         # encode_lines(records) as of the last hash(), for export
-        self.jsonl: bytes | None = None
+        self.jsonl: bytearray | None = None
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
         rec = {"t": t, "el": element, "ev": event}
@@ -467,17 +475,19 @@ def import_artifacts(outdir: str) -> RunArtifacts:
         config = json.load(fh)
     with open(os.path.join(outdir, META_FILE)) as fh:
         meta = json.load(fh)
-    # one json.loads for the whole file: a raw newline only ever separates
-    # records, so the non-blank lines joined by commas form one JSON array
-    with open(os.path.join(outdir, EVENTS_FILE), "rb") as fh:
-        lines = [line for line in fh.read().split(b"\n") if line.strip()]
+    # one json.loads per batch of about 1 MiB of lines: a raw newline only
+    # ever separates records, so the non-blank lines joined by commas form
+    # one JSON array
     events, samples = [], []
-    for rec in json.loads(b"[" + b",".join(lines) + b"]"):
-        if rec.get("ev") == "sample":
-            rec.pop("ev")
-            samples.append(rec)
-        else:
-            events.append(rec)
+    with open(os.path.join(outdir, EVENTS_FILE), "rb") as fh:
+        for lines in iter(lambda: fh.readlines(1 << 20), []):
+            batch = b",".join([line for line in lines if line.strip()])
+            for rec in json.loads(b"[" + batch + b"]"):
+                if rec.get("ev") == "sample":
+                    rec.pop("ev")
+                    samples.append(rec)
+                else:
+                    events.append(rec)
     return RunArtifacts(config=config, mode=meta["mode"], seed=meta["seed"],
                         events=events, samples=samples, meta=meta)
 

@@ -1,8 +1,12 @@
 """Event log reducers, export round-trips, hashing."""
 
 import dataclasses
+import json
+import tracemalloc
 
-from icnsim.telemetry import (EventLog, RunArtifacts, Telemetry,
+import pytest
+
+from icnsim.telemetry import (_BATCH, EventLog, RunArtifacts, Telemetry,
                               canonical_json, conservation_from_events,
                               disruption_intervals, drops_by_reason,
                               encode_lines, events_hash, export, export_csv,
@@ -33,6 +37,42 @@ def test_event_log_hash_is_order_sensitive():
     c.append(2, "y", "pkt_deliver", size=10)
     assert a.hash() == c.hash()
     assert events_hash(a.records) == a.hash()
+
+
+def test_encode_lines_matches_json_dumps_across_batches():
+    values = [0, -7, 2**70, True, False, None, 0.1, -2.5e-300, float("nan"),
+              float("inf"), float("-inf"), "caf\u00e9 \u2603 \U0001f4fa",
+              "tab\tnl\nnul\x00\x1f\"q\"\\", [1, [None, "x"], []], {}]
+    log = [{"t": i, "v": values[i % len(values)], "el": f"e{i % 3}",
+            "b": [values[(i + 1) % len(values)], {"z": i, "a": None}]}
+           for i in range(2 * _BATCH + 1)]
+    assert encode_lines(log) == "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+        for r in log).encode()
+    assert encode_lines([]) == b""
+    loop = {"t": 1}
+    loop["self"] = loop
+    with pytest.raises(ValueError):
+        json.dumps(loop)
+    with pytest.raises(ValueError):
+        encode_lines([{"t": 0}, loop])
+    with pytest.raises(TypeError):
+        encode_lines([{"t": 0, "members": {"a"}}])
+
+
+def test_encode_lines_peaks_at_output_plus_one_batch():
+    log = EventLog()
+    for i in range(20 * _BATCH):
+        log.append(i, f"sw{i % 7}", "pkt_fwd", pid=i, kind="stream",
+                   link=f"l{i % 5}:sw{i % 7}->sw{i % 3}", size=1400,
+                   start=i, arrive=i + 112)
+    tracemalloc.start()
+    try:
+        out = encode_lines(log.records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - len(out) < len(out) // 2
 
 
 def test_disabled_telemetry_records_nothing():
@@ -186,6 +226,36 @@ def test_export_import_round_trip(tmp_path):
     assert back.config == artifacts.config
     assert back.meta == artifacts.meta
     assert events_hash(back.events) == artifacts.meta["events_hash"]
+
+
+def test_import_across_batches_skips_blank_lines(tmp_path):
+    events = [ev(i, f"sw{i % 5}", "pkt_fwd", pid=i, kind="chunk",
+                 link=f"l{i % 9}:a->b", size=1400, start=i, arrive=i + 9)
+              for i in range(20_000)]
+    samples = [{"t": i, "el": "sw", "metric": "tx_bytes", "value": i}
+               for i in range(100)]
+    artifacts = RunArtifacts(config={"name": "big"}, mode="icn", seed=1,
+                             events=events, samples=samples,
+                             meta={"mode": "icn", "seed": 1})
+    export(artifacts, str(tmp_path), fmt="jsonl")
+    path = tmp_path / "events.jsonl"
+    data = path.read_bytes()
+    assert len(data) > 2 << 20
+    # a run of blank lines that covers the 1 MiB mark, so one batch ends
+    # and the next starts inside it; more blank lines mid-file and before
+    # the samples
+    mark = 1 << 20
+    start = data.rindex(b"\n", 0, mark) + 1
+    data = data[:start] + b"\n" * (mark - start + 8) + data[start:]
+    mid = data.index(b"\n", 3 << 19) + 1
+    first_sample = data.index(b'{"el":"sw","ev":"sample"')
+    data = (data[:mid] + b"\n  \n" + data[mid:first_sample] + b"\n"
+            + data[first_sample:] + b"\n")
+    path.write_bytes(data)
+    back = import_artifacts(str(tmp_path))
+    assert back.events == events
+    assert back.samples == samples
+    assert events_hash(back.events) == events_hash(events)
 
 
 def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
