@@ -14,5 +14,3 @@ are bit-reproducible for a fixed (scenario, seed, mode) triple.
 """
 
 __version__ = "0.1.0"
-
-from ._bitops import BACKEND as bitops_backend  # noqa: F401

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import _bitops
-from .fid import FID, LinkId, pack_link_ids, should_forward
+from .fid import FID, LinkId, should_forward
 from .simkernel import Engine
 from .telemetry import EventLog, Telemetry
 from .topology import Link, TopologyEvent, TopologyGraph
@@ -48,8 +48,8 @@ class Packet:
 class FidNode:
     """Stateless forwarding element: routing state lives in the packet.
 
-    The only attributes are the static link attachment (and its packed
-    identifier buffer) and an optional local sink callback for gateway
+    The only attributes are the static link attachment (and its egress
+    link identifier ints) and an optional local sink callback for gateway
     nodes; there is nothing a topology change could update.
     """
 
@@ -60,14 +60,14 @@ class FidNode:
         self.egress_links = list(egress_links)
         self.link_ids = [link_ids[l.key] for l in self.egress_links]
         self.width = self.link_ids[0].width if self.link_ids else 0
-        self._packed = pack_link_ids(self.link_ids)
+        self._patterns = tuple(lid.bits for lid in self.link_ids)
         self._wbytes = (self.width + 7) // 8
         self.sink = sink
 
     def process(self, packet: Packet, ttl: int, in_link, t: int):
         if self.egress_links and packet.fid is not None:
             idx = _bitops.select_covered(
-                packet.fid.bits, self._packed, len(self.egress_links), self._wbytes)
+                packet.fid.bits, self._patterns, len(self._patterns), self._wbytes)
             egress = [self.egress_links[i] for i in idx if self.egress_links[i].up]
         else:
             egress = []
@@ -89,7 +89,7 @@ class FidNode:
         h = hashlib.sha256()
         for link, lid in zip(self.egress_links, self.link_ids):
             h.update(link.key.encode())
-            h.update(lid.bits)
+            h.update(lid.to_bytes())
         return h.hexdigest()
 
 

@@ -43,38 +43,35 @@ class FidConfig:
 
 @dataclass(frozen=True)
 class FID:
-    """OR-combination of link identifiers; all-zeros forwards nowhere."""
+    """OR-combination of link identifiers; all-zeros forwards nowhere.
 
-    bits: bytes
+    bits is an int whose bit i is link bit i; it must fit in width bits.
+    """
+
+    bits: int
     width: int
 
     def __post_init__(self):
-        if len(self.bits) != (self.width + 7) // 8:
-            raise ValueError("bits length does not match width")
+        if not 0 <= self.bits < 1 << self.width:
+            raise ValueError("bits do not fit width")
 
     def popcount(self) -> int:
         return _bitops.popcount(self.bits)
+
+    def to_bytes(self) -> bytes:
+        """Wire format: (width + 7) // 8 bytes, little-endian."""
+        return self.bits.to_bytes((self.width + 7) // 8, "little")
 
 
 @dataclass(frozen=True)
-class LinkId:
-    bits: bytes
-    width: int
-    link_index: int
+class LinkId(FID):
+    """Identifier of one directed link, numbered by link_index."""
 
-    def popcount(self) -> int:
-        return _bitops.popcount(self.bits)
+    link_index: int
 
 
 def zero_fid(width: int) -> FID:
-    return FID(bytes((width + 7) // 8), width)
-
-
-def _bits_from_positions(positions, m: int) -> bytes:
-    value = 0
-    for p in positions:
-        value |= 1 << p
-    return value.to_bytes((m + 7) // 8, "little")
+    return FID(0, width)
 
 
 def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, LinkId]:
@@ -92,14 +89,14 @@ def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, LinkId]
             raise CapacityError(
                 f"exact mode with m={config.m} cannot label {len(keys)} links")
         return {
-            key: LinkId(_bits_from_positions((i,), config.m), config.m, i)
+            key: LinkId(1 << i, config.m, i)
             for i, key in enumerate(keys)
         }
     rng = random.Random(substream_seed(seed, "link_ids"))
     out = {}
     for i, key in enumerate(keys):
         positions = rng.sample(range(config.m), config.k)
-        out[key] = LinkId(_bits_from_positions(positions, config.m), config.m, i)
+        out[key] = LinkId(_bitops.or_many(1 << p for p in positions), config.m, i)
     return out
 
 
@@ -120,8 +117,7 @@ def encode_path(link_ids, width: int | None = None) -> FID:
     for lid in ids:
         if lid.width != w:
             raise ValueError("mixed link identifier widths")
-    bits = _bitops.or_many([lid.bits for lid in ids], (w + 7) // 8)
-    return FID(bits, w)
+    return FID(_bitops.or_many([lid.bits for lid in ids]), w)
 
 
 def should_forward(fid: FID, lid: LinkId) -> bool:
@@ -144,8 +140,7 @@ def combine_trees(fids, width: int | None = None) -> FID:
     for f in items:
         if f.width != w:
             raise ValueError("mixed FID widths")
-    bits = _bitops.or_many([f.bits for f in items], (w + 7) // 8)
-    return FID(bits, w)
+    return FID(_bitops.or_many([f.bits for f in items]), w)
 
 
 def false_positive_rate(m: int, k: int, n: int) -> float:
@@ -157,8 +152,3 @@ def false_positive_rate(m: int, k: int, n: int) -> float:
     if n == 0:
         return 0.0
     return (1.0 - (1.0 - 1.0 / m) ** (k * n)) ** k
-
-
-def pack_link_ids(lids) -> bytes:
-    """Concatenate LinkId bit patterns for the batch kernel calls."""
-    return b"".join(l.bits for l in lids)

@@ -96,14 +96,14 @@ class Nap:
         """Control-plane notification: the only writer of the FID table."""
         self.fid_table[name] = (fid, epoch)
         self.log.append(self.engine.now, self.name, "fid_write", name=name,
-                        fid=fid.bits.hex(), epoch=epoch)
+                        fid=fid.to_bytes().hex(), epoch=epoch)
 
     def routing_digest(self) -> str:
         h = hashlib.sha256()
         for name in sorted(self.fid_table):
             fid, epoch = self.fid_table[name]
             h.update(name.encode())
-            h.update(fid.bits)
+            h.update(fid.to_bytes())
             h.update(str(epoch).encode())
         return h.hexdigest()
 

@@ -17,7 +17,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .fid import FID, FidConfig, LinkId, encode_path, zero_fid
+from .fid import (FID, FidConfig, LinkId, combine_trees, encode_path,
+                  zero_fid)
 from .simkernel import Engine
 from .telemetry import EventLog
 from .topology import TopologyEvent, TopologyGraph
@@ -150,7 +151,6 @@ class Pce:
                 fids.append(self.cached_path(snap, receiver).fid)
             except UnreachableError as exc:
                 failures.append((receiver, str(exc)))
-        from .fid import combine_trees
         fid = combine_trees(fids, width=self.fid_config.m)
         if failures:
             raise PartialTreeError(failures, fid)
@@ -257,7 +257,7 @@ class Pce:
             return
         self._issued[(name, snap)] = fid
         self.log.append(self.engine.now, self.name, "ctrl", msg="fid_update",
-                        name=name, nap=snap, fid=fid.bits.hex(),
+                        name=name, nap=snap, fid=fid.to_bytes().hex(),
                         epoch=self.topo.epoch)
         self.engine.schedule(self.params.control_latency_us,
                              self.naps[snap].update_fid, name, fid,
@@ -279,7 +279,7 @@ class Pce:
                             failures=[f[0] for f in exc.failures])
             fid = exc.partial_fid
         self.log.append(self.engine.now, self.name, "ctrl", msg="tree_reply",
-                        name=name, nap=snap, fid=fid.bits.hex(),
+                        name=name, nap=snap, fid=fid.to_bytes().hex(),
                         epoch=self.topo.epoch)
         self.engine.schedule(self.params.control_latency_us, reply, name, fid,
                              self.topo.epoch)
@@ -326,8 +326,8 @@ class Pce:
         for key in sorted(self._cache):
             entry = self._cache[key]
             h.update(repr((key, entry.links, entry.epoch)).encode())
-            h.update(entry.fid.bits)
+            h.update(entry.fid.to_bytes())
         for key in sorted(self._issued):
             h.update(repr(key).encode())
-            h.update(self._issued[key].bits)
+            h.update(self._issued[key].to_bytes())
         return h.hexdigest()

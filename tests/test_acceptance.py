@@ -31,7 +31,6 @@ import time
 
 import pytest
 
-from icnsim import _bitops
 from icnsim.fabric import trace_delivery
 from icnsim.fid import (FidConfig, assign_link_ids, combine_trees,
                         encode_path, false_positive_rate, should_forward)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from icnsim import _bitops
 from icnsim.fabric import trace_delivery
-from icnsim.fid import (CapacityError, FID, FidConfig, assign_link_ids,
+from icnsim.fid import (CapacityError, FID, FidConfig, LinkId, assign_link_ids,
                         combine_trees, encode_path, false_positive_rate,
                         should_forward, zero_fid)
 
@@ -22,8 +23,63 @@ def test_config_validation():
 
 def test_fid_width_checked():
     with pytest.raises(ValueError):
-        FID(bits=b"\x00", width=64)
+        FID(1 << 64, 64)
+    with pytest.raises(ValueError):
+        FID(-1, 8)
+    with pytest.raises(ValueError):
+        LinkId(1 << 8, 8, 0)
     assert zero_fid(64).popcount() == 0
+
+
+def test_wire_format_is_little_endian_whole_bytes():
+    assert FID((1 << 0) | (1 << 9), 20).to_bytes().hex() == "010200"
+    assert FID(1 << 300, 512).to_bytes().hex() == "00" * 37 + "10" + "00" * 26
+
+
+@pytest.mark.parametrize("width", [1, 8, 20, 256, 257, 1024])
+def test_bit_primitives_at_width(width):
+    rng = random.Random(width)
+    wbytes = (width + 7) // 8
+    ones = (1 << width) - 1
+    for _ in range(200):
+        fid = FID(rng.getrandbits(width), width)
+        # half the patterns are drawn from the FID's own bits, so both
+        # outcomes of the forwarding decision occur at every width
+        lids = [LinkId(rng.getrandbits(width) & rng.choice((fid.bits, ones)),
+                       width, i)
+                for i in range(rng.randrange(12))]
+        patterns = tuple(lid.bits for lid in lids)
+        assert _bitops.select_covered(fid.bits, patterns, len(lids), wbytes) == [
+            i for i, lid in enumerate(lids) if should_forward(fid, lid)]
+        expect = 0
+        for p in patterns:
+            expect |= p
+        assert encode_path(lids, width=width).bits == expect
+        assert _bitops.is_subset(0, fid.bits)
+    zero, all_ones = FID(0, width), FID(ones, width)
+    assert all_ones.popcount() == width
+    assert _bitops.is_subset(zero.bits, zero.bits)
+    assert _bitops.is_subset(zero.bits, all_ones.bits)
+    assert _bitops.is_subset(all_ones.bits, all_ones.bits)
+    assert not _bitops.is_subset(all_ones.bits, zero.bits)
+
+    wider = LinkId(1, width + 1, 1)
+    with pytest.raises(ValueError):
+        should_forward(zero, wider)
+    with pytest.raises(ValueError):
+        encode_path([LinkId(1, width, 0), wider])
+    with pytest.raises(ValueError):
+        encode_path([LinkId(1, width, 0)], width=width + 1)
+    with pytest.raises(ValueError):
+        combine_trees([zero, FID(0, width + 1)])
+    with pytest.raises(ValueError):
+        combine_trees([zero], width=width + 1)
+    with pytest.raises(ValueError):
+        _bitops.select_covered(ones, (1, 1), 3, wbytes)
+    with pytest.raises(ValueError):
+        _bitops.select_covered(1 << (8 * wbytes), (1,), 1, wbytes)
+    with pytest.raises(ValueError):
+        _bitops.select_covered(-1, (1,), 1, wbytes)
 
 
 def test_exact_assignment_unique_single_bits(topo_factory):
