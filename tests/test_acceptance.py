@@ -67,6 +67,27 @@ PINNED_EVENTS_HASH = {
         "0bbc331d0e0da0974367f6917db7167fa16f4365d8d5ba75c892e0fbdee7c466",
 }
 
+# samples_hash of every shipped run.  Between them the runs emit all four
+# sample metrics, so a change to how any of them is counted shows here.
+PINNED_SAMPLES_HASH = {
+    ("coincidental_multicast", "icn"):
+        "10f2c13388a8c7e1bb520b2b735ed458db2f4ba623151bb9c71611fa5cabbeb6",
+    ("coincidental_multicast", "ip"):
+        "d80385aa48ae1a67b03170babc56ff7db75f0b3e6631207f5dc3f7ffe43ae90f",
+    ("hls_failover", "icn"):
+        "cec4ea951ffcfd96aab1a67f982508405426a330f53721ebed05531e3e337647",
+    ("hls_failover", "ip"):
+        "7fccb40f4018d14924c7d088b9fca1c41391e34c034c2aa1eb5e799c16d1c408",
+    ("iptv_failover", "icn"):
+        "0742c8f6217fe68fc4f050f84f37870403e28f916d4c55096a43bbc572f4ff85",
+    ("iptv_failover", "ip"):
+        "301b9f1c100c346ffed6d4ce5c1e5a2a59620034513c170bbc8e4ebe35f845d7",
+    ("trial_topology", "icn"):
+        "994b6556a3358c42e5f6142585895b4e149b869fa7aab0d949f1d3fc63bf180d",
+    ("trial_topology", "ip"):
+        "7deda4e2d5cb473cf4415418e3efb4580a0b8c9aa329ccaea82b7d9851c2bfed",
+}
+
 
 @pytest.fixture(scope="module")
 def suite():
@@ -382,6 +403,18 @@ def test_pinned_events_hashes_match_exported_bytes(suite, tmp_path):
                                if b'"ev":"sample"' not in line)
         assert hashlib.sha256(event_lines).hexdigest() \
             == artifacts.meta["events_hash"], (name, mode)
+
+
+def test_pinned_samples_hashes(suite):
+    """Every shipped run keeps its pinned samples_hash, and the runs
+    together cover every sample metric."""
+    assert set(suite["runs"]) == set(PINNED_SAMPLES_HASH)
+    metrics = set()
+    for (name, mode), artifacts in suite["runs"].items():
+        assert artifacts.meta["samples_hash"] \
+            == PINNED_SAMPLES_HASH[(name, mode)], (name, mode)
+        metrics.update(s["metric"] for s in artifacts.samples)
+    assert metrics == {"tx_bytes", "tx_pkts", "queue_peak_us", "drops"}
 
 
 def test_every_record_matches_declared_vocabulary(suite):
