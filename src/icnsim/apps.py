@@ -25,7 +25,6 @@ class HlsCatalog:
     bitrates_mbps: tuple = (2, 8)
     playlist_window: int = 5
     playlist_bytes: int = 500
-    request_bytes: int = 400
 
     def chunk_bytes(self, bitrate_mbps: int) -> int:
         # bitrate (Mb/s) x duration (us) gives bits exactly
@@ -282,6 +281,13 @@ class HlsClient:
         self._play_start = max(due, t)
 
 
+def packet_interval_us(pkt_bytes: int, bitrate_mbps: int) -> int:
+    """Whole microseconds between the packets of a constant-rate stream
+    (bits / (Mb/s) = us, rounded down); 0 when the rate needs more than
+    one packet per microsecond."""
+    return pkt_bytes * 8 // bitrate_mbps
+
+
 class IptvSource:
     """Constant-rate stream: one maximum-size packet per interval."""
 
@@ -290,7 +296,7 @@ class IptvSource:
         self.channel = channel
         self.sender = sender
         self.pkt_bytes = pkt_bytes
-        self.interval_us = pkt_bytes * 8 // bitrate_mbps
+        self.interval_us = packet_interval_us(pkt_bytes, bitrate_mbps)
         self.stop_us = stop_us
         self.engine = engine
         engine.schedule_at(start_us, self._emit)

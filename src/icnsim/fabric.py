@@ -7,6 +7,7 @@ per-flow state at all: the forwarding decision tests each egress link's
 identifier against the bit vector carried by the packet, so rerouting
 never touches them.  Every injected, forwarded, duplicated, delivered and
 dropped byte is logged; byte conservation is recomputable from the log.
+The fabric keeps no counters of its own: flush_counters reduces the log.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import _bitops
-from .fid import FID, LinkId, should_forward
+from .fid import FID, should_forward
 from .simkernel import Engine
 from .telemetry import EventLog, Telemetry
 from .topology import Link, TopologyEvent, TopologyGraph
@@ -38,7 +39,6 @@ class Packet:
     kind: str
     name: str
     size: int
-    origin: str
     fid: Optional[FID] = None
     src: Optional[str] = None
     dst: Optional[str] = None
@@ -54,7 +54,7 @@ class FidNode:
     """
 
     def __init__(self, name: str, egress_links: list[Link],
-                 link_ids: dict[str, LinkId],
+                 link_ids: dict[str, FID],
                  sink: Optional[Callable] = None):
         self.name = name
         self.egress_links = list(egress_links)
@@ -95,7 +95,6 @@ class FidNode:
 
 @dataclass
 class FabricParams:
-    mtu: int = 1400
     detection_delay_us: int = 10_000
     queue_cap_bytes: Optional[int] = None
     default_ttl: int = DEFAULT_TTL
@@ -114,11 +113,6 @@ class Fabric:
         self.handlers: dict[str, object] = {}
         self.topology_listeners: list[Callable] = []
         self._next_pid = 0
-        # convenience counters; the event log stays authoritative
-        self.link_tx_bytes: dict[str, int] = {}
-        self.link_tx_pkts: dict[str, int] = {}
-        self.link_queue_peak: dict[str, int] = {}
-        self.node_drops: dict[str, int] = {}
 
     def next_pid(self) -> int:
         pid = self._next_pid
@@ -183,11 +177,6 @@ class Fabric:
         self.log.append(t, node, "pkt_fwd", pid=packet.pid, kind=packet.kind,
                         link=link.key, size=packet.size, start=start,
                         arrive=arrive)
-        self.link_tx_bytes[link.key] = self.link_tx_bytes.get(link.key, 0) + packet.size
-        self.link_tx_pkts[link.key] = self.link_tx_pkts.get(link.key, 0) + 1
-        peak = self.link_queue_peak.get(link.key, 0)
-        if backlog_us > peak:
-            self.link_queue_peak[link.key] = backlog_us
         self.engine.schedule(arrive - t, self._arrive, link, packet, ttl, start)
 
     def _arrive(self, link: Link, packet: Packet, ttl: int, start: int) -> None:
@@ -202,7 +191,6 @@ class Fabric:
         self.log.append(self.engine.now, node, "pkt_drop", pid=packet.pid,
                         kind=packet.kind, size=packet.size, reason=reason,
                         **extra)
-        self.node_drops[node] = self.node_drops.get(node, 0) + 1
 
     # -- control path -------------------------------------------------------
 
@@ -217,15 +205,31 @@ class Fabric:
         return event
 
     def flush_counters(self) -> None:
-        """Dump the convenience counters as telemetry samples."""
+        """Reduce the event log to counter samples: bytes and packets sent
+        per link, the peak queueing delay per link (only links that ever
+        queued), and drops per node."""
+        if not self.telemetry.enabled:
+            return
+        tx_bytes, tx_pkts, queue_peak, drops = {}, {}, {}, {}
+        for rec in self.log.records:
+            ev = rec["ev"]
+            if ev == "pkt_fwd":
+                key = rec["link"]
+                tx_bytes[key] = tx_bytes.get(key, 0) + rec["size"]
+                tx_pkts[key] = tx_pkts.get(key, 0) + 1
+                backlog_us = rec["start"] - rec["t"]
+                if backlog_us > queue_peak.get(key, 0):
+                    queue_peak[key] = backlog_us
+            elif ev == "pkt_drop":
+                drops[rec["el"]] = drops.get(rec["el"], 0) + 1
         t = self.engine.now
-        for key in sorted(self.link_tx_bytes):
-            self.telemetry.record(t, key, "tx_bytes", self.link_tx_bytes[key])
-            self.telemetry.record(t, key, "tx_pkts", self.link_tx_pkts[key])
-        for key in sorted(self.link_queue_peak):
-            self.telemetry.record(t, key, "queue_peak_us", self.link_queue_peak[key])
-        for node in sorted(self.node_drops):
-            self.telemetry.record(t, node, "drops", self.node_drops[node])
+        for key in sorted(tx_bytes):
+            self.telemetry.record(t, key, "tx_bytes", tx_bytes[key])
+            self.telemetry.record(t, key, "tx_pkts", tx_pkts[key])
+        for key in sorted(queue_peak):
+            self.telemetry.record(t, key, "queue_peak_us", queue_peak[key])
+        for node in sorted(drops):
+            self.telemetry.record(t, node, "drops", drops[node])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +243,7 @@ class DeliveryTrace:
     hops: int = 0
 
 
-def trace_delivery(topo: TopologyGraph, link_ids: dict[str, LinkId],
+def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],
                    fid: FID, origin: str, ttl: int = DEFAULT_TTL,
                    sinks: Optional[set] = None) -> DeliveryTrace:
     """Walk a FID through the topology without the event loop.

@@ -63,19 +63,12 @@ class FID:
         return self.bits.to_bytes((self.width + 7) // 8, "little")
 
 
-@dataclass(frozen=True)
-class LinkId(FID):
-    """Identifier of one directed link, numbered by link_index."""
-
-    link_index: int
-
-
 def zero_fid(width: int) -> FID:
     return FID(0, width)
 
 
-def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, LinkId]:
-    """Assign a LinkId to every directed link of the topology.
+def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, FID]:
+    """Assign a link identifier to every directed link of the topology.
 
     Accepts a TopologyGraph or any ordered iterable of link keys.  The
     same (topology, config, seed) always yields the same assignment.
@@ -88,15 +81,12 @@ def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, LinkId]
         if len(keys) > config.m:
             raise CapacityError(
                 f"exact mode with m={config.m} cannot label {len(keys)} links")
-        return {
-            key: LinkId(1 << i, config.m, i)
-            for i, key in enumerate(keys)
-        }
+        return {key: FID(1 << i, config.m) for i, key in enumerate(keys)}
     rng = random.Random(substream_seed(seed, "link_ids"))
     out = {}
-    for i, key in enumerate(keys):
+    for key in keys:
         positions = rng.sample(range(config.m), config.k)
-        out[key] = LinkId(_bitops.or_many(1 << p for p in positions), config.m, i)
+        out[key] = FID(_bitops.or_many(1 << p for p in positions), config.m)
     return out
 
 
@@ -120,7 +110,7 @@ def encode_path(link_ids, width: int | None = None) -> FID:
     return FID(_bitops.or_many([lid.bits for lid in ids]), w)
 
 
-def should_forward(fid: FID, lid: LinkId) -> bool:
+def should_forward(fid: FID, lid: FID) -> bool:
     """Forwarding decision: does the FID cover every bit of the link id?"""
     if fid.width != lid.width:
         raise ValueError("width mismatch")

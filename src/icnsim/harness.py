@@ -14,9 +14,8 @@ import json
 import os
 from importlib import resources
 
-from . import _bitops
 from .apps import (HlsCatalog, HlsClient, HlsClientParams, HlsServer,
-                   IptvSource, Stb, SurrogateAgent)
+                   IptvSource, Stb, SurrogateAgent, packet_interval_us)
 from .fabric import Fabric, FabricParams, FidNode, trace_delivery
 from .fid import FidConfig, assign_link_ids
 from .ip_baseline import (DnsDirectory, IpEndpointParams, IpHttpTransport,
@@ -303,6 +302,7 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
                 errors.append(f"apps.hls.clients[{i}].chunks: positive integer required")
     iptv = apps.get("iptv")
     if iptv is not None:
+        mtu = cfg["params"]["mtu"]
         channels = iptv.get("channels") or []
         if not channels:
             errors.append("apps.iptv.channels: at least one channel required")
@@ -315,9 +315,15 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
                 channel_names.add(ch["name"])
             if nodes.get(ch.get("nap")) != ROLE_NAP:
                 errors.append(f"apps.iptv.channels[{i}].nap: must be a nap node")
-            if not isinstance(ch.get("bitrate_mbps"), int) or ch["bitrate_mbps"] <= 0:
+            rate = ch.get("bitrate_mbps")
+            if not isinstance(rate, int) or rate <= 0:
                 errors.append(f"apps.iptv.channels[{i}].bitrate_mbps: positive "
                               "integer required")
+            elif (isinstance(mtu, int) and mtu > 0
+                  and packet_interval_us(mtu, rate) < 1):
+                errors.append(f"apps.iptv.channels[{i}].bitrate_mbps: at most "
+                              f"{8 * mtu} (8 * params.mtu), so that packets "
+                              "are at least 1 us apart")
             start, stop = ch.get("start_ms"), ch.get("stop_ms")
             if (not isinstance(start, int) or not isinstance(stop, int)
                     or not 0 <= start < stop <= duration):
@@ -393,7 +399,6 @@ def build_world(effective: dict, mode: str, seed: int,
     w.telemetry = Telemetry(telemetry_enabled)
     w.topo = _build_topology(effective)
     w.fabric = Fabric(w.engine, w.topo, w.log, w.telemetry, FabricParams(
-        mtu=params["mtu"],
         detection_delay_us=params["detection_delay_ms"] * US_PER_MS,
         queue_cap_bytes=params["queue_cap_bytes"],
         default_ttl=params["ttl"]))
@@ -470,8 +475,7 @@ def _wire_apps(w: World, effective: dict, mode: str) -> None:
             chunk_duration_us=hls["chunk_duration_ms"] * US_PER_MS,
             bitrates_mbps=tuple(hls["bitrates_mbps"]),
             playlist_window=hls["playlist_window"],
-            playlist_bytes=params["playlist_bytes"],
-            request_bytes=params["request_bytes"])
+            playlist_bytes=params["playlist_bytes"])
         scope = http_scope(hls["host"])
         for s in hls["servers"]:
             server = HlsServer(s["name"], s["nap"], catalog, w.engine, w.log,
@@ -612,7 +616,6 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
         "engine_events": executed,
-        "bitops_backend": _bitops.BACKEND,
         "violations": violations,
     }
     return RunArtifacts(config=effective, mode=mode, seed=seed,

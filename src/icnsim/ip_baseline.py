@@ -153,7 +153,7 @@ class IpSwitch:
         if in_link is None:
             port_in = (HOST_PORT, packet.src)
         else:
-            port_in = f"{in_link.physical}:{in_link.dst}->{in_link.src}"
+            port_in = in_link.reverse
         if packet.src:
             self.mac[packet.src] = port_in
         if packet.kind == "igmp":
@@ -297,7 +297,7 @@ class IpHttpTransport:
             return
         pkt = Packet(pid=self.fabric.next_pid(), kind="request",
                      name=f"{host}{path}", size=self.params.request_bytes,
-                     origin=self.node, src=self.client_id, dst=addr,
+                     src=self.client_id, dst=addr,
                      payload=("req", method, host, path, kind, rid,
                               self.client_id))
         self.fabric.inject(self.node, pkt)
@@ -368,7 +368,7 @@ class IpServerEndpoint:
             seg = min(mtu, remaining)
             remaining -= seg
             pkt = Packet(pid=self.fabric.next_pid(), kind=pkt_kind,
-                         name=f"{host}{path}", size=seg, origin=self.node,
+                         name=f"{host}{path}", size=seg,
                          src=self.host_id, dst=requester,
                          payload=("resp", rid, size, status, meta, kind))
             self.fabric.inject(self.node, pkt)
@@ -391,8 +391,8 @@ class IpIgmpAdapter:
     def _send(self, stb_name: str, action: str, channel: str) -> None:
         group = group_address(channel)
         pkt = Packet(pid=self.fabric.next_pid(), kind="igmp", name=group,
-                     size=self.params.igmp_bytes, origin=self.node,
-                     src=stb_name, dst=group, payload=(action, stb_name))
+                     size=self.params.igmp_bytes, src=stb_name, dst=group,
+                     payload=(action, stb_name))
         self.fabric.inject(self.node, pkt)
 
 
@@ -407,6 +407,5 @@ class IpStreamSender:
     def send_stream(self, channel: str, size: int) -> None:
         group = group_address(channel)
         pkt = Packet(pid=self.fabric.next_pid(), kind="stream", name=group,
-                     size=size, origin=self.node, src=self.source_id,
-                     dst=group)
+                     size=size, src=self.source_id, dst=group)
         self.fabric.inject(self.node, pkt)

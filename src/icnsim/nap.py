@@ -57,7 +57,6 @@ class _Pending:
 
     clients: list = field(default_factory=list)
     received: dict = field(default_factory=dict)
-    finished: set = field(default_factory=set)
 
 
 @dataclass
@@ -68,8 +67,6 @@ class _Group:
     fingerprint: tuple
     kind: str
     members: dict
-    opened: int
-    state: str = "open"
 
 
 class Nap:
@@ -86,6 +83,7 @@ class Nap:
         self.fid_table: dict[str, tuple[FID, int]] = {}
         self._pending: dict[str, _Pending] = {}
         self._members: dict[str, dict] = {}
+        # open coalescing groups only; a group leaves when it closes
         self._groups: dict[tuple, _Group] = {}
         self._servers: dict[str, object] = {}
         self._rid = 0
@@ -192,8 +190,7 @@ class Nap:
         tag, rid, total, status, meta = packet.payload
         got = pending.received.get(rid, 0) + packet.size
         pending.received[rid] = got
-        if got >= total and rid not in pending.finished:
-            pending.finished.add(rid)
+        if got >= total:
             for handle, fetch_id in pending.clients:
                 self.engine.schedule(self.params.access_latency_us,
                                      handle.on_response, fetch_id, status,
@@ -217,13 +214,13 @@ class Nap:
         fingerprint = (method, host, path)
         group = self._groups.get(fingerprint)
         t = self.engine.now
-        if group is not None and group.state == "open":
+        if group is not None:
             group.members[subscriber] = True
             self.log.append(t, self.name, "group_join", name=name,
                             members=len(group.members))
             return
         group = _Group(name=name, fingerprint=fingerprint, kind=kind,
-                       members={subscriber: True}, opened=t)
+                       members={subscriber: True})
         self._groups[fingerprint] = group
         self.log.append(t, self.name, "group_open", name=name,
                         window_us=self.params.coalesce_window_us)
@@ -234,9 +231,7 @@ class Nap:
                                  self._close_group, group)
 
     def _close_group(self, group: _Group) -> None:
-        if group.state != "open":
-            return
-        group.state = "serving"
+        del self._groups[group.fingerprint]
         method, host, path = group.fingerprint
         self.log.append(self.engine.now, self.name, "group_close",
                         name=group.name, members=len(group.members))
@@ -265,7 +260,6 @@ class Nap:
     def _respond(self, group: _Group, rid: int, status: int, size: int,
                  meta, fid: FID, epoch: int) -> None:
         self.update_fid(group.name, fid, epoch)
-        group.state = "served"
         mtu = self.params.mtu
         segments = max(1, -(-size // mtu))
         self.log.append(self.engine.now, self.name, "snap_respond",
@@ -276,7 +270,7 @@ class Nap:
             seg = min(mtu, remaining)
             remaining -= seg
             pkt = Packet(pid=self.fabric.next_pid(), kind=group.kind,
-                         name=group.name, size=seg, origin=self.name, fid=fid,
+                         name=group.name, size=seg, fid=fid,
                          payload=("resp", rid, size, status, meta))
             self.fabric.inject(self.name, pkt)
 
@@ -287,7 +281,7 @@ class Nap:
         entry = self.fid_table.get(name)
         fid = entry[0] if entry is not None else zero_fid(self.pce.fid_config.m)
         pkt = Packet(pid=self.fabric.next_pid(), kind="stream", name=name,
-                     size=size, origin=self.name, fid=fid)
+                     size=size, fid=fid)
         self.fabric.inject(self.name, pkt)
 
 

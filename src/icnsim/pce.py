@@ -17,8 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .fid import (FID, FidConfig, LinkId, combine_trees, encode_path,
-                  zero_fid)
+from .fid import FID, FidConfig, combine_trees, encode_path, zero_fid
 from .simkernel import Engine
 from .telemetry import EventLog
 from .topology import TopologyEvent, TopologyGraph
@@ -45,14 +44,6 @@ class PathResult:
 
 
 @dataclass
-class _CacheEntry:
-    links: tuple
-    fid: FID
-    cost: int
-    epoch: int
-
-
-@dataclass
 class PceParams:
     control_latency_us: int = 1_000
     processing_delay_us: int = 5_000
@@ -62,7 +53,7 @@ class Pce:
     """Rendezvous + topology manager, co-located as one control element."""
 
     def __init__(self, engine: Engine, topo: TopologyGraph,
-                 link_ids: dict[str, LinkId], fid_config: FidConfig,
+                 link_ids: dict[str, FID], fid_config: FidConfig,
                  log: EventLog, params: PceParams = None, name: str = "pce"):
         self.engine = engine
         self.topo = topo
@@ -76,7 +67,8 @@ class Pce:
         # name -> subscriber gateway -> (kind, context)
         self._pubs: dict[str, dict] = {}
         self._subs: dict[str, dict] = {}
-        self._cache: dict[tuple, _CacheEntry] = {}
+        # (src, dst) -> (path, topology epoch it was last valid at)
+        self._cache: dict[tuple, tuple[PathResult, int]] = {}
         # durable stream trees: (name, snap) -> last issued FID
         self._issued: dict[tuple, FID] = {}
         self._stream_entry: dict[str, str] = {}
@@ -133,13 +125,12 @@ class Pce:
         """Path cache keyed by gateway pair, validated by topology epoch."""
         key = (src, dst)
         entry = self._cache.get(key)
-        if entry is not None and entry.epoch == self.topo.epoch:
+        if entry is not None and entry[1] == self.topo.epoch:
             self.cache_hits += 1
-            return PathResult(entry.links, entry.fid, entry.cost)
+            return entry[0]
         self.cache_misses += 1
         result = self.compute_path(src, dst)
-        self._cache[key] = _CacheEntry(result.links, result.fid, result.cost,
-                                       self.topo.epoch)
+        self._cache[key] = (result, self.topo.epoch)
         return result
 
     def build_multicast_fid(self, snap: str, receivers) -> FID:
@@ -295,23 +286,20 @@ class Pce:
                              self._reroute, event)
 
     def _reroute(self, event: TopologyEvent) -> None:
-        if event.up:
-            # a restored link can only improve paths: recompute everything
-            stale = list(self._cache)
-        else:
-            affected = set(event.directed_keys)
-            stale = [key for key, entry in self._cache.items()
-                     if affected.intersection(entry.links)]
-        for key in stale:
-            del self._cache[key]
-        # entries a failure did not touch stay valid at the new epoch;
+        # a restored link can only improve paths: recompute everything.
+        # Entries a failure did not touch stay valid at the new epoch;
         # between the event and this reroute the epoch check already
         # forced fresh computation
-        for entry in self._cache.values():
-            entry.epoch = self.topo.epoch
-        self.invalidations += len(stale)
+        affected = set(event.directed_keys)
+        kept = {} if event.up else {
+            key: (path, self.topo.epoch)
+            for key, (path, _) in self._cache.items()
+            if not affected.intersection(path.links)}
+        stale = len(self._cache) - len(kept)
+        self._cache = kept
+        self.invalidations += stale
         self.log.append(self.engine.now, self.name, "ctrl", msg="invalidate",
-                        physical=event.physical, entries=len(stale),
+                        physical=event.physical, entries=stale,
                         epoch=self.topo.epoch)
         # recompute durable stream trees; push only the FIDs that changed,
         # and only to the entry-point gateways
@@ -324,9 +312,9 @@ class Pce:
         h = hashlib.sha256()
         h.update(str(self.topo.epoch).encode())
         for key in sorted(self._cache):
-            entry = self._cache[key]
-            h.update(repr((key, entry.links, entry.epoch)).encode())
-            h.update(entry.fid.to_bytes())
+            path, epoch = self._cache[key]
+            h.update(repr((key, path.links, epoch)).encode())
+            h.update(path.fid.to_bytes())
         for key in sorted(self._issued):
             h.update(repr(key).encode())
             h.update(self._issued[key].to_bytes())

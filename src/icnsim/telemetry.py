@@ -1,10 +1,10 @@
 """Event log, metric sampling, reducers and artifact serialization.
 
-The append-only event log is the authority for every reported figure:
-counters kept by the data plane are conveniences, and summarize() here
-recomputes everything from the exported records alone.  Metric samples
-are a separate, optional stream; disabling them must not change the event
-log in any way (the determinism suite checks exactly that).
+The append-only event log is the only record of what the data plane
+did (the data plane keeps no counters), and summarize() here recomputes
+everything from the exported records alone.  Metric samples are a separate,
+optional stream reduced from the log; disabling them must not change the
+event log in any way (the determinism suite checks exactly that).
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def summarize(artifacts: RunArtifacts) -> dict:
     # playback stalls (HLS clients)
     if hls:
         chunk_us = hls["chunk_duration_ms"] * 1000
-        hold_us = params.get("startup_hold_ms", 750) * 1000
+        hold_us = params["startup_hold_ms"] * 1000
         summary["stalls"] = stalls_from_events(events, chunk_us, hold_us)
 
     # channel acquisition after a join or zap
@@ -340,8 +340,10 @@ def summarize(artifacts: RunArtifacts) -> dict:
 
     # per-sink stream disruption intervals; a gap is judged by the packet
     # interval of the channel that ends it, so thresholds follow zaps
+    from .apps import packet_interval_us
     iptv = artifacts.config.get("apps", {}).get("iptv") or {}
-    max_gap = {ch["name"]: 2 * _stream_packet_interval_us(ch, params)
+    max_gap = {ch["name"]: 2 * packet_interval_us(params["mtu"],
+                                                  ch["bitrate_mbps"])
                for ch in iptv.get("channels") or []}
     stb_rx: dict[str, list[int]] = {}
     stb_gap: dict[str, list[int]] = {}
@@ -368,12 +370,6 @@ def summarize(artifacts: RunArtifacts) -> dict:
         summary["disruptions"] = disruptions
         summary["disruption_gap_threshold_us"] = max_gap
     return summary
-
-
-def _stream_packet_interval_us(channel: dict, params: dict) -> int:
-    bitrate = channel["bitrate_mbps"] * 1_000_000
-    mtu = params.get("mtu", 1400)
-    return max(1, round(mtu * 8 * 1_000_000 / bitrate))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ class Link:
     capacity_bps: int
     latency_us: int
     index: int
+    # key of the opposite direction of the same physical link
+    reverse: str
     up: bool = True
     # time the link last transitioned to up; packets whose transmission
     # started before this are treated as lost in flight
@@ -49,7 +51,6 @@ class TopologyEvent:
 
     physical: str
     up: bool
-    at_us: int
     directed_keys: tuple = field(default_factory=tuple)
 
 
@@ -85,9 +86,10 @@ class TopologyGraph:
             raise ValueError(f"link {physical!r} has invalid capacity/latency")
         key_ab = f"{physical}:{a}->{b}"
         key_ba = f"{physical}:{b}->{a}"
-        for key, src, dst in ((key_ab, a, b), (key_ba, b, a)):
+        for key, reverse, src, dst in ((key_ab, key_ba, a, b),
+                                       (key_ba, key_ab, b, a)):
             link = Link(key, physical, src, dst, capacity_bps, latency_us,
-                        index=len(self.links))
+                        index=len(self.links), reverse=reverse)
             self.links[key] = link
             self._egress[src].append(key)
         self.physical[physical] = (key_ab, key_ba)
@@ -108,7 +110,7 @@ class TopologyGraph:
                 link.up_since = at_us
             link.up = up
         self.epoch += 1
-        return TopologyEvent(physical, up, at_us, keys)
+        return TopologyEvent(physical, up, keys)
 
     def sorted_link_keys(self) -> list[str]:
         """Directed link keys in insertion order (stable across runs)."""

@@ -67,7 +67,7 @@ def fid_for(lids, keys, m):
 
 def packet(fabric, fid=None, size=1000, kind="chunk", **kw):
     return Packet(pid=fabric.next_pid(), kind=kind, name="x", size=size,
-                  origin="a", fid=fid, **kw)
+                  fid=fid, **kw)
 
 
 def test_transmission_time_integer_ceiling():
@@ -266,20 +266,37 @@ def test_listeners_hear_link_events_after_detection_delay():
 
 
 def test_flush_counters_match_event_log():
+    # 250 bytes take 250 us at 8 Mb/s, so a burst of four queues behind
+    # itself; a 750-byte cap admits three; a later packet finds the link
+    # idle; a TTL-expired packet at b adds a drop at a second node
     topo = chain_topology()
-    engine, log, fabric = make_fabric(topo)
+    engine, log, fabric = make_fabric(topo, queue_cap_bytes=750)
     sink = RecordingSink()
     fabric.add_handler("a", StaticForwarder(topo.egress("a")))
     fabric.add_handler("b", sink)
     for _ in range(4):
         fabric.inject("a", packet(fabric, size=250))
+    engine.schedule_at(10_000, fabric.inject, "a", packet(fabric, size=250))
+    fabric.inject("b", packet(fabric), ttl=0)
     engine.run_until(1_000_000)
     fabric.flush_counters()
     samples = {(s["el"], s["metric"]): s["value"]
                for s in fabric.telemetry.samples}
-    fwd_bytes = sum(r["size"] for r in log.records if r["ev"] == "pkt_fwd")
-    assert samples[("ab:a->b", "tx_bytes")] == fwd_bytes == 1000
-    assert samples[("ab:a->b", "tx_pkts")] == 4
+    expected = {}
+    for r in log.records:
+        if r["ev"] == "pkt_fwd":
+            for metric, value in (("tx_bytes", r["size"]), ("tx_pkts", 1)):
+                key = (r["link"], metric)
+                expected[key] = expected.get(key, 0) + value
+            if r["start"] > r["t"]:
+                key = (r["link"], "queue_peak_us")
+                expected[key] = max(expected.get(key, 0), r["start"] - r["t"])
+        elif r["ev"] == "pkt_drop":
+            expected[(r["el"], "drops")] = expected.get((r["el"], "drops"), 0) + 1
+    assert samples == expected == {
+        ("ab:a->b", "tx_bytes"): 1000, ("ab:a->b", "tx_pkts"): 4,
+        ("ab:a->b", "queue_peak_us"): 500,
+        ("a", "drops"): 1, ("b", "drops"): 1}
 
 
 def test_trace_delivery_reports_dead_ends():

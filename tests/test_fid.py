@@ -6,7 +6,7 @@ import pytest
 
 from icnsim import _bitops
 from icnsim.fabric import trace_delivery
-from icnsim.fid import (CapacityError, FID, FidConfig, LinkId, assign_link_ids,
+from icnsim.fid import (CapacityError, FID, FidConfig, assign_link_ids,
                         combine_trees, encode_path, false_positive_rate,
                         should_forward, zero_fid)
 
@@ -27,7 +27,7 @@ def test_fid_width_checked():
     with pytest.raises(ValueError):
         FID(-1, 8)
     with pytest.raises(ValueError):
-        LinkId(1 << 8, 8, 0)
+        FID(1 << 8, 8)
     assert zero_fid(64).popcount() == 0
 
 
@@ -45,9 +45,9 @@ def test_bit_primitives_at_width(width):
         fid = FID(rng.getrandbits(width), width)
         # half the patterns are drawn from the FID's own bits, so both
         # outcomes of the forwarding decision occur at every width
-        lids = [LinkId(rng.getrandbits(width) & rng.choice((fid.bits, ones)),
-                       width, i)
-                for i in range(rng.randrange(12))]
+        lids = [FID(rng.getrandbits(width) & rng.choice((fid.bits, ones)),
+                    width)
+                for _ in range(rng.randrange(12))]
         patterns = tuple(lid.bits for lid in lids)
         assert _bitops.select_covered(fid.bits, patterns, len(lids), wbytes) == [
             i for i, lid in enumerate(lids) if should_forward(fid, lid)]
@@ -63,13 +63,13 @@ def test_bit_primitives_at_width(width):
     assert _bitops.is_subset(all_ones.bits, all_ones.bits)
     assert not _bitops.is_subset(all_ones.bits, zero.bits)
 
-    wider = LinkId(1, width + 1, 1)
+    wider = FID(1, width + 1)
     with pytest.raises(ValueError):
         should_forward(zero, wider)
     with pytest.raises(ValueError):
-        encode_path([LinkId(1, width, 0), wider])
+        encode_path([FID(1, width), wider])
     with pytest.raises(ValueError):
-        encode_path([LinkId(1, width, 0)], width=width + 1)
+        encode_path([FID(1, width)], width=width + 1)
     with pytest.raises(ValueError):
         combine_trees([zero, FID(0, width + 1)])
     with pytest.raises(ValueError):

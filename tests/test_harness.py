@@ -95,6 +95,21 @@ def test_validation_fills_defaults():
     assert effective["apps"]["iptv"]["stbs"][0]["active_until_ms"] == 900
 
 
+def test_validation_rejects_channel_faster_than_a_packet_per_us():
+    """At MTU 100 a 1000 Mb/s channel would send its packets 0 us apart
+    and never let the clock advance; 800 Mb/s is the fastest allowed."""
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["params"] = {"mtu": 100}
+    cfg["apps"]["iptv"]["channels"][0]["bitrate_mbps"] = 1000
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.errors == [
+        "apps.iptv.channels[0].bitrate_mbps: at most 800 (8 * params.mtu), "
+        "so that packets are at least 1 us apart"]
+    cfg["apps"]["iptv"]["channels"][0]["bitrate_mbps"] = 800
+    validate_config(cfg)
+
+
 def test_config_hash_covers_defaults_and_overrides():
     a = validate_config(copy.deepcopy(MINIMAL))
     b = validate_config(copy.deepcopy(MINIMAL))

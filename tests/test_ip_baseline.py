@@ -221,7 +221,7 @@ def test_dns_failover_is_sticky_and_budgeted():
     transport.fetch(handle, 3, "GET", "video.test", "/x", "chunk")
     rid = max(transport._pending)
     transport.on_packet(Packet(pid=1, kind="chunk", name="video.test/x",
-                               size=500, origin="swm", src="surrogate",
+                               size=500, src="surrogate",
                                dst="c1",
                                payload=("resp", rid, 500, 200, None, "chunk")),
                         engine.now)

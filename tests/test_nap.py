@@ -120,6 +120,8 @@ def test_request_after_window_opens_new_group():
     opens = [r for r in log.records if r["ev"] == "group_open"]
     assert len(opens) == 2
     assert len(c0.responses) == 1 and len(c1.responses) == 1
+    # a closed group is not kept
+    assert naps["snap"]._groups == {}
 
 
 def test_zero_window_serves_immediately():

@@ -144,7 +144,7 @@ def test_failure_invalidates_only_affected_entries():
     event = topo.set_link_state("bd", False, engine.now)
     run_reroute(engine, pce, event)
     assert ("a", "d") not in pce._cache
-    survivor = pce._cache[("c", "d")]
+    survivor, _ = pce._cache[("c", "d")]
     assert survivor.links == ("cd:c->d",)
     # the survivor was revalidated: next lookup is a hit at the new epoch
     hits = pce.cache_hits
@@ -194,8 +194,8 @@ def test_cached_paths_avoid_down_links_across_churn(topo_factory, bfs_oracle):
                 assert result.cost == expected
                 for key in result.links:
                     assert topo.links[key].up
-        for entry in pce._cache.values():
-            assert all(topo.links[key].up for key in entry.links)
+        for path, _ in pce._cache.values():
+            assert all(topo.links[key].up for key in path.links)
 
 
 def test_multicast_tree_shares_trunk_bits():
@@ -232,7 +232,7 @@ def test_multicast_tree_carries_one_trunk_copy_in_fabric():
     fid = pce.build_multicast_fid("src", ("r1", "r2"))
     from icnsim.fabric import Packet
     fabric.inject("src", Packet(pid=1, kind="stream", name="ch", size=1000,
-                                origin="src", fid=fid))
+                                fid=fid))
     engine.run_until(1_000_000)
     trunk = [r for r in log.records if r["ev"] == "pkt_fwd"
              and r["link"] == "trunk:src->mid"]

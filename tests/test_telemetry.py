@@ -6,6 +6,8 @@ import tracemalloc
 
 import pytest
 
+from icnsim.apps import IptvSource
+from icnsim.simkernel import Engine
 from icnsim.telemetry import (_BATCH, EventLog, RunArtifacts, Telemetry,
                               canonical_json, conservation_from_events,
                               disruption_intervals, drops_by_reason,
@@ -200,6 +202,25 @@ def test_disruption_threshold_follows_each_packets_channel():
                                                       "sd": 11_200}
     late = [{"start": 64_600, "end": 68_600, "us": 4_000}]
     assert summary["disruptions"] == {"stb_icn": late, "stb_ip": late}
+
+
+def test_gap_threshold_is_twice_the_sources_packet_interval():
+    """At 6 Mb/s and MTU 1400 the source sends every 1866 us (rounded
+    down), so a 3732 us gap is on time and a 3733 us gap is not."""
+    source = IptvSource("ch", None, bitrate_mbps=6, pkt_bytes=1400,
+                        start_us=0, stop_us=0, engine=Engine(1))
+    assert source.interval_us == 1_866
+    config = {"params": {"mtu": 1400},
+              "apps": {"iptv": {"channels": [{"name": "ch",
+                                              "bitrate_mbps": 6}]}}}
+    events = [ev(0, "stb", "stb_active", until=10_000)]
+    events += [ev(t, "stb", "stb_rx", name="ch:ch", size=1400)
+               for t in (0, 3_732, 7_465)]
+    summary = summarize(RunArtifacts(config=config, mode="icn", seed=1,
+                                     events=events))
+    assert summary["disruption_gap_threshold_us"] == {"ch": 3_732}
+    assert summary["disruptions"] == {
+        "stb": [{"start": 3_732, "end": 7_465, "us": 3_733}]}
 
 
 def make_artifacts():
