@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from . import _bitops
 from .fid import FID, should_forward
 from .simkernel import Engine
-from .telemetry import EventLog, Telemetry
+from .telemetry import EventLog, Telemetry, column
 from .topology import Link, TopologyEvent, TopologyGraph
 
 DEFAULT_TTL = 64
@@ -129,8 +129,8 @@ class Fabric:
 
     def inject(self, node: str, packet: Packet, ttl: Optional[int] = None) -> None:
         t = self.engine.now
-        self.log.append(t, node, "pkt_inject", pid=packet.pid, kind=packet.kind,
-                        name=packet.name, size=packet.size)
+        self.log.pkt_inject(t, node, packet.pid, packet.kind, packet.name,
+                            packet.size)
         self._process(node, packet,
                       self.params.default_ttl if ttl is None else ttl, None)
 
@@ -147,18 +147,15 @@ class Fabric:
             tapped = consumers is not None and consumers > 0
             surplus = len(egress) - 1 + (1 if tapped else 0)
             if surplus > 0:
-                self.log.append(t, node, "pkt_branch", pid=packet.pid,
-                                size=packet.size, extra=surplus)
+                self.log.pkt_branch(t, node, packet.pid, packet.size, surplus)
             for link in egress:
                 self._send(node, link, packet, ttl - 1)
             if tapped:
-                self.log.append(t, node, "pkt_deliver", pid=packet.pid,
-                                kind=packet.kind, size=packet.size,
-                                consumers=consumers, spurious=False)
+                self.log.pkt_deliver(t, node, packet.pid, packet.kind,
+                                     packet.size, consumers, False)
         elif consumers is not None:
-            self.log.append(t, node, "pkt_deliver", pid=packet.pid,
-                            kind=packet.kind, size=packet.size,
-                            consumers=consumers, spurious=consumers == 0)
+            self.log.pkt_deliver(t, node, packet.pid, packet.kind, packet.size,
+                                 consumers, consumers == 0)
         else:
             self._drop(node, packet, reason or "no_egress")
 
@@ -174,23 +171,21 @@ class Fabric:
         tx_us = (packet.size * 8_000_000 + link.capacity_bps - 1) // link.capacity_bps
         link.busy_until = start + tx_us
         arrive = start + tx_us + link.latency_us
-        self.log.append(t, node, "pkt_fwd", pid=packet.pid, kind=packet.kind,
-                        link=link.key, size=packet.size, start=start,
-                        arrive=arrive)
+        self.log.pkt_fwd(t, node, packet.pid, packet.kind, link.key,
+                         packet.size, start, arrive)
         self.engine.schedule(arrive - t, self._arrive, link, packet, ttl, start)
 
     def _arrive(self, link: Link, packet: Packet, ttl: int, start: int) -> None:
         # a link that went down (or bounced) while the packet was on the
         # wire loses the packet
         if not link.up or link.up_since > start:
-            self._drop(link.dst, packet, "link_down", link=link.key)
+            self._drop(link.dst, packet, "link_down", link.key)
             return
         self._process(link.dst, packet, ttl, link)
 
-    def _drop(self, node: str, packet: Packet, reason: str, **extra) -> None:
-        self.log.append(self.engine.now, node, "pkt_drop", pid=packet.pid,
-                        kind=packet.kind, size=packet.size, reason=reason,
-                        **extra)
+    def _drop(self, node: str, packet: Packet, reason: str, *link) -> None:
+        self.log.pkt_drop(self.engine.now, node, packet.pid, packet.kind,
+                          packet.size, reason, *link)
 
     # -- control path -------------------------------------------------------
 
@@ -211,17 +206,19 @@ class Fabric:
         if not self.telemetry.enabled:
             return
         tx_bytes, tx_pkts, queue_peak, drops = {}, {}, {}, {}
-        for rec in self.log.records:
-            ev = rec["ev"]
+        link, size, start = (column("pkt_fwd", name)
+                             for name in ("link", "size", "start"))
+        for row in self.log.rows:
+            ev = row[2]
             if ev == "pkt_fwd":
-                key = rec["link"]
-                tx_bytes[key] = tx_bytes.get(key, 0) + rec["size"]
+                key = row[link]
+                tx_bytes[key] = tx_bytes.get(key, 0) + row[size]
                 tx_pkts[key] = tx_pkts.get(key, 0) + 1
-                backlog_us = rec["start"] - rec["t"]
+                backlog_us = row[start] - row[0]
                 if backlog_us > queue_peak.get(key, 0):
                     queue_peak[key] = backlog_us
             elif ev == "pkt_drop":
-                drops[rec["el"]] = drops.get(rec["el"], 0) + 1
+                drops[row[1]] = drops.get(row[1], 0) + 1
         t = self.engine.now
         for key in sorted(tx_bytes):
             self.telemetry.record(t, key, "tx_bytes", tx_bytes[key])

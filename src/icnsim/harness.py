@@ -66,6 +66,12 @@ HLS_DEFAULTS = {"path_prefix": "/live", "chunk_duration_ms": 2000,
                 "bitrates_mbps": [2, 8], "playlist_window": 5}
 
 
+def _is_num(v, types=int) -> bool:
+    """v is a config value of types (int, or int and float); JSON true and
+    false are bools, never numbers."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 class ConfigError(ValueError):
     """Invalid scenario configuration; carries every problem found."""
 
@@ -118,7 +124,7 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(name, str) or not name:
         errors.append("name: required non-empty string")
     duration = cfg.get("duration_ms")
-    if not isinstance(duration, int) or duration <= 0:
+    if not _is_num(duration) or duration <= 0:
         errors.append("duration_ms: required positive integer")
         duration = 1
 
@@ -136,16 +142,18 @@ def validate_config(raw: dict) -> dict:
     cfg["fid"] = fid
 
     nodes, links = _check_topology(cfg, errors)
-    if fid.get("mode") == "exact" and isinstance(fid.get("m"), int):
-        if 2 * len(links) > fid["m"]:
+    m, k = fid.get("m"), fid.get("k")
+    if not _is_num(m) or m < 1:
+        errors.append("fid.m: positive integer required")
+    elif fid.get("mode") == "exact":
+        if 2 * len(links) > m:
             errors.append(
-                f"fid.m: {fid['m']} bits cannot give unique identifiers to "
+                f"fid.m: {m} bits cannot give unique identifiers to "
                 f"{2 * len(links)} directed links")
     elif fid.get("mode") == "bloom":
-        if not (isinstance(fid.get("k"), int) and isinstance(fid.get("m"), int)
-                and 1 <= fid["k"] < fid["m"]):
-            errors.append("fid: bloom mode requires integers 1 <= k < m")
-    elif fid.get("mode") != "exact":
+        if not (_is_num(k) and 1 <= k < m):
+            errors.append("fid.k: bloom mode requires an integer 1 <= k < m")
+    if fid.get("mode") not in ("exact", "bloom"):
         errors.append(f"fid.mode: must be 'exact' or 'bloom', got {fid.get('mode')!r}")
 
     apps = cfg.get("apps") or {}
@@ -162,7 +170,7 @@ def validate_config(raw: dict) -> dict:
             errors.append(f"{where}.kind: unknown kind {kind!r}")
             continue
         at = ev.get("at_ms")
-        if not isinstance(at, int) or not 0 < at < duration:
+        if not _is_num(at) or not 0 < at < duration:
             errors.append(f"{where}.at_ms: must lie inside (0, duration_ms)")
         if kind in ("link_down", "link_up") and ev.get("link") not in links:
             errors.append(f"{where}.link: unknown link {ev.get('link')!r}")
@@ -191,19 +199,19 @@ def _check_params(params: dict, errors: list) -> None:
                 "request_bytes", "playlist_bytes", "igmp_bytes",
                 "max_attempts_per_fetch")
     for key in non_negative:
-        if not isinstance(params[key], int) or params[key] < 0:
+        if not _is_num(params[key]) or params[key] < 0:
             errors.append(f"params.{key}: must be a non-negative integer")
     for key in positive:
-        if not isinstance(params[key], int) or params[key] <= 0:
+        if not _is_num(params[key]) or params[key] <= 0:
             errors.append(f"params.{key}: must be a positive integer")
     for key in ("abr_safety", "ewma_weight"):
         v = params[key]
-        if not isinstance(v, (int, float)) or not 0 < v <= 1:
+        if not _is_num(v, (int, float)) or not 0 < v <= 1:
             errors.append(f"params.{key}: must lie in (0, 1]")
     cap = params["queue_cap_bytes"]
-    if cap is not None and (not isinstance(cap, int) or cap <= 0):
+    if cap is not None and (not _is_num(cap) or cap <= 0):
         errors.append("params.queue_cap_bytes: must be null or a positive integer")
-    if not isinstance(params["seed"], int):
+    if not _is_num(params["seed"]):
         errors.append("params.seed: must be an integer")
 
 
@@ -241,10 +249,10 @@ def _check_topology(cfg: dict, errors: list):
             linked.add(a)
             linked.add(b)
         cap = l.get("capacity_mbps")
-        if not isinstance(cap, (int, float)) or cap <= 0:
+        if not _is_num(cap, (int, float)) or cap <= 0:
             errors.append(f"topology.links[{i}]: capacity_mbps must be positive")
         lat = l.get("latency_us")
-        if not isinstance(lat, int) or lat < 0:
+        if not _is_num(lat) or lat < 0:
             errors.append(f"topology.links[{i}]: latency_us must be a "
                           "non-negative integer")
         links[lname] = l
@@ -266,11 +274,13 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
             errors.append("apps.hls.host: required")
         rates = hls.get("bitrates_mbps") or []
         if (not rates or sorted(set(rates)) != rates
-                or any(not isinstance(r, int) or r <= 0 for r in rates)):
+                or any(not _is_num(r) or r <= 0 for r in rates)):
             errors.append("apps.hls.bitrates_mbps: strictly increasing "
                           "positive integers required")
-        if not isinstance(hls.get("chunk_duration_ms"), int) or hls["chunk_duration_ms"] <= 0:
+        if not _is_num(hls.get("chunk_duration_ms")) or hls["chunk_duration_ms"] <= 0:
             errors.append("apps.hls.chunk_duration_ms: positive integer required")
+        if not _is_num(hls.get("playlist_window")) or hls["playlist_window"] <= 0:
+            errors.append("apps.hls.playlist_window: positive integer required")
         servers = hls.get("servers") or []
         if not servers:
             errors.append("apps.hls.servers: at least one server required")
@@ -295,10 +305,10 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
                 errors.append(f"apps.hls.clients[{i}]: missing name")
             if nodes.get(c.get("nap")) != ROLE_NAP:
                 errors.append(f"apps.hls.clients[{i}].nap: must be a nap node")
-            if not isinstance(c.get("start_ms"), int) or not 0 <= c["start_ms"] < duration:
+            if not _is_num(c.get("start_ms")) or not 0 <= c["start_ms"] < duration:
                 errors.append(f"apps.hls.clients[{i}].start_ms: must lie in "
                               "[0, duration_ms)")
-            if not isinstance(c.get("chunks"), int) or c["chunks"] < 1:
+            if not _is_num(c.get("chunks")) or c["chunks"] < 1:
                 errors.append(f"apps.hls.clients[{i}].chunks: positive integer required")
     iptv = apps.get("iptv")
     if iptv is not None:
@@ -316,16 +326,16 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
             if nodes.get(ch.get("nap")) != ROLE_NAP:
                 errors.append(f"apps.iptv.channels[{i}].nap: must be a nap node")
             rate = ch.get("bitrate_mbps")
-            if not isinstance(rate, int) or rate <= 0:
+            if not _is_num(rate) or rate <= 0:
                 errors.append(f"apps.iptv.channels[{i}].bitrate_mbps: positive "
                               "integer required")
-            elif (isinstance(mtu, int) and mtu > 0
+            elif (_is_num(mtu) and mtu > 0
                   and packet_interval_us(mtu, rate) < 1):
                 errors.append(f"apps.iptv.channels[{i}].bitrate_mbps: at most "
                               f"{8 * mtu} (8 * params.mtu), so that packets "
                               "are at least 1 us apart")
             start, stop = ch.get("start_ms"), ch.get("stop_ms")
-            if (not isinstance(start, int) or not isinstance(stop, int)
+            if (not _is_num(start) or not _is_num(stop)
                     or not 0 <= start < stop <= duration):
                 errors.append(f"apps.iptv.channels[{i}]: need "
                               "0 <= start_ms < stop_ms <= duration_ms")
@@ -341,10 +351,14 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
             if s.get("channel") not in channel_names:
                 errors.append(f"apps.iptv.stbs[{i}].channel: unknown channel "
                               f"{s.get('channel')!r}")
-            if not isinstance(s.get("join_ms"), int) or not 0 <= s["join_ms"] < duration:
+            if not _is_num(s.get("join_ms")) or not 0 <= s["join_ms"] < duration:
                 errors.append(f"apps.iptv.stbs[{i}].join_ms: must lie in "
                               "[0, duration_ms)")
-            if s.get("channel") in channel_names and "active_until_ms" not in s:
+            if "active_until_ms" in s:
+                if not _is_num(s["active_until_ms"]) or s["active_until_ms"] < 0:
+                    errors.append(f"apps.iptv.stbs[{i}].active_until_ms: "
+                                  "non-negative integer required")
+            elif s.get("channel") in channel_names:
                 stops = {c["name"]: c.get("stop_ms") for c in channels}
                 s["active_until_ms"] = stops.get(s["channel"], duration)
     return server_names, stb_names, channel_names
@@ -611,7 +625,7 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         "mode": mode,
         "seed": seed,
         "config_hash": config_hash(effective),
-        # hash() encodes the log once and keeps the bytes for export
+        # hash() encodes the log once; the log keeps the bytes for export
         "events_hash": w.log.hash(),
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
@@ -619,22 +633,21 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         "violations": violations,
     }
     return RunArtifacts(config=effective, mode=mode, seed=seed,
-                        events=w.log.records, samples=w.telemetry.samples,
-                        meta=meta,
-                        encoded_events=(w.log.records, w.log.jsonl))
+                        events=w.log, samples=w.telemetry.samples, meta=meta)
 
 
 def _check_invariants(w: World, effective: dict, mode: str) -> list:
     """End-of-run checks; a violation fails the run (exit code 1)."""
     violations = []
-    cons = conservation_from_events(w.log.records)
+    cons = conservation_from_events(w.log,
+                                    effective["duration_ms"] * US_PER_MS)
     if not cons["balanced"]:
         violations.append(
             "byte conservation violated: injected=%d branch_extra=%d "
-            "delivered=%d dropped=%d in_flight=%d" % (
+            "delivered=%d dropped=%d in_flight=%d undrained=%d" % (
                 cons["injected_bytes"], cons["branch_extra_bytes"],
                 cons["delivered_bytes"], cons["dropped_bytes"],
-                cons["in_flight_bytes"]))
+                cons["in_flight_bytes"], cons["undrained_bytes"]))
     if mode == "icn" and effective["fid"]["mode"] == "exact":
         naps = {n.name for n in w.topo.node_list() if n.role == ROLE_NAP}
         for (name, snap), fid in w.pce._issued.items():

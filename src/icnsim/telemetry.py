@@ -2,9 +2,19 @@
 
 The append-only event log is the only record of what the data plane
 did (the data plane keeps no counters), and summarize() here recomputes
-everything from the exported records alone.  Metric samples are a separate,
-optional stream reduced from the log; disabling them must not change the
-event log in any way (the determinism suite checks exactly that).
+everything from the exported records alone.
+
+EVENT_FIELDS is the log's schema.  EventLog stores each record as one
+tuple, (t, el, ev, *fields) in declared order; the hot data-plane kinds
+have typed positional append helpers, and the generic append() rejects
+any record the schema does not declare.  The canonical encoding (one
+sorted-key JSON object per line) is rendered through one "%" template
+per schema, compiled from EVENT_FIELDS on first use; readers that want
+dicts get them built on access.
+
+Metric samples are a separate, optional stream reduced from the log;
+disabling them must not change the event log in any way (the
+determinism suite checks exactly that).
 """
 
 from __future__ import annotations
@@ -14,21 +24,33 @@ import hashlib
 import io
 import json
 import os
+from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 
 # One shared encoder: the same text as json.dumps(record, sort_keys=True,
 # separators=(",", ":")), without building an encoder per record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# Records encoded per step of encode_lines; bounds its transient memory.
+# Records encoded per step of encode_lines and EventLog.encoded; bounds
+# their transient memory.
 _BATCH = 4096
+
+# Bytes of lines import_artifacts parses per json.loads.  Each batch's
+# dicts are dropped once their rows are built, so a batch small enough to
+# stay in cache makes both parsing and row building faster.
+_READ_BATCH = 1 << 16
 
 
 def encode_lines(records) -> bytearray:
-    """Canonical JSONL: one canonical record per line, each line ending in
-    a newline; empty for no records.  Canonical JSON escapes control
-    characters, so a raw newline only ever separates records.
+    """Canonical JSONL of a list of dicts: one canonical record per line,
+    each line ending in a newline; empty for no records.  Canonical JSON
+    escapes control characters, so a raw newline only ever separates
+    records.  Used for the metric samples; the event log has its own
+    compiled encoder that gives the same bytes.
 
     Encodes _BATCH records at a time into one growing buffer, so memory
     peaks at the output plus one batch's text."""
@@ -39,12 +61,14 @@ def encode_lines(records) -> bytearray:
     return out
 
 
-# The event vocabulary: every kind the simulator logs, mapped to the
-# fields its records carry after the common "t", "el" and "ev", in record
-# order.  The kinds in VARIANT_FIELD carry different fields depending on
-# the value of one field; they map each value of that field to its
-# fields.  append() does not check records against this table; the tests
-# check every record of every shipped run.
+# The event vocabulary and the log's schema: every kind the simulator
+# logs, mapped to the fields its records carry after the common "t", "el"
+# and "ev", in record (and row) order.  The kinds in VARIANT_FIELD carry
+# different fields depending on the value of one field; they map each
+# value of that field to its fields, and that field sits at the same
+# position in every variant.  EventLog.append() and import_artifacts()
+# reject records this table does not declare; adding a kind is one entry
+# here (plus, if it is hot, a typed helper on EventLog).
 EVENT_FIELDS = {
     "acquisition": ("channel", "dur_us"),
     "begin": ("scenario", "mode", "seed"),
@@ -106,26 +130,268 @@ EVENT_FIELDS = {
 }
 VARIANT_FIELD = {"ctrl": "msg", "igmp": "action", "pkt_drop": "reason"}
 
+_HEAD = ("t", "el", "ev")
 
-class EventLog:
-    """Append-only record stream with a stable canonical encoding."""
+
+class _Schema:
+    """One record layout, compiled: its row names, the "%" template of its
+    canonical JSON (keys sorted; ev and the variant value are constant
+    text), the getter of the row values the template takes, in key
+    order, and the getter that reads a row out of a record dict."""
+
+    __slots__ = ("names", "template", "pick", "read")
+
+    def __init__(self, kind: str, fields: tuple, variant=None):
+        names = _HEAD + fields
+        if len(set(names)) != len(names):
+            raise ValueError(f"{kind}: duplicate field in {names}")
+        fixed = {"ev": kind}
+        if variant is not None:
+            fixed[VARIANT_FIELD[kind]] = variant
+        parts, picked = [], []
+        for name in sorted(names):
+            if name in fixed:
+                value = encode_basestring_ascii(fixed[name]).replace("%", "%%")
+            else:
+                value = "%s"
+                picked.append(names.index(name))
+            parts.append(encode_basestring_ascii(name).replace("%", "%%")
+                         + ":" + value)
+        self.names = names
+        self.template = "{" + ",".join(parts) + "}"
+        # t and el are always picked, so both getters return tuples
+        self.pick = itemgetter(*picked)
+        self.read = itemgetter(*names)
+
+
+class _Variants:
+    """The schemas of one variant kind, keyed by the value of its variant
+    field, which sits at row index `index` in all of them."""
+
+    __slots__ = ("field", "index", "by_value")
+
+    def __init__(self, kind: str, decl: dict):
+        self.field = VARIANT_FIELD[kind]
+        (index,) = {len(_HEAD) + fields.index(self.field)
+                    for fields in decl.values()}
+        self.index = index
+        self.by_value = {v: _Schema(kind, fields, v)
+                         for v, fields in decl.items()}
+
+
+class _Compiled(dict):
+    """EVENT_FIELDS compiled kind by kind, on a kind's first use rather
+    than at import: each kind maps to its _Schema, or to its _Variants.
+    An undeclared kind raises KeyError."""
+
+    def __missing__(self, kind: str):
+        decl = EVENT_FIELDS[kind]
+        s = self[kind] = (_Variants(kind, decl) if isinstance(decl, dict)
+                          else _Schema(kind, decl))
+        return s
+
+
+_SCHEMAS = _Compiled()
+
+
+def _schema_of(row: tuple) -> _Schema:
+    s = _SCHEMAS[row[2]]
+    if s.__class__ is _Variants:
+        s = s.by_value[row[s.index]]
+    return s
+
+
+def _reject(rec: dict) -> ValueError:
+    """The error for a record dict the schema does not declare."""
+    kind = rec.get("ev")
+    if kind not in EVENT_FIELDS:
+        return ValueError(f"unknown event kind {kind!r}")
+    s = _SCHEMAS[kind]
+    if s.__class__ is _Variants:
+        variant = rec.get(s.field)
+        s = s.by_value.get(variant)
+        if s is None:
+            return ValueError(f"{kind}: unknown {VARIANT_FIELD[kind]} "
+                              f"{variant!r}")
+    return ValueError(f"{kind} record needs exactly the fields {s.names}, "
+                      f"got {tuple(rec)}")
+
+
+def column(kind: str, name: str) -> int:
+    """Row index of field `name` in every record of `kind`."""
+    decl = EVENT_FIELDS[kind]
+    layouts = decl.values() if isinstance(decl, dict) else (decl,)
+    (index,) = {(_HEAD + fields).index(name) for fields in layouts}
+    return index
+
+
+class _Strings(dict):
+    """Memo of the JSON text of the strings one encode meets."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+_BOOLS = {True: "true", False: "false"}
+
+
+def _render(values: tuple, strings: _Strings):
+    """One template field's values, as the template takes them: an int as
+    itself, a str through the memo, any other value (bool, None, float,
+    list) through canonical_json.  Values of one type are rendered in a
+    single C-level pass."""
+    types = set(map(type, values))
+    if types == {int}:
+        return values
+    if types == {str}:
+        return map(strings.__getitem__, values)
+    if types == {bool}:
+        return map(_BOOLS.__getitem__, values)
+    return [x if x.__class__ is int
+            else strings[x] if x.__class__ is str else canonical_json(x)
+            for x in values]
+
+
+def _encode_rows(rows: list) -> tuple:
+    """Canonical JSONL of log rows, as one bytes chunk per _BATCH rows;
+    joined, the same bytes as encode_lines of their dicts.  Each batch is
+    encoded a schema at a time, column by column, and its lines are put
+    back in log order.  Chunks, unlike one growing buffer, hold no spare
+    capacity."""
+    schemas = _SCHEMAS
+    strings = _Strings()
+    out = []
+    for i in range(0, len(rows), _BATCH):
+        batch = rows[i:i + _BATCH]
+        where: dict[_Schema, list[int]] = {}
+        for n, row in enumerate(batch):
+            s = schemas[row[2]]
+            if s.__class__ is _Variants:
+                s = s.by_value[row[s.index]]
+            where.setdefault(s, []).append(n)
+        lines = [None] * len(batch)
+        for s, positions in where.items():
+            picked = map(s.pick, map(batch.__getitem__, positions))
+            columns = [_render(c, strings) for c in zip(*picked)]
+            for n, line in zip(positions, map(s.template.__mod__,
+                                              zip(*columns))):
+                lines[n] = line
+        out.append(("\n".join(lines) + "\n").encode())
+    return tuple(out)
+
+
+class EventLog(Sequence):
+    """Append-only record stream with a stable canonical encoding.
+
+    `rows` holds one tuple per record, (t, el, ev, *fields) in
+    EVENT_FIELDS order; rows are never changed once appended.  As a
+    sequence the log reads as record dicts, built on access.
+    """
 
     def __init__(self):
-        self.records: list[dict] = []
-        # encode_lines(records) as of the last hash(), for export
-        self.jsonl: bytearray | None = None
+        self.rows: list[tuple] = []
+        self._add = self.rows.append
+        # (row count, _encode_rows of that many rows)
+        self._encoded: tuple | None = None
+
+    # -- typed helpers for the hot kinds: positional, in declared order,
+    # trusted by the log (the encoder still rejects an unknown schema)
+
+    def pkt_inject(self, t, el, pid, kind, name, size) -> None:
+        self._add((t, el, "pkt_inject", pid, kind, name, size))
+
+    def pkt_fwd(self, t, el, pid, kind, link, size, start, arrive) -> None:
+        self._add((t, el, "pkt_fwd", pid, kind, link, size, start, arrive))
+
+    def pkt_branch(self, t, el, pid, size, extra) -> None:
+        self._add((t, el, "pkt_branch", pid, size, extra))
+
+    def pkt_deliver(self, t, el, pid, kind, size, consumers, spurious) -> None:
+        self._add((t, el, "pkt_deliver", pid, kind, size, consumers, spurious))
+
+    def pkt_drop(self, t, el, pid, kind, size, reason, *link) -> None:
+        """link, the lost packet's link key, only for reason "link_down"."""
+        self._add((t, el, "pkt_drop", pid, kind, size, reason, *link))
+
+    def stb_rx(self, t, el, name, size) -> None:
+        self._add((t, el, "stb_rx", name, size))
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
-        rec = {"t": t, "el": element, "ev": event}
-        rec.update(fields)
-        self.records.append(rec)
+        """Append any declared record; raises ValueError for an unknown
+        kind or variant and for a missing or extra field."""
+        rec = {"t": t, "el": element, "ev": event, **fields}
+        if len(rec) != len(_HEAD) + len(fields):
+            raise ValueError(f"{event}: {_HEAD} are not fields")
+        self.extend((rec,))
+
+    def extend(self, records) -> None:
+        """Append record dicts, each checked against the schema."""
+        schemas = _SCHEMAS
+        add = self._add
+        try:
+            for rec in records:
+                s = schemas[rec["ev"]]
+                if s.__class__ is _Variants:
+                    s = s.by_value[rec[s.field]]
+                row = s.read(rec)
+                if len(row) != len(rec):
+                    raise KeyError
+                add(row)
+        except KeyError:
+            raise _reject(rec) from None
+
+    @classmethod
+    def from_records(cls, records) -> "EventLog":
+        log = cls()
+        log.extend(records)
+        return log
+
+    # -- encoding
+
+    def encoded(self) -> tuple:
+        """The canonical JSONL encoding of the log, as consecutive bytes
+        chunks; encoded once and kept until the log grows."""
+        n = len(self.rows)
+        if self._encoded is None or self._encoded[0] != n:
+            self._encoded = (n, _encode_rows(self.rows))
+        return self._encoded[1]
 
     def hash(self) -> str:
-        """sha256 of the canonical JSONL encoding of the records; the
-        encoded bytes are kept in self.jsonl, so export need not encode
-        the log again."""
-        self.jsonl = encode_lines(self.records)
-        return hashlib.sha256(self.jsonl).hexdigest()
+        """sha256 of the canonical JSONL encoding of the records."""
+        h = hashlib.sha256()
+        for chunk in self.encoded():
+            h.update(chunk)
+        return h.hexdigest()
+
+    # -- the read-only sequence of record dicts
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [dict(zip(_schema_of(row).names, row))
+                    for row in self.rows[i]]
+        row = self.rows[i]
+        return dict(zip(_schema_of(row).names, row))
+
+    def __iter__(self):
+        for row in self.rows:
+            yield dict(zip(_schema_of(row).names, row))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventLog):
+            return self.rows == other.rows
+        if isinstance(other, list):
+            return len(other) == len(self.rows) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventLog(<{len(self.rows)} records>)"
 
 
 class Telemetry:
@@ -146,47 +412,67 @@ class Telemetry:
 
 @dataclass
 class RunArtifacts:
-    """Everything one simulation run produces."""
+    """Everything one simulation run produces.  events is an EventLog; a
+    list of record dicts given here is checked and stored as one."""
 
     config: dict
     mode: str
     seed: int
-    events: list = field(default_factory=list)
+    events: EventLog = field(default_factory=EventLog)
     samples: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    # (events, encode_lines(events)) when the producer has already encoded
-    # the log.  export writes these bytes only while artifacts.events is
-    # that very list, so artifacts made by dataclasses.replace(...,
-    # events=...) are encoded afresh; the list must not change in place.
-    encoded_events: tuple | None = field(default=None, repr=False,
-                                         compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.events, EventLog):
+            self.events = EventLog.from_records(self.events)
 
 
 # ---------------------------------------------------------------------------
 # reducers
+#
+# Each reducer takes an EventLog, a list of record dicts, or the rows of
+# one log already grouped by kind (by_kind), which summarize builds once
+# and shares.
 
-def conservation_from_events(events) -> dict:
+class _ByKind(defaultdict):
+    """Rows grouped by kind, each group in log order."""
+
+
+def by_kind(events) -> _ByKind:
+    """The rows of a log grouped by kind: one pass over the log."""
+    if isinstance(events, _ByKind):
+        return events
+    if not isinstance(events, EventLog):
+        events = EventLog.from_records(events)
+    groups = _ByKind(list)
+    for row in events.rows:
+        groups[row[2]].append(row)
+    return groups
+
+
+def conservation_from_events(events, horizon_us: int | None = None) -> dict:
     """Recompute byte conservation from the event log alone.
 
     Each multicast branch point logs the surplus copies it creates, so
-    injected + branch surplus must equal delivered + dropped bytes once
-    the network has drained (in_flight == 0).
+    injected + branch surplus = delivered + dropped + undrained bytes,
+    where undrained are the copies still on a link at the horizon: those
+    whose last pkt_fwd arrives after horizon_us (the run executes every
+    event at the horizon itself).  Without a horizon nothing may be left
+    undrained.  in_flight is the left side minus delivered and dropped.
     """
-    injected = delivered = dropped = branch_extra = 0
-    injected_pkts = delivered_pkts = dropped_pkts = 0
-    for rec in events:
-        ev = rec["ev"]
-        if ev == "pkt_inject":
-            injected += rec["size"]
-            injected_pkts += 1
-        elif ev == "pkt_deliver":
-            delivered += rec["size"]
-            delivered_pkts += 1
-        elif ev == "pkt_drop":
-            dropped += rec["size"]
-            dropped_pkts += 1
-        elif ev == "pkt_branch":
-            branch_extra += rec["size"] * rec["extra"]
+    kinds = by_kind(events)
+    inject, deliver = kinds["pkt_inject"], kinds["pkt_deliver"]
+    drop, branch = kinds["pkt_drop"], kinds["pkt_branch"]
+    injected = sum(map(itemgetter(column("pkt_inject", "size")), inject))
+    delivered = sum(map(itemgetter(column("pkt_deliver", "size")), deliver))
+    dropped = sum(map(itemgetter(column("pkt_drop", "size")), drop))
+    size, extra = column("pkt_branch", "size"), column("pkt_branch", "extra")
+    branch_extra = sum(r[size] * r[extra] for r in branch)
+    undrained = 0
+    if horizon_us is not None:
+        size, arrive = column("pkt_fwd", "size"), column("pkt_fwd", "arrive")
+        undrained = sum(r[size] for r in kinds["pkt_fwd"]
+                        if r[arrive] > horizon_us)
     in_flight = injected + branch_extra - delivered - dropped
     return {
         "injected_bytes": injected,
@@ -194,10 +480,11 @@ def conservation_from_events(events) -> dict:
         "delivered_bytes": delivered,
         "dropped_bytes": dropped,
         "in_flight_bytes": in_flight,
-        "injected_pkts": injected_pkts,
-        "delivered_pkts": delivered_pkts,
-        "dropped_pkts": dropped_pkts,
-        "balanced": in_flight == 0,
+        "undrained_bytes": undrained,
+        "injected_pkts": len(inject),
+        "delivered_pkts": len(deliver),
+        "dropped_pkts": len(drop),
+        "balanced": in_flight == undrained,
     }
 
 
@@ -205,24 +492,19 @@ def link_bytes_from_events(events) -> dict:
     """Per-link transmitted bytes, total and split by traffic class."""
     totals: dict[str, int] = {}
     by_class: dict[str, dict[str, int]] = {}
-    for rec in events:
-        if rec["ev"] != "pkt_fwd":
-            continue
-        link = rec["link"]
-        size = rec["size"]
-        kind = rec.get("kind", "other")
-        totals[link] = totals.get(link, 0) + size
+    # packet sizes take few values, so counting (link, kind, size) first
+    # leaves few sums to add up
+    get = itemgetter(*(column("pkt_fwd", f) for f in ("link", "kind", "size")))
+    for (link, kind, size), n in Counter(map(get, by_kind(events)["pkt_fwd"])).items():
+        totals[link] = totals.get(link, 0) + size * n
         cls = by_class.setdefault(link, {})
-        cls[kind] = cls.get(kind, 0) + size
+        cls[kind] = cls.get(kind, 0) + size * n
     return {"total": totals, "by_class": by_class}
 
 
 def drops_by_reason(events) -> dict:
-    out: dict[str, int] = {}
-    for rec in events:
-        if rec["ev"] == "pkt_drop":
-            out[rec["reason"]] = out.get(rec["reason"], 0) + 1
-    return out
+    return dict(Counter(map(itemgetter(column("pkt_drop", "reason")),
+                            by_kind(events)["pkt_drop"])))
 
 
 def merge_ratios(events) -> dict:
@@ -232,20 +514,17 @@ def merge_ratios(events) -> dict:
     fetches and the denominator server responses; for continuous streams
     it counts sink packet deliveries against source emissions.
     """
-    server_tx: dict[str, int] = {}
-    client_rx: dict[str, int] = {}
-    for rec in events:
-        ev = rec["ev"]
-        if ev == "server_resp":
-            k = rec["kind"]
-            server_tx[k] = server_tx.get(k, 0) + 1
-        elif ev == "http_resp":
-            k = rec["kind"]
-            client_rx[k] = client_rx.get(k, 0) + 1
-        elif ev == "pkt_inject" and rec.get("kind") == "stream":
-            server_tx["stream"] = server_tx.get("stream", 0) + 1
-        elif ev == "stb_rx":
-            client_rx["stream"] = client_rx.get("stream", 0) + 1
+    kinds = by_kind(events)
+    server_tx = Counter(map(itemgetter(column("server_resp", "kind")),
+                            kinds["server_resp"]))
+    client_rx = Counter(map(itemgetter(column("http_resp", "kind")),
+                            kinds["http_resp"]))
+    kind = column("pkt_inject", "kind")
+    streams = sum(1 for r in kinds["pkt_inject"] if r[kind] == "stream")
+    if streams:
+        server_tx["stream"] += streams
+    if kinds["stb_rx"]:
+        client_rx["stream"] += len(kinds["stb_rx"])
     out = {}
     for k in sorted(set(server_tx) | set(client_rx)):
         tx = server_tx.get(k, 0)
@@ -289,9 +568,8 @@ def stalls_from_events(events, chunk_duration_us: int, startup_hold_us: int) -> 
     Cross-checks the stall events the clients logged live.
     """
     arrivals: dict[str, list[int]] = {}
-    for rec in events:
-        if rec["ev"] == "chunk_done":
-            arrivals.setdefault(rec["el"], []).append(rec["t"])
+    for row in by_kind(events)["chunk_done"]:
+        arrivals.setdefault(row[1], []).append(row[0])
     out = {}
     for client in sorted(arrivals):
         times = arrivals[client]
@@ -310,53 +588,59 @@ def stalls_from_events(events, chunk_duration_us: int, startup_hold_us: int) -> 
 
 def summarize(artifacts: RunArtifacts) -> dict:
     """Independent reduction of the event log into the run summary."""
-    events = artifacts.events
-    params = artifacts.config.get("params", {})
-    hls = artifacts.config.get("apps", {}).get("hls")
+    kinds = by_kind(artifacts.events)
+    config = artifacts.config
+    params = config.get("params", {})
+    hls = config.get("apps", {}).get("hls")
+    horizon_us = (config["duration_ms"] * 1000 if "duration_ms" in config
+                  else None)
+    spurious = column("pkt_deliver", "spurious")
     summary = {
         "mode": artifacts.mode,
         "seed": artifacts.seed,
-        "conservation": conservation_from_events(events),
-        "link_bytes": link_bytes_from_events(events),
-        "drops_by_reason": drops_by_reason(events),
-        "merge_ratios": merge_ratios(events),
-        "spurious_deliveries": sum(
-            1 for r in events if r["ev"] == "pkt_deliver" and r.get("spurious")),
+        "conservation": conservation_from_events(kinds, horizon_us),
+        "link_bytes": link_bytes_from_events(kinds),
+        "drops_by_reason": drops_by_reason(kinds),
+        "merge_ratios": merge_ratios(kinds),
+        "spurious_deliveries": sum(1 for r in kinds["pkt_deliver"]
+                                   if r[spurious]),
     }
 
     # playback stalls (HLS clients)
     if hls:
         chunk_us = hls["chunk_duration_ms"] * 1000
         hold_us = params["startup_hold_ms"] * 1000
-        summary["stalls"] = stalls_from_events(events, chunk_us, hold_us)
+        summary["stalls"] = stalls_from_events(kinds, chunk_us, hold_us)
 
     # channel acquisition after a join or zap
-    acquisitions = [
-        {"el": r["el"], "channel": r["channel"], "us": r["dur_us"]}
-        for r in events if r["ev"] == "acquisition"
-    ]
+    channel, dur = column("acquisition", "channel"), column("acquisition", "dur_us")
+    acquisitions = [{"el": r[1], "channel": r[channel], "us": r[dur]}
+                    for r in kinds["acquisition"]]
     if acquisitions:
         summary["acquisitions"] = acquisitions
 
     # per-sink stream disruption intervals; a gap is judged by the packet
     # interval of the channel that ends it, so thresholds follow zaps
     from .apps import packet_interval_us
-    iptv = artifacts.config.get("apps", {}).get("iptv") or {}
+    iptv = config.get("apps", {}).get("iptv") or {}
     max_gap = {ch["name"]: 2 * packet_interval_us(params["mtu"],
                                                   ch["bitrate_mbps"])
                for ch in iptv.get("channels") or []}
     stb_rx: dict[str, list[int]] = {}
     stb_gap: dict[str, list[int]] = {}
     stb_span: dict[str, list[int]] = {}
-    for rec in events:
-        if rec["ev"] == "stb_rx":
-            el = rec["el"]
-            stb_rx.setdefault(el, []).append(rec["t"])
+    stream_gap: dict[str, int] = {}
+    get = itemgetter(1, 0, column("stb_rx", "name"))
+    for el, t, stream in map(get, kinds["stb_rx"]):
+        gap = stream_gap.get(stream)
+        if gap is None:
             # stream names are "<plane prefix>:<channel>" in both modes
-            stb_gap.setdefault(el, []).append(
-                max_gap[rec["name"].split(":", 1)[1]])
-        elif rec["ev"] == "stb_active":
-            stb_span[rec["el"]] = [rec["t"], rec["until"]]
+            gap = stream_gap[stream] = max_gap[stream.split(":", 1)[1]]
+        stb_rx.setdefault(el, []).append(t)
+        stb_gap.setdefault(el, []).append(gap)
+    until = column("stb_active", "until")
+    for row in kinds["stb_active"]:
+        stb_span[row[1]] = [row[0], row[until]]
     if stb_rx or stb_span:
         disruptions = {}
         for stb in sorted(set(stb_rx) | set(stb_span)):
@@ -384,12 +668,8 @@ META_FILE = "meta.json"
 
 def export_jsonl(artifacts: RunArtifacts, fh) -> None:
     """Write events, then samples, one canonical JSON record per line, to
-    the binary file fh."""
-    encoded = artifacts.encoded_events
-    if encoded is not None and encoded[0] is artifacts.events:
-        fh.write(encoded[1])
-    else:
-        fh.write(encode_lines(artifacts.events))
+    the binary file fh.  The events are the log's own encoded bytes."""
+    fh.writelines(artifacts.events.encoded())
     fh.write(encode_lines([{"ev": "sample", **r} for r in artifacts.samples]))
 
 
@@ -408,10 +688,11 @@ def render_summary(summary: dict) -> str:
     cons = summary["conservation"]
     lines.append(
         "conservation: injected=%d branch_extra=%d delivered=%d dropped=%d "
-        "in_flight=%d balanced=%s" % (
+        "in_flight=%d undrained=%d balanced=%s" % (
             cons["injected_bytes"], cons["branch_extra_bytes"],
             cons["delivered_bytes"], cons["dropped_bytes"],
-            cons["in_flight_bytes"], cons["balanced"]))
+            cons["in_flight_bytes"], cons["undrained_bytes"],
+            cons["balanced"]))
     for link in sorted(summary["link_bytes"]["total"]):
         lines.append(f"link {link}: {summary['link_bytes']['total'][link]} bytes")
     for kind, row in summary["merge_ratios"].items():
@@ -466,28 +747,34 @@ def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both",
 
 
 def import_artifacts(outdir: str) -> RunArtifacts:
-    """Rebuild RunArtifacts from an exported directory."""
+    """Rebuild RunArtifacts from an exported directory; every event record
+    is checked against the schema."""
     with open(os.path.join(outdir, CONFIG_FILE)) as fh:
         config = json.load(fh)
     with open(os.path.join(outdir, META_FILE)) as fh:
         meta = json.load(fh)
-    # one json.loads per batch of about 1 MiB of lines: a raw newline only
-    # ever separates records, so the non-blank lines joined by commas form
-    # one JSON array
-    events, samples = [], []
+    # one json.loads per batch of about _READ_BATCH bytes of lines: a raw
+    # newline only ever separates records, so the non-blank lines joined by
+    # commas form one JSON array
+    log, samples = EventLog(), []
     with open(os.path.join(outdir, EVENTS_FILE), "rb") as fh:
-        for lines in iter(lambda: fh.readlines(1 << 20), []):
+        for lines in iter(lambda: fh.readlines(_READ_BATCH), []):
             batch = b",".join([line for line in lines if line.strip()])
-            for rec in json.loads(b"[" + batch + b"]"):
-                if rec.get("ev") == "sample":
-                    rec.pop("ev")
-                    samples.append(rec)
-                else:
-                    events.append(rec)
+            recs = json.loads(b"[" + batch + b"]")
+            events = [rec for rec in recs if rec.get("ev") != "sample"]
+            log.extend(events)
+            if len(events) != len(recs):
+                for rec in recs:
+                    if rec.get("ev") == "sample":
+                        rec.pop("ev")
+                        samples.append(rec)
     return RunArtifacts(config=config, mode=meta["mode"], seed=meta["seed"],
-                        events=events, samples=samples, meta=meta)
+                        events=log, samples=samples, meta=meta)
 
 
 def events_hash(events) -> str:
-    """sha256 of the canonical JSONL encoding of a record list."""
-    return hashlib.sha256(encode_lines(events)).hexdigest()
+    """sha256 of the canonical JSONL encoding of an EventLog or a list of
+    record dicts."""
+    if not isinstance(events, EventLog):
+        events = EventLog.from_records(events)
+    return events.hash()

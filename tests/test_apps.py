@@ -95,14 +95,14 @@ def test_server_rejects_stale_future_and_bad_paths():
     for path in ("/live/8/0", "/live/8/6", "/live/4/4", "/live/8/x", "/nope"):
         log, replies = run_server(path)
         assert replies[0][1:] == (404, 64, None), path
-        resp = [r for r in log.records if r["ev"] == "server_resp"]
+        resp = [r for r in log if r["ev"] == "server_resp"]
         assert resp[0]["kind"] == "error", path
 
 
 def test_server_down_never_replies():
     log, replies = run_server("/live/playlist.m3u8", up=False)
     assert replies == []
-    assert any(r["ev"] == "server_noreply" for r in log.records)
+    assert any(r["ev"] == "server_noreply" for r in log)
 
 
 def test_client_steady_playback_without_stalls():
@@ -111,9 +111,9 @@ def test_client_steady_playback_without_stalls():
     assert client.done
     assert client.chunks_done == 4
     assert client.total_stall_us == 0
-    assert not any(r["ev"] == "stall" for r in log.records)
+    assert not any(r["ev"] == "stall" for r in log)
     # each period fetches the playlist, then the newest chunk
-    kinds = [r["kind"] for r in log.records if r["ev"] == "http_req"]
+    kinds = [r["kind"] for r in log if r["ev"] == "http_req"]
     assert kinds == ["playlist", "chunk"] * 4
 
 
@@ -121,14 +121,14 @@ def test_client_upshifts_after_streak():
     """Fast chunks raise the estimate; the switch waits for the streak."""
     engine, log, catalog, transport, client = make_client(chunks=4)
     engine.run_until(20 * US_PER_S)
-    switches = [r for r in log.records if r["ev"] == "bitrate_switch"]
+    switches = [r for r in log if r["ev"] == "bitrate_switch"]
     assert len(switches) == 1
     assert switches[0]["direction"] == "up"
     assert (switches[0]["from_mbps"], switches[0]["to_mbps"]) == (2, 8)
-    done_before = [r for r in log.records if r["ev"] == "chunk_done"
+    done_before = [r for r in log if r["ev"] == "chunk_done"
                    and r["t"] <= switches[0]["t"]]
     assert len(done_before) == 3  # the upshift streak
-    chunk_paths = [r["path"] for r in log.records if r["ev"] == "http_req"
+    chunk_paths = [r["path"] for r in log if r["ev"] == "http_req"
                    and r["kind"] == "chunk"]
     assert chunk_paths[:3] == [p for p in chunk_paths[:3] if "/2/" in p]
     assert "/8/" in chunk_paths[3]
@@ -140,7 +140,7 @@ def test_slow_chunks_never_upshift():
         chunks=3, delay_us=2_500_000, timeout_us=3_000_000)
     engine.run_until(30 * US_PER_S)
     assert client.chunks_done == 3
-    assert not any(r["ev"] == "bitrate_switch" for r in log.records)
+    assert not any(r["ev"] == "bitrate_switch" for r in log)
     assert client.total_stall_us > 0
 
 
@@ -149,15 +149,15 @@ def test_timeout_downshifts_cancels_and_refetches_playlist():
     # silence one fetch after the client has climbed to the top rate
     engine.schedule_at(8_600_000, setattr, transport, "mute", 1)
     engine.run_until(40 * US_PER_S)
-    timeouts = [r for r in log.records if r["ev"] == "http_timeout"]
+    timeouts = [r for r in log if r["ev"] == "http_timeout"]
     assert len(timeouts) == 1
     assert len(transport.cancels) == 1
-    switches = [(r["direction"], r["to_mbps"]) for r in log.records
+    switches = [(r["direction"], r["to_mbps"]) for r in log
                 if r["ev"] == "bitrate_switch"]
     assert ("down", 2) in switches
     # retry restarts from the playlist with the attempt counter advanced
     t_timeout = timeouts[0]["t"]
-    retry = [r for r in log.records if r["ev"] == "http_req"
+    retry = [r for r in log if r["ev"] == "http_req"
              and r["t"] == t_timeout]
     assert retry[0]["kind"] == "playlist" and retry[0]["attempt"] == 1
     assert client.done
@@ -169,9 +169,9 @@ def test_fetch_abandoned_after_max_attempts():
         chunks=2, max_attempts=3, timeout_us=1_000_000)
     transport.mute = 3
     engine.run_until(30 * US_PER_S)
-    abandoned = [r for r in log.records if r["ev"] == "fetch_abandoned"]
+    abandoned = [r for r in log if r["ev"] == "fetch_abandoned"]
     assert len(abandoned) == 1
-    attempts = [r["attempt"] for r in log.records if r["ev"] == "http_timeout"]
+    attempts = [r["attempt"] for r in log if r["ev"] == "http_timeout"]
     assert attempts == [0, 1, 2]
     # the next period starts over and playback completes
     assert client.done
@@ -185,7 +185,7 @@ def test_stall_clock_arithmetic():
     assert client.total_stall_us == 0
     client._record_arrival(5_800_000)  # due at 4_751_000
     assert client.total_stall_us == 1_049_000
-    stalls = [r for r in log.records if r["ev"] == "stall"]
+    stalls = [r for r in log if r["ev"] == "stall"]
     assert stalls == [{"t": 5_800_000, "el": "c1", "ev": "stall",
                        "start": 4_751_000, "dur_us": 1_049_000}]
 
@@ -265,7 +265,7 @@ def test_stb_zap_switches_membership_and_times_acquisition():
     assert [(t, a, c) for t, a, c in adapter.acts[:3]] == [
         (1_000, "join", "ch1"), (20_000, "leave", "ch1"),
         (20_000, "join", "ch2")]
-    acq = [(r["channel"], r["dur_us"]) for r in log.records
+    acq = [(r["channel"], r["dur_us"]) for r in log
            if r["ev"] == "acquisition"]
     # one measurement per switch: the second ch1 packet is not a switch
     assert acq == [("ch1", 3_000), ("ch2", 6_300)]
@@ -292,7 +292,7 @@ def test_surrogate_toggle_drives_publisher_registration():
     engine.schedule_at(20_000, agent.toggle, False)
     engine.run_until(30_000)
     assert "snap_b" not in pce._pubs["scope"]
-    toggles = [r["on"] for r in log.records if r["ev"] == "surrogate_toggle"]
+    toggles = [r["on"] for r in log if r["ev"] == "surrogate_toggle"]
     assert toggles == [True, False]
 
 
@@ -305,5 +305,5 @@ def test_surrogate_toggle_without_control_plane_is_inert():
                            control_latency_us=1_000, registered=False)
     agent.toggle(True)
     agent.toggle(False)
-    assert [r["on"] for r in log.records if r["ev"] == "surrogate_toggle"] \
+    assert [r["on"] for r in log if r["ev"] == "surrogate_toggle"] \
         == [True, False]

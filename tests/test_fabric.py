@@ -79,7 +79,7 @@ def test_transmission_time_integer_ceiling():
     fid = fid_for(lids, ["ab:a->b", "bc:b->c"], len(topo.links))
     fabric.inject("a", packet(fabric, fid))
     engine.run_until(10_000_000)
-    fwd = [r for r in log.records if r["ev"] == "pkt_fwd"]
+    fwd = [r for r in log if r["ev"] == "pkt_fwd"]
     assert [r["link"] for r in fwd] == ["ab:a->b", "bc:b->c"]
     assert fwd[0]["start"] == 0 and fwd[0]["arrive"] == 1500
     assert fwd[1]["start"] == 1500 and fwd[1]["arrive"] == 3000
@@ -110,7 +110,7 @@ def test_serialization_queue_backlog():
     for _ in range(3):
         fabric.inject("a", packet(fabric))
     engine.run_until(10_000_000)
-    fwd = [r for r in log.records if r["ev"] == "pkt_fwd"]
+    fwd = [r for r in log if r["ev"] == "pkt_fwd"]
     assert [r["start"] for r in fwd] == [0, 1000, 2000]
     assert [t for t, _ in sink.arrivals] == [1500, 2500, 3500]
 
@@ -126,10 +126,10 @@ def test_queue_cap_drops_excess():
     for _ in range(3):
         fabric.inject("a", packet(fabric))
     engine.run_until(10_000_000)
-    drops = [r for r in log.records if r["ev"] == "pkt_drop"]
+    drops = [r for r in log if r["ev"] == "pkt_drop"]
     assert len(drops) == 1 and drops[0]["reason"] == "queue_cap"
     assert len(sink.arrivals) == 2
-    assert conservation_from_events(log.records)["balanced"]
+    assert conservation_from_events(log)["balanced"]
 
 
 def test_packet_lost_when_link_fails_mid_flight():
@@ -141,10 +141,10 @@ def test_packet_lost_when_link_fails_mid_flight():
     fabric.inject("a", packet(fabric))
     engine.schedule(700, fabric.set_link_state, "ab", False)
     engine.run_until(10_000_000)
-    drops = [r for r in log.records if r["ev"] == "pkt_drop"]
+    drops = [r for r in log if r["ev"] == "pkt_drop"]
     assert len(drops) == 1 and drops[0]["reason"] == "link_down"
     assert sink.arrivals == []
-    assert conservation_from_events(log.records)["balanced"]
+    assert conservation_from_events(log)["balanced"]
 
 
 def test_packet_lost_when_link_bounces_mid_flight():
@@ -159,7 +159,7 @@ def test_packet_lost_when_link_bounces_mid_flight():
     engine.schedule(700, fabric.set_link_state, "ab", True)
     engine.run_until(10_000_000)
     assert sink.arrivals == []
-    assert [r["reason"] for r in log.records if r["ev"] == "pkt_drop"] == ["link_down"]
+    assert [r["reason"] for r in log if r["ev"] == "pkt_drop"] == ["link_down"]
 
 
 def test_ttl_stops_forwarding_loops():
@@ -172,11 +172,11 @@ def test_ttl_stops_forwarding_loops():
     fabric.add_handler("b", StaticForwarder(topo.egress("b")))
     fabric.inject("a", packet(fabric))
     engine.run_until(10_000_000)
-    drops = [r for r in log.records if r["ev"] == "pkt_drop"]
+    drops = [r for r in log if r["ev"] == "pkt_drop"]
     assert [r["reason"] for r in drops] == ["ttl_exceeded"]
-    fwd = [r for r in log.records if r["ev"] == "pkt_fwd"]
+    fwd = [r for r in log if r["ev"] == "pkt_fwd"]
     assert len(fwd) == 8
-    assert conservation_from_events(log.records)["balanced"]
+    assert conservation_from_events(log)["balanced"]
 
 
 def test_branch_surplus_accounts_every_copy():
@@ -197,9 +197,9 @@ def test_branch_surplus_accounts_every_copy():
     fid = fid_for(lids, ["l1:root->left", "l2:root->right"], len(topo.links))
     fabric.inject("root", packet(fabric, fid, size=700))
     engine.run_until(1_000_000)
-    branches = [r for r in log.records if r["ev"] == "pkt_branch"]
+    branches = [r for r in log if r["ev"] == "pkt_branch"]
     assert len(branches) == 1 and branches[0]["extra"] == 1
-    cons = conservation_from_events(log.records)
+    cons = conservation_from_events(log)
     assert cons["balanced"]
     assert cons["injected_bytes"] == 700
     assert cons["branch_extra_bytes"] == 700
@@ -221,9 +221,9 @@ def test_local_tap_plus_forwarding_counts_both_copies():
     fabric.inject("a", packet(fabric, fid, size=500))
     engine.run_until(1_000_000)
     assert len(tap.arrivals) == 1 and len(end.arrivals) == 1
-    branches = [r for r in log.records if r["ev"] == "pkt_branch"]
+    branches = [r for r in log if r["ev"] == "pkt_branch"]
     assert [r["extra"] for r in branches] == [1]
-    cons = conservation_from_events(log.records)
+    cons = conservation_from_events(log)
     assert cons["balanced"]
     assert cons["delivered_pkts"] == 2
 
@@ -234,9 +234,9 @@ def test_zero_fid_dropped_at_source_never_spurious():
     lids = wire_exact(topo, fabric)
     fabric.inject("a", packet(fabric, zero_fid(len(topo.links))))
     engine.run_until(1_000_000)
-    drops = [r for r in log.records if r["ev"] == "pkt_drop"]
+    drops = [r for r in log if r["ev"] == "pkt_drop"]
     assert [r["reason"] for r in drops] == ["zero_fid"]
-    assert not any(r["ev"] == "pkt_deliver" for r in log.records)
+    assert not any(r["ev"] == "pkt_deliver" for r in log)
 
 
 def test_spurious_delivery_flagged():
@@ -247,7 +247,7 @@ def test_spurious_delivery_flagged():
     lids = wire_exact(topo, fabric, "b", nobody.consume)
     fabric.inject("a", packet(fabric, fid_for(lids, ["ab:a->b"], len(topo.links))))
     engine.run_until(1_000_000)
-    deliveries = [r for r in log.records if r["ev"] == "pkt_deliver"]
+    deliveries = [r for r in log if r["ev"] == "pkt_deliver"]
     assert len(deliveries) == 1
     assert deliveries[0]["spurious"] is True
     assert deliveries[0]["consumers"] == 0
@@ -283,7 +283,7 @@ def test_flush_counters_match_event_log():
     samples = {(s["el"], s["metric"]): s["value"]
                for s in fabric.telemetry.samples}
     expected = {}
-    for r in log.records:
+    for r in log:
         if r["ev"] == "pkt_fwd":
             for metric, value in (("tx_bytes", r["size"]), ("tx_pkts", 1)):
                 key = (r["link"], metric)
@@ -309,3 +309,30 @@ def test_trace_delivery_reports_dead_ends():
     # without c as a recognized sink the same walk is a dead end
     trace2 = trace_delivery(topo, lids, fid, "a", sinks=set())
     assert trace2.dead_ends == {"c"}
+
+
+def test_copy_arriving_at_the_horizon_is_delivered_not_undrained():
+    """The run executes every event at the horizon itself, so only a copy
+    whose pkt_fwd arrives after the horizon counts as undrained."""
+    topo = chain_topology()
+    engine, log, fabric = make_fabric(topo)
+    sink = RecordingSink()
+    lids = wire_exact(topo, fabric, "c", sink.consume)
+    fid = fid_for(lids, ["ab:a->b", "bc:b->c"], len(topo.links))
+    fabric.inject("a", packet(fabric, fid))
+    # 1 ms on the wire plus 0.5 ms latency per hop: at b at 1500 us, at c
+    # at 3000 us
+    engine.run_until(1_500)
+    cons = conservation_from_events(log, 1_500)
+    assert cons["undrained_bytes"] == 1000 and cons["balanced"]
+    engine.run_until(2_999)
+    cons = conservation_from_events(log, 2_999)
+    assert cons["undrained_bytes"] == cons["in_flight_bytes"] == 1000
+    assert cons["balanced"]
+    # without a horizon nothing may be left on a link
+    assert not conservation_from_events(log)["balanced"]
+    engine.run_until(3_000)
+    assert sink.arrivals == [(3_000, 0)]
+    cons = conservation_from_events(log, 3_000)
+    assert cons["undrained_bytes"] == cons["in_flight_bytes"] == 0
+    assert cons["balanced"] and conservation_from_events(log)["balanced"]

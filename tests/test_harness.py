@@ -8,7 +8,8 @@ import pytest
 from icnsim.harness import (ConfigError, compare_artifacts, config_hash,
                             list_scenarios, load_scenario, render_comparison,
                             run_scenario, validate_config)
-from icnsim.telemetry import drops_by_reason, summarize
+from icnsim.telemetry import (drops_by_reason, export, import_artifacts,
+                              summarize)
 
 MINIMAL = {
     "name": "mini",
@@ -108,6 +109,98 @@ def test_validation_rejects_channel_faster_than_a_packet_per_us():
         "so that packets are at least 1 us apart"]
     cfg["apps"]["iptv"]["channels"][0]["bitrate_mbps"] = 800
     validate_config(cfg)
+
+
+# MINIMAL plus an HLS session and a scripted event, so that every
+# numeric key validate_config checks is present
+FULL = copy.deepcopy(MINIMAL)
+FULL["apps"]["hls"] = {
+    "host": "tv.example", "bitrates_mbps": [1, 2],
+    "servers": [{"name": "srv", "nap": "snap"}],
+    "clients": [{"name": "c1", "nap": "cnap", "start_ms": 20, "chunks": 1}]}
+FULL["apps"]["iptv"]["stbs"][0]["active_until_ms"] = 900
+FULL["events"] = [{"kind": "link_down", "at_ms": 500, "link": "l1"}]
+FULL["fid"] = {"mode": "bloom", "m": 64, "k": 3}
+
+NUMERIC_KEYS = [
+    ("duration_ms",),
+    *(("params", key) for key in (
+        "seed", "mtu", "ttl", "queue_cap_bytes", "coalesce_window_ms",
+        "client_timeout_ms", "detection_delay_ms", "pce_processing_ms",
+        "control_latency_ms", "access_latency_ms", "server_latency_ms",
+        "stp_reconvergence_ms", "igmp_query_ms", "dns_attempts_per_address",
+        "abr_safety", "abr_upshift_chunks", "ewma_weight", "startup_hold_ms",
+        "chunk_offset_ms", "request_bytes", "playlist_bytes", "igmp_bytes",
+        "max_attempts_per_fetch")),
+    ("fid", "m"), ("fid", "k"),
+    ("topology", "links", 0, "capacity_mbps"),
+    ("topology", "links", 0, "latency_us"),
+    ("apps", "hls", "bitrates_mbps", 0),
+    ("apps", "hls", "chunk_duration_ms"),
+    ("apps", "hls", "playlist_window"),
+    ("apps", "hls", "clients", 0, "start_ms"),
+    ("apps", "hls", "clients", 0, "chunks"),
+    ("apps", "iptv", "channels", 0, "bitrate_mbps"),
+    ("apps", "iptv", "channels", 0, "start_ms"),
+    ("apps", "iptv", "channels", 0, "stop_ms"),
+    ("apps", "iptv", "stbs", 0, "join_ms"),
+    ("apps", "iptv", "stbs", 0, "active_until_ms"),
+    ("events", 0, "at_ms"),
+]
+
+
+@pytest.mark.parametrize("path", NUMERIC_KEYS,
+                         ids=[".".join(map(str, p)) for p in NUMERIC_KEYS])
+@pytest.mark.parametrize("value", [True, False])
+def test_validation_rejects_bools_as_numbers(path, value):
+    """JSON true and false are not numbers: each numeric key holding one
+    is reported by name."""
+    validate_config(copy.deepcopy(FULL))
+    cfg = copy.deepcopy(FULL)
+    cfg.setdefault("params", {})
+    owner = cfg
+    for part in path[:-1]:
+        owner = owner[part]
+    owner[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    key = next(p for p in reversed(path) if isinstance(p, str))
+    assert any(key in e for e in err.value.errors), err.value.errors
+
+
+def test_validation_rejects_true_mtu_and_ttl():
+    """Once accepted and run as MTU 1 and TTL 1."""
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["params"] = {"mtu": True, "ttl": True, "abr_safety": True}
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.errors == [
+        "params.mtu: must be a positive integer",
+        "params.ttl: must be a positive integer",
+        "params.abr_safety: must lie in (0, 1]"]
+
+
+@pytest.mark.parametrize("mode", ["icn", "ip"])
+def test_traffic_on_the_wire_at_the_horizon_is_undrained_not_lost(
+        mode, tmp_path):
+    """A 50 ms link and a channel that runs to the end of the run: the
+    packets still on the link at the horizon are undrained, the books
+    balance exactly, from the exported artifacts too."""
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["topology"]["links"][0]["latency_us"] = 50_000
+    cfg["apps"]["iptv"]["channels"][0]["stop_ms"] = cfg["duration_ms"]
+    art = run_scenario(cfg, mode)
+    assert art.meta["violations"] == []
+    horizon = cfg["duration_ms"] * 1000
+    on_wire = sum(r["size"] for r in art.events
+                  if r["ev"] == "pkt_fwd" and r["arrive"] > horizon)
+    assert on_wire >= 8 * 1400
+    export(art, str(tmp_path))
+    cons = summarize(import_artifacts(str(tmp_path)))["conservation"]
+    assert cons["undrained_bytes"] == cons["in_flight_bytes"] == on_wire
+    assert cons["balanced"]
+    assert (cons["injected_bytes"] + cons["branch_extra_bytes"]
+            == cons["delivered_bytes"] + cons["dropped_bytes"] + on_wire)
 
 
 def test_config_hash_covers_defaults_and_overrides():

@@ -129,11 +129,11 @@ def test_snooped_group_reaches_only_members():
     engine.run_until(1_000_000)
     assert len(stb.streams) == 1
     # the stream crossed hub and member leg only, never the idle leg
-    stream_links = {r["link"] for r in log.records
+    stream_links = {r["link"] for r in log
                     if r["ev"] == "pkt_fwd" and r["kind"] == "stream"}
     assert stream_links == {"ar:swr->swm", "al:swm->swl"}
     # every membership report is consumed at the tree edge, never dropped
-    igmp_drops = [r for r in log.records if r["ev"] == "pkt_drop"
+    igmp_drops = [r for r in log if r["ev"] == "pkt_drop"
                   and r["kind"] == "igmp"]
     assert igmp_drops == []
 
@@ -168,7 +168,7 @@ def test_stream_without_members_drops_at_ingress():
     sender = IpStreamSender("src1", "swr", fabric)
     engine.schedule_at(1_000, sender.send_stream, "ch1", 1400)
     engine.run_until(1_000_000)
-    assert drops_by_reason(log.records) == {"no_snoop": 1}
+    assert drops_by_reason(log) == {"no_snoop": 1}
 
 
 def test_unicast_floods_until_reverse_path_learned():
@@ -188,13 +188,13 @@ def test_unicast_floods_until_reverse_path_learned():
     engine.run_until(1_000_000)
     assert handle.responses == [(1, 200, 3000)]
     # the request floods both remote legs; only one copy finds the server
-    request_links = [r["link"] for r in log.records
+    request_links = [r["link"] for r in log
                      if r["ev"] == "pkt_fwd" and r["kind"] == "request"]
     assert sorted(request_links) == ["al:swl->swm", "ar:swm->swr",
                                      "ax:swm->swx"]
-    assert drops_by_reason(log.records) == {"no_route": 1}
+    assert drops_by_reason(log) == {"no_route": 1}
     # responses ride the learned reverse path, never the idle leg
-    response_links = {r["link"] for r in log.records
+    response_links = {r["link"] for r in log
                       if r["ev"] == "pkt_fwd" and r["kind"] == "chunk"}
     assert response_links == {"ar:swr->swm", "al:swm->swl"}
 
@@ -215,7 +215,7 @@ def test_dns_failover_is_sticky_and_budgeted():
     transport.fetch(handle, 2, "GET", "video.test", "/x", "chunk")
     transport.cancel(handle, 2, "GET", "video.test", "/x")
     assert transport._address("video.test") == "surrogate"
-    failovers = [r for r in log.records if r["ev"] == "dns_failover"]
+    failovers = [r for r in log if r["ev"] == "dns_failover"]
     assert len(failovers) == 1 and failovers[0]["addr"] == "surrogate"
     # success resets the failure budget but never fails back
     transport.fetch(handle, 3, "GET", "video.test", "/x", "chunk")
@@ -232,7 +232,7 @@ def test_dns_failover_is_sticky_and_budgeted():
     transport.cancel(handle, 4, "GET", "video.test", "/x")
     transport.fetch(handle, 5, "GET", "video.test", "/x", "chunk")
     transport.cancel(handle, 5, "GET", "video.test", "/x")
-    assert [r["ev"] for r in log.records
+    assert [r["ev"] for r in log
             if r["ev"] in ("dns_failover", "dns_exhausted")] \
         == ["dns_failover", "dns_exhausted"]
     assert transport._address("video.test") == "primary"
@@ -268,15 +268,15 @@ def test_trunk_failure_needs_reconvergence_and_reannouncement():
     # silent until the window closed (at 130 ms) and the join re-flooded
     assert gap_end > 140_000
     assert gap_end - gap_start > 100_000
-    reasons = drops_by_reason(log.records)
+    reasons = drops_by_reason(log)
     assert reasons["blocked"] > 0  # snooped port dead or core frozen
     assert reasons["no_snoop"] > 0  # tables flushed at convergence
-    converged = [r for r in log.records if r["ev"] == "stp_converged"]
+    converged = [r for r in log if r["ev"] == "stp_converged"]
     assert len(converged) == 1
     assert converged[0]["flushed_entries"] > 0
     assert converged[0]["active"] == ["tb"]
     # traffic after recovery rides the backup trunk
-    late_links = {r["link"] for r in log.records
+    late_links = {r["link"] for r in log
                   if r["ev"] == "pkt_fwd" and r["kind"] == "stream"
                   and r["t"] > 140_000}
     assert late_links == {"tb:sw_a->sw_b"}

@@ -94,14 +94,14 @@ def test_requests_within_window_coalesce_to_one_fetch():
     for client in clients:
         assert len(client.responses) == 1
         assert client.responses[0][2:] == (200, 7000)
-    closes = [r for r in log.records if r["ev"] == "group_close"]
+    closes = [r for r in log if r["ev"] == "group_close"]
     assert len(closes) == 1 and closes[0]["members"] == 10
     # the shared uplink carries the response bytes exactly once
-    uplink_bytes = sum(r["size"] for r in log.records
+    uplink_bytes = sum(r["size"] for r in log
                       if r["ev"] == "pkt_fwd" and r["link"] == "uplink:snap->sw"
                       and r["kind"] == "chunk")
     assert uplink_bytes == 7000
-    assert conservation_from_events(log.records)["balanced"]
+    assert conservation_from_events(log)["balanced"]
 
 
 def test_request_after_window_opens_new_group():
@@ -117,7 +117,7 @@ def test_request_after_window_opens_new_group():
                        "/live/2/0", "chunk")
     engine.run_until(5_000_000)
     assert len(server.calls) == 2
-    opens = [r for r in log.records if r["ev"] == "group_open"]
+    opens = [r for r in log if r["ev"] == "group_open"]
     assert len(opens) == 2
     assert len(c0.responses) == 1 and len(c1.responses) == 1
     # a closed group is not kept
@@ -149,13 +149,13 @@ def test_same_gateway_requests_merge_locally():
     engine.schedule_at(1_500, naps["cnap0"].handle_http, b, 2, "GET", HOST,
                        "/x", "chunk")
     engine.run_until(5_000_000)
-    merges = [r for r in log.records if r["ev"] == "cnap_merge"]
+    merges = [r for r in log if r["ev"] == "cnap_merge"]
     assert len(merges) == 1
-    subscribes = [r for r in log.records
+    subscribes = [r for r in log
                   if r["ev"] == "ctrl" and r["msg"] == "subscribe"]
     assert len(subscribes) == 1
     assert len(a.responses) == 1 and len(b.responses) == 1
-    deliveries = [r for r in log.records if r["ev"] == "pkt_deliver"]
+    deliveries = [r for r in log if r["ev"] == "pkt_deliver"]
     # the last response segment is consumed by both waiting clients
     assert deliveries[-1]["consumers"] == 2
 
@@ -170,7 +170,7 @@ def test_segmented_response_reassembled():
     engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, "GET",
                        HOST, "/x", "chunk")
     engine.run_until(5_000_000)
-    segments = [r for r in log.records if r["ev"] == "pkt_inject"]
+    segments = [r for r in log if r["ev"] == "pkt_inject"]
     assert len(segments) == 8  # ceil(10000 / 1400)
     assert sum(r["size"] for r in segments) == 10_000
     assert client.responses[0][3] == 10_000
@@ -187,7 +187,7 @@ def test_cancel_releases_pending_and_unsubscribes():
     engine.run_until(1_000_000)
     name = http_name(HOST, "/x")
     assert name not in naps["cnap0"]._pending
-    unsubscribes = [r for r in log.records
+    unsubscribes = [r for r in log
                     if r["ev"] == "ctrl" and r["msg"] == "unsubscribe"]
     assert len(unsubscribes) == 1
     assert client.responses == []
@@ -203,16 +203,16 @@ def test_igmp_membership_aggregates_per_gateway():
     engine.schedule_at(3_000, nap.handle_igmp, "stb1", "join", "ch1", s1)
     engine.schedule_at(4_000, nap.handle_igmp, "stb1", "leave", "ch1", s1)
     engine.run_until(1_000_000)
-    ctrl = [(r["msg"], r["name"]) for r in log.records if r["ev"] == "ctrl"]
+    ctrl = [(r["msg"], r["name"]) for r in log if r["ev"] == "ctrl"]
     name = channel_name("ch1")
     assert ctrl.count(("subscribe", name)) == 1
     assert ctrl.count(("unsubscribe", name)) == 0
-    joins = [r for r in log.records if r["ev"] == "igmp" and r["action"] == "join"]
+    joins = [r for r in log if r["ev"] == "igmp" and r["action"] == "join"]
     assert [r["dup"] for r in joins] == [False, False, True]
 
     engine.schedule_at(1_100_000, nap.handle_igmp, "stb2", "leave", "ch1", s2)
     engine.run_until(2_000_000)
-    ctrl = [(r["msg"], r["name"]) for r in log.records if r["ev"] == "ctrl"]
+    ctrl = [(r["msg"], r["name"]) for r in log if r["ev"] == "ctrl"]
     assert ctrl.count(("unsubscribe", name)) == 1
 
 
@@ -229,19 +229,19 @@ def test_stream_tree_reaches_every_member():
     for stb in stbs:
         assert len(stb.packets) == 1
     # shared uplink crossed once despite three receivers
-    uplink = [r for r in log.records if r["ev"] == "pkt_fwd"
+    uplink = [r for r in log if r["ev"] == "pkt_fwd"
               and r["link"] == "uplink:snap->sw"]
     assert len(uplink) == 1
-    assert conservation_from_events(log.records)["balanced"]
+    assert conservation_from_events(log)["balanced"]
 
 
 def test_stream_without_members_dropped_at_source():
     engine, log, topo, fabric, pce, naps = star_world(n_cnaps=1)
     engine.schedule_at(1_000, naps["snap"].inject_stream, "ch1", 1400)
     engine.run_until(1_000_000)
-    drops = [r for r in log.records if r["ev"] == "pkt_drop"]
+    drops = [r for r in log if r["ev"] == "pkt_drop"]
     assert [r["reason"] for r in drops] == ["zero_fid"]
-    assert not any(r["ev"] == "pkt_deliver" for r in log.records)
+    assert not any(r["ev"] == "pkt_deliver" for r in log)
 
 
 def test_fid_table_written_only_by_control_updates():

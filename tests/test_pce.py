@@ -150,7 +150,7 @@ def test_failure_invalidates_only_affected_entries():
     hits = pce.cache_hits
     pce.cached_path("c", "d")
     assert pce.cache_hits == hits + 1
-    invalidations = [r for r in log.records
+    invalidations = [r for r in log
                      if r["ev"] == "ctrl" and r["msg"] == "invalidate"]
     assert len(invalidations) == 1 and invalidations[0]["entries"] == 1
 
@@ -234,7 +234,7 @@ def test_multicast_tree_carries_one_trunk_copy_in_fabric():
     fabric.inject("src", Packet(pid=1, kind="stream", name="ch", size=1000,
                                 fid=fid))
     engine.run_until(1_000_000)
-    trunk = [r for r in log.records if r["ev"] == "pkt_fwd"
+    trunk = [r for r in log if r["ev"] == "pkt_fwd"
              and r["link"] == "trunk:src->mid"]
     assert len(trunk) == 1
     assert sorted(hits) == ["r1", "r2"]

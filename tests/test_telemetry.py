@@ -2,16 +2,19 @@
 
 import dataclasses
 import json
+import random
 import tracemalloc
 
 import pytest
 
 from icnsim.apps import IptvSource
 from icnsim.simkernel import Engine
-from icnsim.telemetry import (_BATCH, EventLog, RunArtifacts, Telemetry,
-                              canonical_json, conservation_from_events,
-                              disruption_intervals, drops_by_reason,
-                              encode_lines, events_hash, export, export_csv,
+from icnsim.telemetry import (_BATCH, _READ_BATCH, EVENT_FIELDS,
+                              VARIANT_FIELD, EventLog, RunArtifacts,
+                              Telemetry, canonical_json,
+                              conservation_from_events, disruption_intervals,
+                              drops_by_reason, encode_lines, events_hash,
+                              export, export_csv, export_jsonl,
                               import_artifacts, link_bytes_from_events,
                               merge_ratios, render_summary,
                               stalls_from_events, summarize)
@@ -28,17 +31,19 @@ def test_canonical_json_is_key_sorted_and_compact():
 
 
 def test_event_log_hash_is_order_sensitive():
+    inject = dict(pid=1, kind="data", name="n", size=10)
+    deliver = dict(pid=1, kind="data", size=10, consumers=1, spurious=False)
     a, b = EventLog(), EventLog()
-    a.append(1, "x", "pkt_inject", size=10)
-    a.append(2, "y", "pkt_deliver", size=10)
-    b.append(2, "y", "pkt_deliver", size=10)
-    b.append(1, "x", "pkt_inject", size=10)
+    a.append(1, "x", "pkt_inject", **inject)
+    a.append(2, "y", "pkt_deliver", **deliver)
+    b.append(2, "y", "pkt_deliver", **deliver)
+    b.append(1, "x", "pkt_inject", **inject)
     assert a.hash() != b.hash()
     c = EventLog()
-    c.append(1, "x", "pkt_inject", size=10)
-    c.append(2, "y", "pkt_deliver", size=10)
+    c.append(1, "x", "pkt_inject", **inject)
+    c.append(2, "y", "pkt_deliver", **deliver)
     assert a.hash() == c.hash()
-    assert events_hash(a.records) == a.hash()
+    assert events_hash(list(a)) == a.hash()
 
 
 def test_encode_lines_matches_json_dumps_across_batches():
@@ -63,18 +68,22 @@ def test_encode_lines_matches_json_dumps_across_batches():
 
 
 def test_encode_lines_peaks_at_output_plus_one_batch():
+    """Both encoders, encode_lines of dicts and the log's own, peak at
+    their output plus one batch."""
     log = EventLog()
     for i in range(20 * _BATCH):
         log.append(i, f"sw{i % 7}", "pkt_fwd", pid=i, kind="stream",
                    link=f"l{i % 5}:sw{i % 7}->sw{i % 3}", size=1400,
                    start=i, arrive=i + 112)
-    tracemalloc.start()
-    try:
-        out = encode_lines(log.records)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - len(out) < len(out) // 2
+    records = list(log)
+    for encode in (lambda: [encode_lines(records)], log.encoded):
+        tracemalloc.start()
+        try:
+            size = sum(map(len, encode()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size < size // 2
 
 
 def test_disabled_telemetry_records_nothing():
@@ -87,10 +96,12 @@ def test_disabled_telemetry_records_nothing():
 
 def test_conservation_balances_branch_surplus():
     events = [
-        ev(0, "a", "pkt_inject", size=1000),
-        ev(1, "b", "pkt_branch", size=1000, extra=1),
-        ev(2, "c", "pkt_deliver", size=1000),
-        ev(2, "d", "pkt_deliver", size=1000),
+        ev(0, "a", "pkt_inject", pid=1, kind="chunk", name="n", size=1000),
+        ev(1, "b", "pkt_branch", pid=1, size=1000, extra=1),
+        ev(2, "c", "pkt_deliver", pid=1, kind="chunk", size=1000,
+           consumers=1, spurious=False),
+        ev(2, "d", "pkt_deliver", pid=1, kind="chunk", size=1000,
+           consumers=1, spurious=False),
     ]
     cons = conservation_from_events(events)
     assert cons["balanced"]
@@ -104,9 +115,12 @@ def test_conservation_balances_branch_surplus():
 
 def test_link_bytes_split_by_class():
     events = [
-        ev(0, "a", "pkt_fwd", link="l1:a->b", size=100, kind="chunk"),
-        ev(1, "a", "pkt_fwd", link="l1:a->b", size=50, kind="stream"),
-        ev(2, "b", "pkt_fwd", link="l2:b->c", size=70, kind="chunk"),
+        ev(0, "a", "pkt_fwd", pid=1, kind="chunk", link="l1:a->b", size=100,
+           start=0, arrive=9),
+        ev(1, "a", "pkt_fwd", pid=2, kind="stream", link="l1:a->b", size=50,
+           start=1, arrive=9),
+        ev(2, "b", "pkt_fwd", pid=1, kind="chunk", link="l2:b->c", size=70,
+           start=2, arrive=9),
     ]
     out = link_bytes_from_events(events)
     assert out["total"] == {"l1:a->b": 150, "l2:b->c": 70}
@@ -115,9 +129,9 @@ def test_link_bytes_split_by_class():
 
 def test_drops_grouped_by_reason():
     events = [
-        ev(0, "a", "pkt_drop", size=1, reason="queue_cap"),
-        ev(1, "a", "pkt_drop", size=1, reason="queue_cap"),
-        ev(2, "a", "pkt_drop", size=1, reason="zero_fid"),
+        ev(0, "a", "pkt_drop", pid=1, kind="chunk", size=1, reason="queue_cap"),
+        ev(1, "a", "pkt_drop", pid=2, kind="chunk", size=1, reason="queue_cap"),
+        ev(2, "a", "pkt_drop", pid=3, kind="chunk", size=1, reason="zero_fid"),
     ]
     assert drops_by_reason(events) == {"queue_cap": 2, "zero_fid": 1}
 
@@ -131,7 +145,8 @@ def test_merge_ratios_for_fetches_and_streams():
         events.append(ev(1, "c", "http_resp", kind="chunk", path="/x",
                          status=200, size=1, elapsed_us=1))
     for _ in range(3):
-        events.append(ev(2, "snap", "pkt_inject", kind="stream", size=1400))
+        events.append(ev(2, "snap", "pkt_inject", pid=1, kind="stream",
+                         name="ch:ch1", size=1400))
     for _ in range(30):
         events.append(ev(3, "stb", "stb_rx", name="ch:ch1", size=1400))
     ratios = merge_ratios(events)
@@ -225,9 +240,9 @@ def test_gap_threshold_is_twice_the_sources_packet_interval():
 
 def make_artifacts():
     events = [
-        ev(0, "snap", "pkt_inject", size=1000, kind="chunk", pid=1),
-        ev(5, "cnap", "pkt_deliver", size=1000, kind="chunk", pid=1,
-           consumers=1),
+        ev(0, "snap", "pkt_inject", pid=1, kind="chunk", name="n", size=1000),
+        ev(5, "cnap", "pkt_deliver", pid=1, kind="chunk", size=1000,
+           consumers=1, spurious=False),
     ]
     samples = [{"t": 10, "el": "sw", "metric": "tx_bytes", "value": 1000}]
     config = {"scenario": "tiny", "params": {"seed": 1}}
@@ -262,10 +277,10 @@ def test_import_across_batches_skips_blank_lines(tmp_path):
     path = tmp_path / "events.jsonl"
     data = path.read_bytes()
     assert len(data) > 2 << 20
-    # a run of blank lines that covers the 1 MiB mark, so one batch ends
-    # and the next starts inside it; more blank lines mid-file and before
-    # the samples
-    mark = 1 << 20
+    # a run of blank lines that covers the end of the first read batch, so
+    # one batch ends and the next starts inside it; more blank lines
+    # mid-file and before the samples
+    mark = _READ_BATCH
     start = data.rindex(b"\n", 0, mark) + 1
     data = data[:start] + b"\n" * (mark - start + 8) + data[start:]
     mid = data.index(b"\n", 3 << 19) + 1
@@ -285,18 +300,23 @@ def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
     log.append(2, "y", "pkt_deliver", pid=1, kind="data", size=10,
                consumers=1, spurious=False)
     digest = log.hash()
+    hashed = log.encoded()
     artifacts = RunArtifacts(config={"name": "t"}, mode="icn", seed=1,
-                             events=log.records,
-                             meta={"events_hash": digest},
-                             encoded_events=(log.records, log.jsonl))
+                             events=log, meta={"events_hash": digest})
     export(artifacts, str(tmp_path / "all"))
     with open(tmp_path / "all" / "events.jsonl", "rb") as fh:
-        assert fh.read() == log.jsonl == encode_lines(log.records)
+        assert fh.read() == b"".join(hashed) == encode_lines(list(log))
+    # the log encoded once: export reused the bytes hash() made
+    assert log.encoded() is hashed
     # a replaced event list is encoded afresh, not taken from the old bytes
-    kept = [r for r in log.records if r["ev"] == "pkt_inject"]
+    kept = [r for r in log if r["ev"] == "pkt_inject"]
     export(dataclasses.replace(artifacts, events=kept), str(tmp_path / "kept"))
     with open(tmp_path / "kept" / "events.jsonl", "rb") as fh:
         assert fh.read() == encode_lines(kept)
+    # and a log that grew after hashing is encoded again
+    log.append(3, "y", "stb_rx", name="ch:a", size=10)
+    assert b"".join(log.encoded()) == encode_lines(list(log)) \
+        != b"".join(hashed)
 
 
 def test_export_csv_layout():
@@ -313,3 +333,193 @@ def test_summary_renders_every_section():
     assert "mode: icn" in text
     assert "conservation: injected=1000" in text
     assert "balanced=True" in text
+
+
+# -- the typed log ------------------------------------------------------------
+
+def random_value(rng):
+    """A value of any type a record field may hold."""
+    pick = rng.randrange(8)
+    if pick == 0:
+        return rng.choice([0, 1, -7, 2**63, 2**64 + 3, -(2**70)])
+    if pick == 1:
+        return rng.randrange(-10**12, 10**12)
+    if pick == 2:
+        return rng.choice([True, False, None])
+    if pick == 3:
+        return rng.choice([0.5, -0.0, -2.5e-300, 1e300, float("nan"),
+                           float("inf"), float("-inf"), rng.random()])
+    if pick == 4:
+        return rng.choice(["", "café ☃ \U0001f4fa", "\ud800",
+                           "tab\tnl\nnul\x00\x1f\x7f \"q\" \\ / %s %% %d"])
+    if pick == 5:
+        return "".join(chr(rng.choice([rng.randrange(0x20),
+                                       rng.randrange(0x20, 0x80),
+                                       rng.randrange(0x80, 0x110000)]))
+                       for _ in range(rng.randrange(6)))
+    if pick == 6:
+        return [random_value(rng) for _ in range(rng.randrange(4))]
+    return rng.choice(["ch:ch1", "l1:a->b", "/live/2/7"])
+
+
+def random_log(rng, per_schema=20):
+    """A log holding records of every schema in EVENT_FIELDS, interleaved,
+    with random values in every field but the variant one; returns the
+    log and its records as dicts.  Each field of each schema holds values
+    of any type, or of one type only (int, str or bool), since the encoder
+    renders a field of one type apart."""
+    one_type = {"int": lambda: rng.randrange(-2**70, 2**70),
+                "str": lambda: "".join(rng.choice("ab\"\\\x01\u00e9%")
+                                       for _ in range(rng.randrange(4))),
+                "bool": lambda: rng.random() < 0.5,
+                "any": lambda: random_value(rng)}
+    schemas = []
+    for kind, decl in EVENT_FIELDS.items():
+        if kind in VARIANT_FIELD:
+            schemas += [(kind, fields, {VARIANT_FIELD[kind]: variant})
+                        for variant, fields in decl.items()]
+        else:
+            schemas.append((kind, decl, {}))
+    styles = {(kind, tuple(fixed.items())):
+              {f: one_type[rng.choice(sorted(one_type))]
+               for f in ("el",) + fields}
+              for kind, fields, fixed in schemas}
+    log, records = EventLog(), []
+    for _ in range(per_schema):
+        rng.shuffle(schemas)
+        for kind, fields, fixed in schemas:
+            style = styles[kind, tuple(fixed.items())]
+            values = {f: fixed.get(f) or style[f]() for f in fields}
+            t, el = rng.randrange(10**9), style["el"]()
+            log.append(t, el, kind, **values)
+            records.append({"t": t, "el": el, "ev": kind, **values})
+    return log, records
+
+
+def test_compiled_encoder_matches_json_dumps_for_every_schema():
+    rng = random.Random(6)
+    for _ in range(5):
+        log, records = random_log(rng)
+        lines = b"".join(log.encoded()).splitlines(keepends=True)
+        assert len(lines) == len(records)
+        for line, rec in zip(lines, records):
+            assert line == (json.dumps(rec, sort_keys=True,
+                                       separators=(",", ":")) + "\n").encode()
+        assert b"".join(log.encoded()) == encode_lines(records)
+        assert log.hash() == events_hash(records)
+
+
+def test_random_log_round_trips_through_export_and_import(tmp_path):
+    log, records = random_log(random.Random(7))
+    meta = {"mode": "icn", "seed": 1, "events_hash": log.hash()}
+    (tmp_path / "effective_config.json").write_text("{}")
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    samples = [{"t": 1, "el": "sw", "metric": "tx_bytes", "value": 5}]
+    with open(tmp_path / "events.jsonl", "wb") as fh:
+        export_jsonl(RunArtifacts(config={}, mode="icn", seed=1, events=log,
+                                  samples=samples), fh)
+    back = import_artifacts(str(tmp_path))
+    assert events_hash(back.events) == meta["events_hash"]
+    assert b"".join(back.events.encoded()) == b"".join(log.encoded())
+    assert back.samples == samples
+    # NaN is not equal to itself, so compare the NaN-free records
+    plain = [i for i, line in enumerate(b"".join(log.encoded()).splitlines())
+             if b"NaN" not in line]
+    assert [back.events[i] for i in plain] == [records[i] for i in plain]
+
+
+def test_log_reads_as_a_sequence_of_record_dicts():
+    log = EventLog()
+    log.pkt_inject(0, "a", 7, "chunk", "n", 1000)
+    log.pkt_fwd(1, "a", 7, "chunk", "ab:a->b", 1000, 1, 9)
+    log.pkt_drop(9, "b", 7, "chunk", 1000, "link_down", "ab:a->b")
+    log.append(9, "x", "stb_active", until=50)
+    records = [
+        ev(0, "a", "pkt_inject", pid=7, kind="chunk", name="n", size=1000),
+        ev(1, "a", "pkt_fwd", pid=7, kind="chunk", link="ab:a->b",
+           size=1000, start=1, arrive=9),
+        ev(9, "b", "pkt_drop", pid=7, kind="chunk", size=1000,
+           reason="link_down", link="ab:a->b"),
+        ev(9, "x", "stb_active", until=50),
+    ]
+    assert len(log) == 4
+    assert log == records and records == log
+    assert log != records[:3] and log != records[::-1]
+    assert list(log) == records
+    assert log[0] == records[0] and log[-1] == records[-1]
+    assert log[1:3] == records[1:3]
+    assert tuple(log[2]) == ("t", "el", "ev") + EVENT_FIELDS["pkt_drop"][
+        "link_down"]
+    # the dicts are built on access: changing one leaves the log alone
+    log[0]["size"] = 0
+    assert log[0] == records[0]
+    assert log == EventLog.from_records(records)
+    assert RunArtifacts(config={}, mode="icn", seed=1,
+                        events=records).events == log
+
+
+def test_typed_helpers_write_the_rows_append_writes():
+    typed, generic = EventLog(), EventLog()
+    calls = [
+        ("pkt_inject", dict(pid=1, kind="stream", name="ch:a", size=1400)),
+        ("pkt_fwd", dict(pid=1, kind="stream", link="l:a->b", size=1400,
+                         start=3, arrive=9)),
+        ("pkt_branch", dict(pid=1, size=1400, extra=2)),
+        ("pkt_deliver", dict(pid=1, kind="stream", size=1400, consumers=0,
+                             spurious=True)),
+        ("pkt_drop", dict(pid=1, kind="stream", size=1400,
+                          reason="queue_cap")),
+        ("pkt_drop", dict(pid=1, kind="stream", size=1400,
+                          reason="link_down", link="l:a->b")),
+        ("stb_rx", dict(name="ch:a", size=1400)),
+    ]
+    for i, (kind, fields) in enumerate(calls):
+        getattr(typed, kind)(i, "n", *fields.values())
+        generic.append(i, "n", kind, **fields)
+    assert typed.rows == generic.rows
+    assert b"".join(typed.encoded()) == encode_lines(list(generic))
+
+
+UNDECLARED = [
+    ("no_such_kind", {"size": 1}, "unknown event kind 'no_such_kind'"),
+    ("ctrl", {"msg": "gossip", "name": "n"}, "ctrl: unknown msg 'gossip'"),
+    ("pkt_drop", {"pid": 1, "kind": "k", "size": 1, "reason": "meteor"},
+     "pkt_drop: unknown reason 'meteor'"),
+    ("stb_rx", {"name": "ch:a"}, "stb_rx record needs exactly the fields"),
+    ("stb_rx", {"name": "ch:a", "size": 1, "extra": 2},
+     "stb_rx record needs exactly the fields"),
+    ("stb_rx", {"name": "ch:a", "bytes": 1},
+     "stb_rx record needs exactly the fields"),
+    ("pkt_drop", {"pid": 1, "kind": "k", "size": 1, "reason": "queue_cap",
+                  "link": "l"}, "pkt_drop record needs exactly the fields"),
+]
+
+
+def test_append_rejects_a_field_named_like_the_record_head():
+    log = EventLog()
+    with pytest.raises(ValueError, match="are not fields"):
+        log.append(0, "x", "stb_rx", name="ch:a", size=1, el="y")
+    assert len(log) == 0
+
+
+@pytest.mark.parametrize("kind, fields, message", UNDECLARED)
+def test_append_rejects_undeclared_records(kind, fields, message):
+    log = EventLog()
+    log.append(0, "x", "stb_rx", name="ch:a", size=1)
+    with pytest.raises(ValueError, match=message):
+        log.append(1, "x", kind, **fields)
+    assert len(log) == 1
+
+
+@pytest.mark.parametrize("kind, fields, message", UNDECLARED)
+def test_import_rejects_undeclared_records(kind, fields, message, tmp_path):
+    (tmp_path / "effective_config.json").write_text("{}")
+    (tmp_path / "meta.json").write_text('{"mode": "icn", "seed": 1}')
+    good = canonical_json(ev(0, "x", "stb_rx", name="ch:a", size=1))
+    bad = canonical_json(ev(1, "x", kind, **fields))
+    (tmp_path / "events.jsonl").write_text(good + "\n" + bad + "\n")
+    with pytest.raises(ValueError, match=message):
+        import_artifacts(str(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        RunArtifacts(config={}, mode="icn", seed=1,
+                     events=[json.loads(good), json.loads(bad)])
