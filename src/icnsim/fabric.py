@@ -13,7 +13,9 @@ The fabric keeps no counters of its own: flush_counters reduces the log.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional
 
 from . import _bitops
@@ -68,7 +70,11 @@ class FidNode:
         if self.egress_links and packet.fid is not None:
             idx = _bitops.select_covered(
                 packet.fid.bits, self._patterns, len(self._patterns), self._wbytes)
-            egress = [self.egress_links[i] for i in idx if self.egress_links[i].up]
+            # never back out of the reverse of the arrival link, which a
+            # Bloom identifier may cover along with the link itself
+            back = in_link.reverse if in_link is not None else None
+            egress = [link for link in map(self.egress_links.__getitem__, idx)
+                      if link.up and link.key != back]
         else:
             egress = []
         consumers = self.sink(packet, t) if self.sink is not None else None
@@ -202,23 +208,23 @@ class Fabric:
     def flush_counters(self) -> None:
         """Reduce the event log to counter samples: bytes and packets sent
         per link, the peak queueing delay per link (only links that ever
-        queued), and drops per node."""
+        queued), and drops per node.  Reads only the pkt_fwd and pkt_drop
+        rows of the log's grouping by kind, which the invariant check and
+        the summary then reuse."""
         if not self.telemetry.enabled:
             return
-        tx_bytes, tx_pkts, queue_peak, drops = {}, {}, {}, {}
+        kinds = self.log.by_kind()
+        tx_bytes, tx_pkts, queue_peak = {}, {}, {}
         link, size, start = (column("pkt_fwd", name)
                              for name in ("link", "size", "start"))
-        for row in self.log.rows:
-            ev = row[2]
-            if ev == "pkt_fwd":
-                key = row[link]
-                tx_bytes[key] = tx_bytes.get(key, 0) + row[size]
-                tx_pkts[key] = tx_pkts.get(key, 0) + 1
-                backlog_us = row[start] - row[0]
-                if backlog_us > queue_peak.get(key, 0):
-                    queue_peak[key] = backlog_us
-            elif ev == "pkt_drop":
-                drops[row[1]] = drops.get(row[1], 0) + 1
+        for row in kinds["pkt_fwd"]:
+            key = row[link]
+            tx_bytes[key] = tx_bytes.get(key, 0) + row[size]
+            tx_pkts[key] = tx_pkts.get(key, 0) + 1
+            backlog_us = row[start] - row[0]
+            if backlog_us > queue_peak.get(key, 0):
+                queue_peak[key] = backlog_us
+        drops = Counter(map(itemgetter(1), kinds["pkt_drop"]))
         t = self.engine.now
         for key in sorted(tx_bytes):
             self.telemetry.record(t, key, "tx_bytes", tx_bytes[key])
@@ -245,19 +251,21 @@ def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],
                    sinks: Optional[set] = None) -> DeliveryTrace:
     """Walk a FID through the topology without the event loop.
 
-    Follows every up link whose identifier is covered by the FID, exactly
-    like the per-packet forwarding decision, and reports the links used
-    and the nodes where copies terminated.  sinks, when given, marks
-    which terminating nodes count as deliveries rather than dead ends.
+    Follows every up link whose identifier is covered by the FID, except
+    the reverse of the link a copy arrived on, exactly like the per-packet
+    forwarding decision, and reports the links used and the nodes where
+    copies terminated.  sinks, when given, marks which terminating nodes
+    count as deliveries rather than dead ends.
     """
     trace = DeliveryTrace()
-    frontier = [(origin, ttl)]
+    frontier = [(origin, ttl, None)]
     while frontier:
-        node, hops_left = frontier.pop()
+        node, hops_left, back = frontier.pop()
         egress = []
         if hops_left > 0:
             for link in topo.egress(node):
-                if link.up and should_forward(fid, link_ids[link.key]):
+                if (link.up and link.key != back
+                        and should_forward(fid, link_ids[link.key])):
                     egress.append(link)
         if not egress:
             if sinks is not None and node in sinks:
@@ -270,5 +278,5 @@ def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],
         for link in egress:
             trace.links_used.add(link.key)
             trace.hops += 1
-            frontier.append((link.dst, hops_left - 1))
+            frontier.append((link.dst, hops_left - 1, link.reverse))
     return trace

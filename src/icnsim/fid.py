@@ -90,24 +90,25 @@ def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, FID]:
     return out
 
 
-def encode_path(link_ids, width: int | None = None) -> FID:
-    """OR the identifiers of a link sequence into one FID.
+def encode_path(fids, width: int | None = None) -> FID:
+    """OR equal-width FIDs into one: the link identifiers of a path, or the
+    paths of a multicast delivery tree.
 
-    An empty sequence yields the all-zeros FID, which forwards nowhere;
-    width must then be given explicitly.
+    Empty input yields the all-zeros FID, which forwards nowhere; width
+    must then be given explicitly.
     """
-    ids = list(link_ids)
-    if not ids:
+    items = list(fids)
+    if not items:
         if width is None:
-            raise ValueError("width required to encode an empty path")
+            raise ValueError("width required to encode an empty set")
         return zero_fid(width)
-    w = ids[0].width
+    w = items[0].width
     if width is not None and width != w:
         raise ValueError("width mismatch")
-    for lid in ids:
-        if lid.width != w:
-            raise ValueError("mixed link identifier widths")
-    return FID(_bitops.or_many([lid.bits for lid in ids]), w)
+    for f in items:
+        if f.width != w:
+            raise ValueError("mixed FID widths")
+    return FID(_bitops.or_many([f.bits for f in items]), w)
 
 
 def should_forward(fid: FID, lid: FID) -> bool:
@@ -117,20 +118,8 @@ def should_forward(fid: FID, lid: FID) -> bool:
     return _bitops.is_subset(lid.bits, fid.bits)
 
 
-def combine_trees(fids, width: int | None = None) -> FID:
-    """OR several FIDs into a multicast delivery tree."""
-    items = list(fids)
-    if not items:
-        if width is None:
-            raise ValueError("width required to combine an empty set")
-        return zero_fid(width)
-    w = items[0].width
-    if width is not None and width != w:
-        raise ValueError("width mismatch")
-    for f in items:
-        if f.width != w:
-            raise ValueError("mixed FID widths")
-    return FID(_bitops.or_many([f.bits for f in items]), w)
+# ORing paths into a multicast delivery tree is the same operation
+combine_trees = encode_path
 
 
 def false_positive_rate(m: int, k: int, n: int) -> float:

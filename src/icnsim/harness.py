@@ -617,6 +617,10 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     w.log.append(0, "run", "begin", scenario=effective["name"], mode=mode,
                  seed=seed)
     executed = w.engine.run_until(duration_us)
+    # hash() encodes the log once and the log keeps the bytes for export;
+    # it runs before flush_counters groups the log, so the encoder's
+    # working memory and the grouping are never held at once
+    events_hash = w.log.hash()
     w.fabric.flush_counters()
 
     violations = _check_invariants(w, effective, mode)
@@ -625,8 +629,7 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         "mode": mode,
         "seed": seed,
         "config_hash": config_hash(effective),
-        # hash() encodes the log once; the log keeps the bytes for export
-        "events_hash": w.log.hash(),
+        "events_hash": events_hash,
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
         "engine_events": executed,

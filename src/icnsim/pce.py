@@ -27,15 +27,6 @@ class UnreachableError(RuntimeError):
     """No path exists between the requested gateways."""
 
 
-class PartialTreeError(RuntimeError):
-    """Some receivers of a multicast tree are unreachable."""
-
-    def __init__(self, failures, partial_fid: FID):
-        super().__init__(f"unreachable receivers: {[f[0] for f in failures]}")
-        self.failures = failures
-        self.partial_fid = partial_fid
-
-
 @dataclass(frozen=True)
 class PathResult:
     links: tuple
@@ -133,19 +124,21 @@ class Pce:
         self._cache[key] = (result, self.topo.epoch)
         return result
 
-    def build_multicast_fid(self, snap: str, receivers) -> FID:
-        """OR the cached unicast paths from snap to every receiver."""
+    def build_multicast_fid(self, snap: str, receivers, name: str) -> FID:
+        """OR the cached unicast paths from snap to every receiver.  When
+        some receivers are unreachable, logs them as the partial tree of
+        `name` and returns the tree of the reachable ones."""
         fids = []
         failures = []
         for receiver in receivers:
             try:
                 fids.append(self.cached_path(snap, receiver).fid)
-            except UnreachableError as exc:
-                failures.append((receiver, str(exc)))
-        fid = combine_trees(fids, width=self.fid_config.m)
+            except UnreachableError:
+                failures.append(receiver)
         if failures:
-            raise PartialTreeError(failures, fid)
-        return fid
+            self.log.append(self.engine.now, self.name, "ctrl",
+                            msg="partial_tree", name=name, failures=failures)
+        return combine_trees(fids, width=self.fid_config.m)
 
     def select_publisher(self, name: str, subscriber: str) -> str:
         """Anycast choice: reachable publisher with the cheapest path to
@@ -236,14 +229,8 @@ class Pce:
                              self.naps[snap].on_match, name, subscriber, context)
 
     def _push_stream_tree(self, name: str, snap: str) -> None:
-        receivers = self._stream_receivers(name)
-        try:
-            fid = self.build_multicast_fid(snap, receivers)
-        except PartialTreeError as exc:
-            self.log.append(self.engine.now, self.name, "ctrl",
-                            msg="partial_tree", name=name,
-                            failures=[f[0] for f in exc.failures])
-            fid = exc.partial_fid
+        fid = self.build_multicast_fid(snap, self._stream_receivers(name),
+                                       name)
         if self._issued.get((name, snap)) == fid:
             return
         self._issued[(name, snap)] = fid
@@ -262,13 +249,7 @@ class Pce:
         FID back to the requesting gateway after one control hop."""
         self.log.append(self.engine.now, self.name, "ctrl", msg="tree_request",
                         name=name, nap=snap, receivers=list(receivers))
-        try:
-            fid = self.build_multicast_fid(snap, receivers)
-        except PartialTreeError as exc:
-            self.log.append(self.engine.now, self.name, "ctrl",
-                            msg="partial_tree", name=name,
-                            failures=[f[0] for f in exc.failures])
-            fid = exc.partial_fid
+        fid = self.build_multicast_fid(snap, receivers, name)
         self.log.append(self.engine.now, self.name, "ctrl", msg="tree_reply",
                         name=name, nap=snap, fid=fid.to_bytes().hex(),
                         epoch=self.topo.epoch)

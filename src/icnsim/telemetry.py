@@ -286,7 +286,9 @@ class EventLog(Sequence):
 
     `rows` holds one tuple per record, (t, el, ev, *fields) in
     EVENT_FIELDS order; rows are never changed once appended.  As a
-    sequence the log reads as record dicts, built on access.
+    sequence the log reads as record dicts, built on access.  Its
+    encoding and its grouping by kind are views of the rows, each built
+    once and kept until the log grows.
     """
 
     def __init__(self):
@@ -294,6 +296,8 @@ class EventLog(Sequence):
         self._add = self.rows.append
         # (row count, _encode_rows of that many rows)
         self._encoded: tuple | None = None
+        # (row count, those rows grouped by kind)
+        self._grouped: tuple | None = None
 
     # -- typed helpers for the hot kinds: positional, in declared order,
     # trusted by the log (the encoder still rejects an unknown schema)
@@ -364,6 +368,20 @@ class EventLog(Sequence):
             h.update(chunk)
         return h.hexdigest()
 
+    # -- grouping
+
+    def by_kind(self) -> defaultdict:
+        """The rows grouped by kind, each group in log order; a kind the
+        log lacks reads as an empty list.  Grouped in one pass and kept
+        until the log grows."""
+        n = len(self.rows)
+        if self._grouped is None or self._grouped[0] != n:
+            groups = defaultdict(list)
+            for row in self.rows:
+                groups[row[2]].append(row)
+            self._grouped = (n, groups)
+        return self._grouped[1]
+
     # -- the read-only sequence of record dicts
 
     def __len__(self) -> int:
@@ -430,27 +448,13 @@ class RunArtifacts:
 # ---------------------------------------------------------------------------
 # reducers
 #
-# Each reducer takes an EventLog, a list of record dicts, or the rows of
-# one log already grouped by kind (by_kind), which summarize builds once
-# and shares.
+# Each reducer takes an EventLog and reads the rows of the kinds it needs
+# from events.by_kind(), which the log groups once and keeps until it
+# grows; the fabric's counters, the invariant check and the summary all
+# share that one grouping.
 
-class _ByKind(defaultdict):
-    """Rows grouped by kind, each group in log order."""
-
-
-def by_kind(events) -> _ByKind:
-    """The rows of a log grouped by kind: one pass over the log."""
-    if isinstance(events, _ByKind):
-        return events
-    if not isinstance(events, EventLog):
-        events = EventLog.from_records(events)
-    groups = _ByKind(list)
-    for row in events.rows:
-        groups[row[2]].append(row)
-    return groups
-
-
-def conservation_from_events(events, horizon_us: int | None = None) -> dict:
+def conservation_from_events(events: EventLog,
+                             horizon_us: int | None = None) -> dict:
     """Recompute byte conservation from the event log alone.
 
     Each multicast branch point logs the surplus copies it creates, so
@@ -460,7 +464,7 @@ def conservation_from_events(events, horizon_us: int | None = None) -> dict:
     event at the horizon itself).  Without a horizon nothing may be left
     undrained.  in_flight is the left side minus delivered and dropped.
     """
-    kinds = by_kind(events)
+    kinds = events.by_kind()
     inject, deliver = kinds["pkt_inject"], kinds["pkt_deliver"]
     drop, branch = kinds["pkt_drop"], kinds["pkt_branch"]
     injected = sum(map(itemgetter(column("pkt_inject", "size")), inject))
@@ -488,33 +492,34 @@ def conservation_from_events(events, horizon_us: int | None = None) -> dict:
     }
 
 
-def link_bytes_from_events(events) -> dict:
+def link_bytes_from_events(events: EventLog) -> dict:
     """Per-link transmitted bytes, total and split by traffic class."""
     totals: dict[str, int] = {}
     by_class: dict[str, dict[str, int]] = {}
     # packet sizes take few values, so counting (link, kind, size) first
     # leaves few sums to add up
     get = itemgetter(*(column("pkt_fwd", f) for f in ("link", "kind", "size")))
-    for (link, kind, size), n in Counter(map(get, by_kind(events)["pkt_fwd"])).items():
+    rows = events.by_kind()["pkt_fwd"]
+    for (link, kind, size), n in Counter(map(get, rows)).items():
         totals[link] = totals.get(link, 0) + size * n
         cls = by_class.setdefault(link, {})
         cls[kind] = cls.get(kind, 0) + size * n
     return {"total": totals, "by_class": by_class}
 
 
-def drops_by_reason(events) -> dict:
+def drops_by_reason(events: EventLog) -> dict:
     return dict(Counter(map(itemgetter(column("pkt_drop", "reason")),
-                            by_kind(events)["pkt_drop"])))
+                            events.by_kind()["pkt_drop"])))
 
 
-def merge_ratios(events) -> dict:
+def merge_ratios(events: EventLog) -> dict:
     """Client deliveries divided by server transmissions, per traffic class.
 
     For request/response traffic the numerator counts completed client
     fetches and the denominator server responses; for continuous streams
     it counts sink packet deliveries against source emissions.
     """
-    kinds = by_kind(events)
+    kinds = events.by_kind()
     server_tx = Counter(map(itemgetter(column("server_resp", "kind")),
                             kinds["server_resp"]))
     client_rx = Counter(map(itemgetter(column("http_resp", "kind")),
@@ -559,7 +564,8 @@ def disruption_intervals(arrival_times, active_start: int, active_end: int,
     return out
 
 
-def stalls_from_events(events, chunk_duration_us: int, startup_hold_us: int) -> dict:
+def stalls_from_events(events: EventLog, chunk_duration_us: int,
+                       startup_hold_us: int) -> dict:
     """Replay playback from chunk arrival records and recompute stalls.
 
     Playback of the first arrived chunk starts startup_hold after its
@@ -568,7 +574,7 @@ def stalls_from_events(events, chunk_duration_us: int, startup_hold_us: int) -> 
     Cross-checks the stall events the clients logged live.
     """
     arrivals: dict[str, list[int]] = {}
-    for row in by_kind(events)["chunk_done"]:
+    for row in events.by_kind()["chunk_done"]:
         arrivals.setdefault(row[1], []).append(row[0])
     out = {}
     for client in sorted(arrivals):
@@ -588,7 +594,8 @@ def stalls_from_events(events, chunk_duration_us: int, startup_hold_us: int) -> 
 
 def summarize(artifacts: RunArtifacts) -> dict:
     """Independent reduction of the event log into the run summary."""
-    kinds = by_kind(artifacts.events)
+    events = artifacts.events
+    kinds = events.by_kind()
     config = artifacts.config
     params = config.get("params", {})
     hls = config.get("apps", {}).get("hls")
@@ -598,10 +605,10 @@ def summarize(artifacts: RunArtifacts) -> dict:
     summary = {
         "mode": artifacts.mode,
         "seed": artifacts.seed,
-        "conservation": conservation_from_events(kinds, horizon_us),
-        "link_bytes": link_bytes_from_events(kinds),
-        "drops_by_reason": drops_by_reason(kinds),
-        "merge_ratios": merge_ratios(kinds),
+        "conservation": conservation_from_events(events, horizon_us),
+        "link_bytes": link_bytes_from_events(events),
+        "drops_by_reason": drops_by_reason(events),
+        "merge_ratios": merge_ratios(events),
         "spurious_deliveries": sum(1 for r in kinds["pkt_deliver"]
                                    if r[spurious]),
     }
@@ -610,7 +617,7 @@ def summarize(artifacts: RunArtifacts) -> dict:
     if hls:
         chunk_us = hls["chunk_duration_ms"] * 1000
         hold_us = params["startup_hold_ms"] * 1000
-        summary["stalls"] = stalls_from_events(kinds, chunk_us, hold_us)
+        summary["stalls"] = stalls_from_events(events, chunk_us, hold_us)
 
     # channel acquisition after a join or zap
     channel, dur = column("acquisition", "channel"), column("acquisition", "dur_us")

@@ -311,6 +311,29 @@ def test_trace_delivery_reports_dead_ends():
     assert trace2.dead_ends == {"c"}
 
 
+def test_fid_covering_a_link_and_its_reverse_never_bounces_back():
+    """A Bloom identifier can cover a link and its reverse; a copy must
+    still never leave on the reverse of the link it arrived on, in the
+    data plane and in the reference walk alike."""
+    topo = chain_topology()
+    engine, log, fabric = make_fabric(topo)
+    sink = RecordingSink()
+    lids = wire_exact(topo, fabric, "c", sink.consume)
+    fid = fid_for(lids, ["ab:a->b", "ab:b->a", "bc:b->c", "bc:c->b"],
+                  len(topo.links))
+    fabric.inject("a", packet(fabric, fid))
+    engine.run_until(10_000_000)
+    assert [r["link"] for r in log if r["ev"] == "pkt_fwd"] == [
+        "ab:a->b", "bc:b->c"]
+    assert [r for r in log if r["ev"] in ("pkt_drop", "pkt_branch")] == []
+    assert sink.arrivals == [(3000, 0)]
+    assert conservation_from_events(log)["balanced"]
+    trace = trace_delivery(topo, lids, fid, "a", sinks={"c"})
+    assert trace.links_used == {"ab:a->b", "bc:b->c"}
+    assert trace.hops == 2
+    assert trace.sink_nodes == {"c"} and trace.dead_ends == set()
+
+
 def test_copy_arriving_at_the_horizon_is_delivered_not_undrained():
     """The run executes every event at the horizon itself, so only a copy
     whose pkt_fwd arrives after the horizon counts as undrained."""

@@ -2,14 +2,15 @@
 
 import copy
 import os
+import sys
 
 import pytest
 
 from icnsim.harness import (ConfigError, compare_artifacts, config_hash,
                             list_scenarios, load_scenario, render_comparison,
                             run_scenario, validate_config)
-from icnsim.telemetry import (drops_by_reason, export, import_artifacts,
-                              summarize)
+from icnsim.telemetry import (EventLog, drops_by_reason, export,
+                              import_artifacts, summarize)
 
 MINIMAL = {
     "name": "mini",
@@ -40,6 +41,31 @@ def test_shipped_scenarios():
                                 "iptv_failover", "trial_topology"]
     cfg = load_scenario("trial_topology")
     assert cfg["name"] == "trial_topology"
+
+
+def test_each_mode_groups_its_log_once(monkeypatch):
+    """The fabric's counters, the invariant check and the summary all read
+    the one grouping by kind that the run's log keeps."""
+    calls = []
+    by_kind = EventLog.by_kind
+
+    def spy(log):
+        groups = by_kind(log)
+        calls.append((sys._getframe(1).f_code.co_name, log, groups))
+        return groups
+
+    monkeypatch.setattr(EventLog, "by_kind", spy)
+    config = load_scenario("trial_topology")
+    for mode in ("icn", "ip"):
+        calls.clear()
+        artifacts = run_scenario(config, mode)
+        summarize(artifacts)
+        readers = [name for name, _, _ in calls]
+        assert readers[:2] == ["flush_counters", "conservation_from_events"]
+        assert "summarize" in readers
+        assert {id(log) for _, log, _ in calls} == {id(artifacts.events)}
+        assert {id(groups) for _, _, groups in calls} == {
+            id(artifacts.events.by_kind())}
 
 
 def test_unknown_scenario_name_lists_alternatives():

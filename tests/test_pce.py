@@ -6,7 +6,7 @@ import pytest
 
 from icnsim.fabric import Fabric, FabricParams, FidNode, trace_delivery
 from icnsim.fid import FidConfig, assign_link_ids
-from icnsim.pce import (PartialTreeError, Pce, PceParams, UnreachableError)
+from icnsim.pce import Pce, PceParams, UnreachableError
 from icnsim.simkernel import Engine
 from icnsim.telemetry import EventLog, Telemetry
 from icnsim.topology import TopologyGraph
@@ -207,8 +207,9 @@ def test_multicast_tree_shares_trunk_bits():
     topo.add_link("t1", "mid", "r1", 10_000_000, 100)
     topo.add_link("t2", "mid", "r2", 10_000_000, 100)
     engine, log, lids, pce = make_pce(topo)
-    fid = pce.build_multicast_fid("src", ("r1", "r2"))
+    fid = pce.build_multicast_fid("src", ("r1", "r2"), "ch")
     assert fid.popcount() == 3  # trunk counted once, not twice
+    assert log == []  # every receiver reachable: no partial tree
     trace = trace_delivery(topo, lids, fid, "src", sinks=("r1", "r2"))
     assert trace.sink_nodes == {"r1", "r2"}
     assert trace.links_used == {"trunk:src->mid", "t1:mid->r1", "t2:mid->r2"}
@@ -229,7 +230,7 @@ def test_multicast_tree_carries_one_trunk_copy_in_fabric():
             if node.name in ("r1", "r2") else None
         fabric.add_handler(node.name, FidNode(
             node.name, topo.egress(node.name), lids, sink=sink))
-    fid = pce.build_multicast_fid("src", ("r1", "r2"))
+    fid = pce.build_multicast_fid("src", ("r1", "r2"), "ch")
     from icnsim.fabric import Packet
     fabric.inject("src", Packet(pid=1, kind="stream", name="ch", size=1000,
                                 fid=fid))
@@ -244,11 +245,10 @@ def test_unreachable_receiver_yields_partial_tree():
     topo = diamond()
     topo.add_node("island", "fn")
     engine, log, lids, pce = make_pce(topo)
-    with pytest.raises(PartialTreeError) as err:
-        pce.build_multicast_fid("a", ("d", "island"))
-    assert [f[0] for f in err.value.failures] == ["island"]
-    trace = trace_delivery(topo, lids, err.value.partial_fid, "a",
-                           sinks=("d",))
+    fid = pce.build_multicast_fid("a", ("d", "island"), "ch")
+    assert log == [{"t": 0, "el": "pce", "ev": "ctrl", "msg": "partial_tree",
+                    "name": "ch", "failures": ["island"]}]
+    trace = trace_delivery(topo, lids, fid, "a", sinks=("d",))
     assert trace.sink_nodes == {"d"}
 
 

@@ -69,9 +69,11 @@ def test_encode_lines_matches_json_dumps_across_batches():
 
 def test_encode_lines_peaks_at_output_plus_one_batch():
     """Both encoders, encode_lines of dicts and the log's own, peak at
-    their output plus one batch."""
+    their output plus one batch's working memory: under 6 batches of
+    output, where encoding all records at once takes over 11."""
+    batches = 8
     log = EventLog()
-    for i in range(20 * _BATCH):
+    for i in range(batches * _BATCH):
         log.append(i, f"sw{i % 7}", "pkt_fwd", pid=i, kind="stream",
                    link=f"l{i % 5}:sw{i % 7}->sw{i % 3}", size=1400,
                    start=i, arrive=i + 112)
@@ -83,7 +85,7 @@ def test_encode_lines_peaks_at_output_plus_one_batch():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - size < size // 2
+        assert peak - size < 6 * size // batches
 
 
 def test_disabled_telemetry_records_nothing():
@@ -103,12 +105,12 @@ def test_conservation_balances_branch_surplus():
         ev(2, "d", "pkt_deliver", pid=1, kind="chunk", size=1000,
            consumers=1, spurious=False),
     ]
-    cons = conservation_from_events(events)
+    cons = conservation_from_events(EventLog.from_records(events))
     assert cons["balanced"]
     assert cons["injected_bytes"] == 1000
     assert cons["branch_extra_bytes"] == 1000
     assert cons["delivered_bytes"] == 2000
-    lost = conservation_from_events(events[:-1])
+    lost = conservation_from_events(EventLog.from_records(events[:-1]))
     assert not lost["balanced"]
     assert lost["in_flight_bytes"] == 1000
 
@@ -122,7 +124,7 @@ def test_link_bytes_split_by_class():
         ev(2, "b", "pkt_fwd", pid=1, kind="chunk", link="l2:b->c", size=70,
            start=2, arrive=9),
     ]
-    out = link_bytes_from_events(events)
+    out = link_bytes_from_events(EventLog.from_records(events))
     assert out["total"] == {"l1:a->b": 150, "l2:b->c": 70}
     assert out["by_class"]["l1:a->b"] == {"chunk": 100, "stream": 50}
 
@@ -133,7 +135,21 @@ def test_drops_grouped_by_reason():
         ev(1, "a", "pkt_drop", pid=2, kind="chunk", size=1, reason="queue_cap"),
         ev(2, "a", "pkt_drop", pid=3, kind="chunk", size=1, reason="zero_fid"),
     ]
-    assert drops_by_reason(events) == {"queue_cap": 2, "zero_fid": 1}
+    assert drops_by_reason(EventLog.from_records(events)) == {
+        "queue_cap": 2, "zero_fid": 1}
+
+
+def test_a_log_that_grows_is_grouped_again():
+    log = EventLog()
+    log.pkt_drop(0, "a", 1, "chunk", 1, "queue_cap")
+    assert drops_by_reason(log) == {"queue_cap": 1}
+    grouped = log.by_kind()
+    assert log.by_kind() is grouped
+    assert grouped["pkt_fwd"] == []
+    log.pkt_drop(1, "a", 2, "chunk", 1, "zero_fid")
+    assert drops_by_reason(log) == {"queue_cap": 1, "zero_fid": 1}
+    assert log.by_kind() is not grouped
+    assert log.by_kind()["pkt_drop"] == log.rows
 
 
 def test_merge_ratios_for_fetches_and_streams():
@@ -149,14 +165,15 @@ def test_merge_ratios_for_fetches_and_streams():
                          name="ch:ch1", size=1400))
     for _ in range(30):
         events.append(ev(3, "stb", "stb_rx", name="ch:ch1", size=1400))
-    ratios = merge_ratios(events)
+    ratios = merge_ratios(EventLog.from_records(events))
     assert ratios["chunk"] == {"server_tx": 2, "client_rx": 20, "ratio": 10.0}
     assert ratios["stream"] == {"server_tx": 3, "client_rx": 30, "ratio": 10.0}
 
 
 def test_merge_ratio_without_transmissions_is_undefined():
-    ratios = merge_ratios([ev(0, "c", "http_resp", kind="chunk", path="/x",
-                              status=200, size=1, elapsed_us=1)])
+    ratios = merge_ratios(EventLog.from_records([
+        ev(0, "c", "http_resp", kind="chunk", path="/x", status=200, size=1,
+           elapsed_us=1)]))
     assert ratios["chunk"]["ratio"] is None
 
 
@@ -185,7 +202,8 @@ def test_stall_replay_matches_live_accounting():
         ev(5_800_000, "c1", "chunk_done", path="/live/2/2", size=1,
            ewma_bps=1, n=3),
     ]
-    out = stalls_from_events(events, chunk_duration_us=2_000_000,
+    out = stalls_from_events(EventLog.from_records(events),
+                             chunk_duration_us=2_000_000,
                              startup_hold_us=750_000)
     assert out == {"c1": {"total_us": 1_049_000, "events": 1}}
 
