@@ -15,13 +15,12 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Optional
 
 from . import _bitops
 from .fid import FID, should_forward
 from .simkernel import Engine
-from .telemetry import EventLog, Telemetry, column
+from .telemetry import EventLog, Telemetry
 from .topology import Link, TopologyEvent, TopologyGraph
 
 DEFAULT_TTL = 64
@@ -208,23 +207,20 @@ class Fabric:
     def flush_counters(self) -> None:
         """Reduce the event log to counter samples: bytes and packets sent
         per link, the peak queueing delay per link (only links that ever
-        queued), and drops per node.  Reads only the pkt_fwd and pkt_drop
-        rows of the log's grouping by kind, which the invariant check and
-        the summary then reuse."""
+        queued), and drops per node.  Reads the log's pkt_fwd and pkt_drop
+        columns."""
         if not self.telemetry.enabled:
             return
-        kinds = self.log.by_kind()
-        tx_bytes, tx_pkts, queue_peak = {}, {}, {}
-        link, size, start = (column("pkt_fwd", name)
-                             for name in ("link", "size", "start"))
-        for row in kinds["pkt_fwd"]:
-            key = row[link]
-            tx_bytes[key] = tx_bytes.get(key, 0) + row[size]
-            tx_pkts[key] = tx_pkts.get(key, 0) + 1
-            backlog_us = row[start] - row[0]
+        log = self.log
+        tx_bytes, queue_peak = {}, {}
+        for t, key, size, start in zip(*(log.column("pkt_fwd", name) for name
+                                         in ("t", "link", "size", "start"))):
+            tx_bytes[key] = tx_bytes.get(key, 0) + size
+            backlog_us = start - t
             if backlog_us > queue_peak.get(key, 0):
                 queue_peak[key] = backlog_us
-        drops = Counter(map(itemgetter(1), kinds["pkt_drop"]))
+        tx_pkts = Counter(log.column("pkt_fwd", "link"))
+        drops = Counter(log.column("pkt_drop", "el"))
         t = self.engine.now
         for key in sorted(tx_bytes):
             self.telemetry.record(t, key, "tx_bytes", tx_bytes[key])

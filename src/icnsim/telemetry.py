@@ -4,13 +4,18 @@ The append-only event log is the only record of what the data plane
 did (the data plane keeps no counters), and summarize() here recomputes
 everything from the exported records alone.
 
-EVENT_FIELDS is the log's schema.  EventLog stores each record as one
-tuple, (t, el, ev, *fields) in declared order; the hot data-plane kinds
-have typed positional append helpers, and the generic append() rejects
-any record the schema does not declare.  The canonical encoding (one
-sorted-key JSON object per line) is rendered through one "%" template
-per schema, compiled from EVENT_FIELDS on first use; readers that want
-dicts get them built on access.
+EVENT_FIELDS is the log's schema.  EventLog stores the records by
+columns: for each schema (a plain kind, or one variant of a variant
+kind) one list per field, without ev and the variant field, which are
+constant per schema, plus one schema id byte per record in log order.
+The hot data-plane kinds have typed positional append helpers, and the
+generic append() rejects any record the schema does not declare.
+Reducers read a field with log.column(kind, name), in log order for a
+plain kind and in no set order for a variant kind, and count records
+with log.count(kind).  The canonical encoding (one sorted-key JSON
+object per line) is rendered through one "%" template per schema,
+compiled from EVENT_FIELDS on first use; readers that want dicts get
+them built on access.
 
 Metric samples are a separate, optional stream reduced from the log;
 disabling them must not change the event log in any way (the
@@ -24,11 +29,12 @@ import hashlib
 import io
 import json
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 # One shared encoder: the same text as json.dumps(record, sort_keys=True,
@@ -40,8 +46,9 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _BATCH = 4096
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
-# dicts are dropped once their rows are built, so a batch small enough to
-# stay in cache makes both parsing and row building faster.
+# dicts are dropped once their values are in the log's columns, so a
+# batch small enough to stay in cache makes both parsing and storing
+# faster.
 _READ_BATCH = 1 << 16
 
 
@@ -132,14 +139,21 @@ VARIANT_FIELD = {"ctrl": "msg", "igmp": "action", "pkt_drop": "reason"}
 
 _HEAD = ("t", "el", "ev")
 
+# Every compiled schema, indexed by its id.  An EventLog keeps one id byte
+# per record, so there may be at most 255 schemas.
+_BY_SID: list = []
+
 
 class _Schema:
-    """One record layout, compiled: its row names, the "%" template of its
-    canonical JSON (keys sorted; ev and the variant value are constant
-    text), the getter of the row values the template takes, in key
-    order, and the getter that reads a row out of a record dict."""
+    """One record layout, compiled: its id, its names in record order, the
+    names the log keeps a column of (all but ev and the variant field,
+    which are constant), the "%" template of its canonical JSON (keys
+    sorted; the constants are text in it), the indexes of the columns the
+    template takes, in key order, its record dict with the constants
+    filled in, and the getter of the stored values of a record dict."""
 
-    __slots__ = ("names", "template", "pick", "read")
+    __slots__ = ("sid", "names", "stored", "template", "pick", "blank",
+                 "read")
 
     def __init__(self, kind: str, fields: tuple, variant=None):
         names = _HEAD + fields
@@ -148,33 +162,42 @@ class _Schema:
         fixed = {"ev": kind}
         if variant is not None:
             fixed[VARIANT_FIELD[kind]] = variant
+        stored = tuple(name for name in names if name not in fixed)
         parts, picked = [], []
         for name in sorted(names):
             if name in fixed:
                 value = encode_basestring_ascii(fixed[name]).replace("%", "%%")
             else:
                 value = "%s"
-                picked.append(names.index(name))
+                picked.append(stored.index(name))
             parts.append(encode_basestring_ascii(name).replace("%", "%%")
                          + ":" + value)
         self.names = names
+        self.stored = stored
         self.template = "{" + ",".join(parts) + "}"
-        # t and el are always picked, so both getters return tuples
-        self.pick = itemgetter(*picked)
-        self.read = itemgetter(*names)
+        self.pick = picked
+        self.blank = {**dict.fromkeys(names), **fixed}
+        # t and el are always stored, so read returns a tuple
+        self.read = itemgetter(*stored)
+        assert len(_BY_SID) < 255, "more schemas than an id byte holds"
+        self.sid = len(_BY_SID)
+        _BY_SID.append(self)
+
+    def record(self, values) -> dict:
+        """The record dict of one record's stored values."""
+        rec = self.blank.copy()
+        rec.update(zip(self.stored, values))
+        return rec
 
 
 class _Variants:
     """The schemas of one variant kind, keyed by the value of its variant
-    field, which sits at row index `index` in all of them."""
+    field."""
 
-    __slots__ = ("field", "index", "by_value")
+    __slots__ = ("field", "by_value")
 
     def __init__(self, kind: str, decl: dict):
         self.field = VARIANT_FIELD[kind]
-        (index,) = {len(_HEAD) + fields.index(self.field)
-                    for fields in decl.values()}
-        self.index = index
         self.by_value = {v: _Schema(kind, fields, v)
                          for v, fields in decl.items()}
 
@@ -182,7 +205,8 @@ class _Variants:
 class _Compiled(dict):
     """EVENT_FIELDS compiled kind by kind, on a kind's first use rather
     than at import: each kind maps to its _Schema, or to its _Variants.
-    An undeclared kind raises KeyError."""
+    Compiling a schema gives it the next id, so every log in a process
+    agrees on the ids.  An undeclared kind raises KeyError."""
 
     def __missing__(self, kind: str):
         decl = EVENT_FIELDS[kind]
@@ -194,11 +218,10 @@ class _Compiled(dict):
 _SCHEMAS = _Compiled()
 
 
-def _schema_of(row: tuple) -> _Schema:
-    s = _SCHEMAS[row[2]]
-    if s.__class__ is _Variants:
-        s = s.by_value[row[s.index]]
-    return s
+def _schemas_of(kind: str) -> tuple:
+    """The schemas of a plain kind (one) or of a variant kind (each)."""
+    s = _SCHEMAS[kind]
+    return tuple(s.by_value.values()) if s.__class__ is _Variants else (s,)
 
 
 def _reject(rec: dict) -> ValueError:
@@ -217,14 +240,6 @@ def _reject(rec: dict) -> ValueError:
                       f"got {tuple(rec)}")
 
 
-def column(kind: str, name: str) -> int:
-    """Row index of field `name` in every record of `kind`."""
-    decl = EVENT_FIELDS[kind]
-    layouts = decl.values() if isinstance(decl, dict) else (decl,)
-    (index,) = {(_HEAD + fields).index(name) for fields in layouts}
-    return index
-
-
 class _Strings(dict):
     """Memo of the JSON text of the strings one encode meets."""
 
@@ -236,7 +251,7 @@ class _Strings(dict):
 _BOOLS = {True: "true", False: "false"}
 
 
-def _render(values: tuple, strings: _Strings):
+def _render(values: list, strings: _Strings):
     """One template field's values, as the template takes them: an int as
     itself, a str through the memo, any other value (bool, None, float,
     list) through canonical_json.  Values of one type are rendered in a
@@ -253,73 +268,134 @@ def _render(values: tuple, strings: _Strings):
             for x in values]
 
 
-def _encode_rows(rows: list) -> tuple:
-    """Canonical JSONL of log rows, as one bytes chunk per _BATCH rows;
-    joined, the same bytes as encode_lines of their dicts.  Each batch is
-    encoded a schema at a time, column by column, and its lines are put
+def _encode(seq: bytearray, columns: dict) -> tuple:
+    """Canonical JSONL of a log's records, as one bytes chunk per _BATCH
+    records; joined, the same bytes as encode_lines of their dicts.  Each
+    batch is encoded a schema at a time: the schema's columns are sliced
+    from where its previous batch ended, rendered column by column and
+    formatted into lines, and one cursor per schema then takes the lines
     back in log order.  Chunks, unlike one growing buffer, hold no spare
     capacity."""
-    schemas = _SCHEMAS
     strings = _Strings()
+    done = dict.fromkeys(columns, 0)
     out = []
-    for i in range(0, len(rows), _BATCH):
-        batch = rows[i:i + _BATCH]
-        where: dict[_Schema, list[int]] = {}
-        for n, row in enumerate(batch):
-            s = schemas[row[2]]
-            if s.__class__ is _Variants:
-                s = s.by_value[row[s.index]]
-            where.setdefault(s, []).append(n)
-        lines = [None] * len(batch)
-        for s, positions in where.items():
-            picked = map(s.pick, map(batch.__getitem__, positions))
-            columns = [_render(c, strings) for c in zip(*picked)]
-            for n, line in zip(positions, map(s.template.__mod__,
-                                              zip(*columns))):
-                lines[n] = line
-        out.append(("\n".join(lines) + "\n").encode())
+    for i in range(0, len(seq), _BATCH):
+        sids = seq[i:i + _BATCH]
+        lines = {}
+        for sid in set(sids):
+            s, cols = _BY_SID[sid], columns[sid]
+            lo = done[sid]
+            hi = done[sid] = lo + sids.count(sid)
+            rendered = [_render(cols[j][lo:hi], strings) for j in s.pick]
+            lines[sid] = map(s.template.__mod__, zip(*rendered))
+        out.append(("\n".join(map(next, map(lines.__getitem__, sids)))
+                    + "\n").encode())
     return tuple(out)
 
 
 class EventLog(Sequence):
     """Append-only record stream with a stable canonical encoding.
 
-    `rows` holds one tuple per record, (t, el, ev, *fields) in
-    EVENT_FIELDS order; rows are never changed once appended.  As a
-    sequence the log reads as record dicts, built on access.  Its
-    encoding and its grouping by kind are views of the rows, each built
-    once and kept until the log grows.
+    The log is stored by columns.  Each schema (a plain kind, or one
+    variant of a variant kind) has one list per stored field, in log
+    order; ev and the variant field are constant per schema and are not
+    stored.  A bytearray holds the schema id of each record, in log
+    order.  Nothing is changed once appended.  As a sequence the log
+    reads as record dicts, built on access; column() and count() are what
+    the reducers read.  The encoding is a view of the columns, built once
+    and kept until the log grows.
     """
 
     def __init__(self):
-        self.rows: list[tuple] = []
-        self._add = self.rows.append
-        # (row count, _encode_rows of that many rows)
+        self._seq = bytearray()
+        # schema id -> one list per stored field of that schema
+        self._cols: dict[int, tuple] = {}
+        # (record count, _encode of that many records)
         self._encoded: tuple | None = None
-        # (row count, those rows grouped by kind)
-        self._grouped: tuple | None = None
+        self._inject = self._appends(_SCHEMAS["pkt_inject"])
+        self._fwd = self._appends(_SCHEMAS["pkt_fwd"])
+        self._branch = self._appends(_SCHEMAS["pkt_branch"])
+        self._deliver = self._appends(_SCHEMAS["pkt_deliver"])
+        self._drop = {reason: self._appends(s) for reason, s
+                      in _SCHEMAS["pkt_drop"].by_value.items()}
+        self._rx = self._appends(_SCHEMAS["stb_rx"])
+
+    def _columns(self, s: _Schema) -> tuple:
+        """The columns of schema s, made on first use."""
+        cols = self._cols.get(s.sid)
+        if cols is None:
+            cols = self._cols[s.sid] = tuple([] for _ in s.stored)
+        return cols
+
+    def _appends(self, s: _Schema) -> tuple:
+        """What a typed helper of schema s calls: the bound append of each
+        of its columns, then the append of the schema ids and its id."""
+        return (*[col.append for col in self._columns(s)], self._seq.append,
+                s.sid)
 
     # -- typed helpers for the hot kinds: positional, in declared order,
-    # trusted by the log (the encoder still rejects an unknown schema)
+    # trusted by the log
 
     def pkt_inject(self, t, el, pid, kind, name, size) -> None:
-        self._add((t, el, "pkt_inject", pid, kind, name, size))
+        a, b, c, d, e, f, add, sid = self._inject
+        a(t)
+        b(el)
+        c(pid)
+        d(kind)
+        e(name)
+        f(size)
+        add(sid)
 
     def pkt_fwd(self, t, el, pid, kind, link, size, start, arrive) -> None:
-        self._add((t, el, "pkt_fwd", pid, kind, link, size, start, arrive))
+        a, b, c, d, e, f, g, h, add, sid = self._fwd
+        a(t)
+        b(el)
+        c(pid)
+        d(kind)
+        e(link)
+        f(size)
+        g(start)
+        h(arrive)
+        add(sid)
 
     def pkt_branch(self, t, el, pid, size, extra) -> None:
-        self._add((t, el, "pkt_branch", pid, size, extra))
+        a, b, c, d, e, add, sid = self._branch
+        a(t)
+        b(el)
+        c(pid)
+        d(size)
+        e(extra)
+        add(sid)
 
     def pkt_deliver(self, t, el, pid, kind, size, consumers, spurious) -> None:
-        self._add((t, el, "pkt_deliver", pid, kind, size, consumers, spurious))
+        a, b, c, d, e, f, g, add, sid = self._deliver
+        a(t)
+        b(el)
+        c(pid)
+        d(kind)
+        e(size)
+        f(consumers)
+        g(spurious)
+        add(sid)
 
     def pkt_drop(self, t, el, pid, kind, size, reason, *link) -> None:
         """link, the lost packet's link key, only for reason "link_down"."""
-        self._add((t, el, "pkt_drop", pid, kind, size, reason, *link))
+        *appends, add, sid = self._drop[reason]
+        values = (t, el, pid, kind, size, *link)
+        if len(values) != len(appends):
+            raise TypeError(f"pkt_drop {reason}: {len(appends)} values, "
+                            f"got {len(values)}")
+        for append, value in zip(appends, values):
+            append(value)
+        add(sid)
 
     def stb_rx(self, t, el, name, size) -> None:
-        self._add((t, el, "stb_rx", name, size))
+        a, b, c, d, add, sid = self._rx
+        a(t)
+        b(el)
+        c(name)
+        d(size)
+        add(sid)
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
         """Append any declared record; raises ValueError for an unknown
@@ -330,20 +406,32 @@ class EventLog(Sequence):
         self.extend((rec,))
 
     def extend(self, records) -> None:
-        """Append record dicts, each checked against the schema."""
+        """Append record dicts, each checked against the schema; when one
+        is not declared, none is appended.  The checked values are grouped
+        by schema and stored column by column."""
         schemas = _SCHEMAS
-        add = self._add
+        groups: dict[_Schema, list] = {}
+        sids = bytearray()
+        add_sid = sids.append
         try:
             for rec in records:
                 s = schemas[rec["ev"]]
                 if s.__class__ is _Variants:
                     s = s.by_value[rec[s.field]]
-                row = s.read(rec)
-                if len(row) != len(rec):
+                values = s.read(rec)
+                if len(rec) != len(s.names):
                     raise KeyError
-                add(row)
+                try:
+                    groups[s].append(values)
+                except KeyError:
+                    groups[s] = [values]
+                add_sid(s.sid)
         except KeyError:
             raise _reject(rec) from None
+        for s, rows in groups.items():
+            for col, values in zip(self._columns(s), zip(*rows)):
+                col += values
+        self._seq += sids
 
     @classmethod
     def from_records(cls, records) -> "EventLog":
@@ -351,14 +439,34 @@ class EventLog(Sequence):
         log.extend(records)
         return log
 
+    # -- what the reducers read
+
+    def column(self, kind: str, name: str) -> list:
+        """Field `name` of every record of `kind`; do not modify it.  For a
+        plain kind it is the stored list, in log order.  For a variant
+        kind it is the columns of its variants one after another, so it
+        is not in log order: its readers only sum or count it.  Raises
+        ValueError when a schema of the kind has no such stored field."""
+        parts = [self._columns(s)[s.stored.index(name)]
+                 for s in _schemas_of(kind)]
+        return parts[0] if len(parts) == 1 else list(chain(*parts))
+
+    def count(self, kind: str, variant=None) -> int:
+        """The number of records of `kind`, or of one variant of it (the
+        log counts records by kind, not by value as Sequence.count
+        would)."""
+        schemas = (_schemas_of(kind) if variant is None
+                   else (_SCHEMAS[kind].by_value[variant],))
+        return sum(len(self._columns(s)[0]) for s in schemas)
+
     # -- encoding
 
     def encoded(self) -> tuple:
         """The canonical JSONL encoding of the log, as consecutive bytes
         chunks; encoded once and kept until the log grows."""
-        n = len(self.rows)
+        n = len(self._seq)
         if self._encoded is None or self._encoded[0] != n:
-            self._encoded = (n, _encode_rows(self.rows))
+            self._encoded = (n, _encode(self._seq, self._cols))
         return self._encoded[1]
 
     def hash(self) -> str:
@@ -368,48 +476,52 @@ class EventLog(Sequence):
             h.update(chunk)
         return h.hexdigest()
 
-    # -- grouping
-
-    def by_kind(self) -> defaultdict:
-        """The rows grouped by kind, each group in log order; a kind the
-        log lacks reads as an empty list.  Grouped in one pass and kept
-        until the log grows."""
-        n = len(self.rows)
-        if self._grouped is None or self._grouped[0] != n:
-            groups = defaultdict(list)
-            for row in self.rows:
-                groups[row[2]].append(row)
-            self._grouped = (n, groups)
-        return self._grouped[1]
-
     # -- the read-only sequence of record dicts
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._seq)
+
+    def _records(self, start: int = 0):
+        """Record dicts from position start on, in log order: one cursor
+        per schema, each a zip over that schema's columns from its first
+        record at or after start."""
+        seq = self._seq
+        cursors = {
+            sid: map(_BY_SID[sid].record,
+                     zip(*[islice(c, seq.count(sid, 0, start), None)
+                           for c in cols]))
+            for sid, cols in self._cols.items()}
+        return map(next, map(cursors.__getitem__, seq[start:]))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [dict(zip(_schema_of(row).names, row))
-                    for row in self.rows[i]]
-        row = self.rows[i]
-        return dict(zip(_schema_of(row).names, row))
+            r = range(len(self._seq))[i]
+            if r.step < 0:
+                r = r[::-1]
+                return self[r.start:r.stop:r.step][::-1]
+            return list(islice(self._records(r.start), 0, len(r) * r.step,
+                               r.step))
+        i = range(len(self._seq))[i]
+        sid = self._seq[i]
+        k = self._seq.count(sid, 0, i)
+        return _BY_SID[sid].record([c[k] for c in self._cols[sid]])
 
     def __iter__(self):
-        for row in self.rows:
-            yield dict(zip(_schema_of(row).names, row))
+        return self._records()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventLog):
-            return self.rows == other.rows
+            return self._seq == other._seq and all(
+                self._cols[sid] == other._cols[sid] for sid in set(self._seq))
         if isinstance(other, list):
-            return len(other) == len(self.rows) and all(
+            return len(other) == len(self._seq) and all(
                 a == b for a, b in zip(self, other))
         return NotImplemented
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"EventLog(<{len(self.rows)} records>)"
+        return f"EventLog(<{len(self._seq)} records>)"
 
 
 class Telemetry:
@@ -448,10 +560,10 @@ class RunArtifacts:
 # ---------------------------------------------------------------------------
 # reducers
 #
-# Each reducer takes an EventLog and reads the rows of the kinds it needs
-# from events.by_kind(), which the log groups once and keeps until it
-# grows; the fabric's counters, the invariant check and the summary all
-# share that one grouping.
+# Each reducer takes an EventLog and reads the columns of the fields it
+# needs with events.column(), or counts records with events.count(); the
+# fabric's counters, the invariant check and the summary all read the
+# log's own columns, so none of them makes a pass to group it.
 
 def conservation_from_events(events: EventLog,
                              horizon_us: int | None = None) -> dict:
@@ -464,19 +576,16 @@ def conservation_from_events(events: EventLog,
     event at the horizon itself).  Without a horizon nothing may be left
     undrained.  in_flight is the left side minus delivered and dropped.
     """
-    kinds = events.by_kind()
-    inject, deliver = kinds["pkt_inject"], kinds["pkt_deliver"]
-    drop, branch = kinds["pkt_drop"], kinds["pkt_branch"]
-    injected = sum(map(itemgetter(column("pkt_inject", "size")), inject))
-    delivered = sum(map(itemgetter(column("pkt_deliver", "size")), deliver))
-    dropped = sum(map(itemgetter(column("pkt_drop", "size")), drop))
-    size, extra = column("pkt_branch", "size"), column("pkt_branch", "extra")
-    branch_extra = sum(r[size] * r[extra] for r in branch)
+    injected = sum(events.column("pkt_inject", "size"))
+    delivered = sum(events.column("pkt_deliver", "size"))
+    dropped = sum(events.column("pkt_drop", "size"))
+    branch_extra = sum(map(mul, events.column("pkt_branch", "size"),
+                           events.column("pkt_branch", "extra")))
     undrained = 0
     if horizon_us is not None:
-        size, arrive = column("pkt_fwd", "size"), column("pkt_fwd", "arrive")
-        undrained = sum(r[size] for r in kinds["pkt_fwd"]
-                        if r[arrive] > horizon_us)
+        undrained = sum(size for size, arrive in zip(
+            events.column("pkt_fwd", "size"),
+            events.column("pkt_fwd", "arrive")) if arrive > horizon_us)
     in_flight = injected + branch_extra - delivered - dropped
     return {
         "injected_bytes": injected,
@@ -485,9 +594,9 @@ def conservation_from_events(events: EventLog,
         "dropped_bytes": dropped,
         "in_flight_bytes": in_flight,
         "undrained_bytes": undrained,
-        "injected_pkts": len(inject),
-        "delivered_pkts": len(deliver),
-        "dropped_pkts": len(drop),
+        "injected_pkts": events.count("pkt_inject"),
+        "delivered_pkts": events.count("pkt_deliver"),
+        "dropped_pkts": events.count("pkt_drop"),
         "balanced": in_flight == undrained,
     }
 
@@ -498,9 +607,8 @@ def link_bytes_from_events(events: EventLog) -> dict:
     by_class: dict[str, dict[str, int]] = {}
     # packet sizes take few values, so counting (link, kind, size) first
     # leaves few sums to add up
-    get = itemgetter(*(column("pkt_fwd", f) for f in ("link", "kind", "size")))
-    rows = events.by_kind()["pkt_fwd"]
-    for (link, kind, size), n in Counter(map(get, rows)).items():
+    columns = (events.column("pkt_fwd", f) for f in ("link", "kind", "size"))
+    for (link, kind, size), n in Counter(zip(*columns)).items():
         totals[link] = totals.get(link, 0) + size * n
         cls = by_class.setdefault(link, {})
         cls[kind] = cls.get(kind, 0) + size * n
@@ -508,8 +616,10 @@ def link_bytes_from_events(events: EventLog) -> dict:
 
 
 def drops_by_reason(events: EventLog) -> dict:
-    return dict(Counter(map(itemgetter(column("pkt_drop", "reason")),
-                            events.by_kind()["pkt_drop"])))
+    """The number of drops of each reason that occurs."""
+    counts = {reason: events.count("pkt_drop", reason)
+              for reason in EVENT_FIELDS["pkt_drop"]}
+    return {reason: n for reason, n in counts.items() if n}
 
 
 def merge_ratios(events: EventLog) -> dict:
@@ -519,17 +629,14 @@ def merge_ratios(events: EventLog) -> dict:
     fetches and the denominator server responses; for continuous streams
     it counts sink packet deliveries against source emissions.
     """
-    kinds = events.by_kind()
-    server_tx = Counter(map(itemgetter(column("server_resp", "kind")),
-                            kinds["server_resp"]))
-    client_rx = Counter(map(itemgetter(column("http_resp", "kind")),
-                            kinds["http_resp"]))
-    kind = column("pkt_inject", "kind")
-    streams = sum(1 for r in kinds["pkt_inject"] if r[kind] == "stream")
+    server_tx = Counter(events.column("server_resp", "kind"))
+    client_rx = Counter(events.column("http_resp", "kind"))
+    streams = events.column("pkt_inject", "kind").count("stream")
     if streams:
         server_tx["stream"] += streams
-    if kinds["stb_rx"]:
-        client_rx["stream"] += len(kinds["stb_rx"])
+    received = events.count("stb_rx")
+    if received:
+        client_rx["stream"] += received
     out = {}
     for k in sorted(set(server_tx) | set(client_rx)):
         tx = server_tx.get(k, 0)
@@ -574,8 +681,9 @@ def stalls_from_events(events: EventLog, chunk_duration_us: int,
     Cross-checks the stall events the clients logged live.
     """
     arrivals: dict[str, list[int]] = {}
-    for row in events.by_kind()["chunk_done"]:
-        arrivals.setdefault(row[1], []).append(row[0])
+    for t, client in zip(events.column("chunk_done", "t"),
+                         events.column("chunk_done", "el")):
+        arrivals.setdefault(client, []).append(t)
     out = {}
     for client in sorted(arrivals):
         times = arrivals[client]
@@ -595,13 +703,11 @@ def stalls_from_events(events: EventLog, chunk_duration_us: int,
 def summarize(artifacts: RunArtifacts) -> dict:
     """Independent reduction of the event log into the run summary."""
     events = artifacts.events
-    kinds = events.by_kind()
     config = artifacts.config
     params = config.get("params", {})
     hls = config.get("apps", {}).get("hls")
     horizon_us = (config["duration_ms"] * 1000 if "duration_ms" in config
                   else None)
-    spurious = column("pkt_deliver", "spurious")
     summary = {
         "mode": artifacts.mode,
         "seed": artifacts.seed,
@@ -609,8 +715,9 @@ def summarize(artifacts: RunArtifacts) -> dict:
         "link_bytes": link_bytes_from_events(events),
         "drops_by_reason": drops_by_reason(events),
         "merge_ratios": merge_ratios(events),
-        "spurious_deliveries": sum(1 for r in kinds["pkt_deliver"]
-                                   if r[spurious]),
+        "spurious_deliveries": sum(
+            1 for spurious in events.column("pkt_deliver", "spurious")
+            if spurious),
     }
 
     # playback stalls (HLS clients)
@@ -620,9 +727,10 @@ def summarize(artifacts: RunArtifacts) -> dict:
         summary["stalls"] = stalls_from_events(events, chunk_us, hold_us)
 
     # channel acquisition after a join or zap
-    channel, dur = column("acquisition", "channel"), column("acquisition", "dur_us")
-    acquisitions = [{"el": r[1], "channel": r[channel], "us": r[dur]}
-                    for r in kinds["acquisition"]]
+    acquisitions = [{"el": el, "channel": channel, "us": us}
+                    for el, channel, us in zip(
+                        *(events.column("acquisition", f)
+                          for f in ("el", "channel", "dur_us")))]
     if acquisitions:
         summary["acquisitions"] = acquisitions
 
@@ -637,17 +745,17 @@ def summarize(artifacts: RunArtifacts) -> dict:
     stb_gap: dict[str, list[int]] = {}
     stb_span: dict[str, list[int]] = {}
     stream_gap: dict[str, int] = {}
-    get = itemgetter(1, 0, column("stb_rx", "name"))
-    for el, t, stream in map(get, kinds["stb_rx"]):
+    for el, t, stream in zip(*(events.column("stb_rx", f)
+                               for f in ("el", "t", "name"))):
         gap = stream_gap.get(stream)
         if gap is None:
             # stream names are "<plane prefix>:<channel>" in both modes
             gap = stream_gap[stream] = max_gap[stream.split(":", 1)[1]]
         stb_rx.setdefault(el, []).append(t)
         stb_gap.setdefault(el, []).append(gap)
-    until = column("stb_active", "until")
-    for row in kinds["stb_active"]:
-        stb_span[row[1]] = [row[0], row[until]]
+    for el, t, until in zip(*(events.column("stb_active", f)
+                              for f in ("el", "t", "until"))):
+        stb_span[el] = [t, until]
     if stb_rx or stb_span:
         disruptions = {}
         for stb in sorted(set(stb_rx) | set(stb_span)):

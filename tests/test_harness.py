@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
-from icnsim.harness import (ConfigError, compare_artifacts, config_hash,
-                            list_scenarios, load_scenario, render_comparison,
-                            run_scenario, validate_config)
-from icnsim.telemetry import (EventLog, drops_by_reason, export,
-                              import_artifacts, summarize)
+from icnsim.fid import FID
+from icnsim.harness import (ConfigError, _check_invariants, build_world,
+                            compare_artifacts, config_hash, list_scenarios,
+                            load_scenario, render_comparison, run_scenario,
+                            validate_config)
+from icnsim.telemetry import (drops_by_reason, export, import_artifacts,
+                              summarize)
 
 MINIMAL = {
     "name": "mini",
@@ -43,29 +45,24 @@ def test_shipped_scenarios():
     assert cfg["name"] == "trial_topology"
 
 
-def test_each_mode_groups_its_log_once(monkeypatch):
-    """The fabric's counters, the invariant check and the summary all read
-    the one grouping by kind that the run's log keeps."""
-    calls = []
-    by_kind = EventLog.by_kind
-
-    def spy(log):
-        groups = by_kind(log)
-        calls.append((sys._getframe(1).f_code.co_name, log, groups))
-        return groups
-
-    monkeypatch.setattr(EventLog, "by_kind", spy)
-    config = load_scenario("trial_topology")
-    for mode in ("icn", "ip"):
-        calls.clear()
-        artifacts = run_scenario(config, mode)
-        summarize(artifacts)
-        readers = [name for name, _, _ in calls]
-        assert readers[:2] == ["flush_counters", "conservation_from_events"]
-        assert "summarize" in readers
-        assert {id(log) for _, log, _ in calls} == {id(artifacts.events)}
-        assert {id(groups) for _, _, groups in calls} == {
-            id(artifacts.events.by_kind())}
+@pytest.mark.parametrize("m, k", [(64, 3), (16, 4)])
+def test_bloom_stream_trees_are_checked(m, k):
+    """Bloom mode traces every issued stream tree too: the trial's trees
+    reach their receivers (the non-receivers a Bloom identifier also
+    reaches are no violation), and an all-zero identifier of the same
+    width reaches none of them."""
+    config = copy.deepcopy(load_scenario("trial_topology"))
+    config["fid"] = {"mode": "bloom", "m": m, "k": k}
+    effective = validate_config(config)
+    w = build_world(effective, "icn", effective["params"]["seed"])
+    w.engine.run_until(effective["duration_ms"] * 1000)
+    assert w.pce._issued
+    assert _check_invariants(w, effective, "icn") == []
+    for key, fid in w.pce._issued.items():
+        w.pce._issued[key] = FID(0, fid.width)
+    violations = _check_invariants(w, effective, "icn")
+    assert violations and all("receivers unreachable" in v
+                              for v in violations)
 
 
 def test_unknown_scenario_name_lists_alternatives():

@@ -139,17 +139,44 @@ def test_drops_grouped_by_reason():
         "queue_cap": 2, "zero_fid": 1}
 
 
-def test_a_log_that_grows_is_grouped_again():
+def test_a_reducer_called_again_after_more_appends_sees_the_whole_log():
     log = EventLog()
     log.pkt_drop(0, "a", 1, "chunk", 1, "queue_cap")
+    log.pkt_inject(0, "a", 1, "chunk", "n", 5)
     assert drops_by_reason(log) == {"queue_cap": 1}
-    grouped = log.by_kind()
-    assert log.by_kind() is grouped
-    assert grouped["pkt_fwd"] == []
-    log.pkt_drop(1, "a", 2, "chunk", 1, "zero_fid")
-    assert drops_by_reason(log) == {"queue_cap": 1, "zero_fid": 1}
-    assert log.by_kind() is not grouped
-    assert log.by_kind()["pkt_drop"] == log.rows
+    assert conservation_from_events(log)["dropped_bytes"] == 1
+    log.pkt_drop(1, "a", 2, "chunk", 2, "zero_fid")
+    log.pkt_drop(2, "b", 3, "chunk", 4, "link_down", "l:a->b")
+    log.append(3, "c", "pkt_deliver", pid=1, kind="chunk", size=5,
+               consumers=1, spurious=False)
+    assert drops_by_reason(log) == {"queue_cap": 1, "zero_fid": 1,
+                                    "link_down": 1}
+    cons = conservation_from_events(log)
+    assert (cons["dropped_bytes"], cons["dropped_pkts"]) == (7, 3)
+    assert cons["delivered_pkts"] == 1
+
+
+def test_columns_and_counts():
+    """A plain kind's column is the stored list, in log order; a variant
+    kind's column holds every variant's values, in no set order."""
+    log = EventLog()
+    log.pkt_fwd(0, "a", 1, "chunk", "l:a->b", 100, 0, 9)
+    log.pkt_drop(1, "a", 2, "chunk", 7, "link_down", "l:a->b")
+    log.pkt_drop(2, "a", 3, "chunk", 5, "queue_cap")
+    log.pkt_fwd(3, "b", 1, "chunk", "m:b->c", 200, 3, 12)
+    log.pkt_drop(4, "a", 4, "chunk", 3, "link_down", "l:a->b")
+    assert log.column("pkt_fwd", "link") == ["l:a->b", "m:b->c"]
+    assert log.column("pkt_fwd", "t") is log.column("pkt_fwd", "t")
+    assert sorted(log.column("pkt_drop", "size")) == [3, 5, 7]
+    assert log.column("stb_rx", "size") == []
+    assert (log.count("pkt_fwd"), log.count("pkt_drop"),
+            log.count("pkt_drop", "link_down"), log.count("stb_rx")) == (
+                2, 3, 2, 0)
+    # ev and the variant field are not stored; link is not in every variant
+    for kind, name in (("pkt_fwd", "ev"), ("pkt_drop", "reason"),
+                       ("pkt_drop", "link"), ("pkt_fwd", "nope")):
+        with pytest.raises(ValueError):
+            log.column(kind, name)
 
 
 def test_merge_ratios_for_fetches_and_streams():
@@ -494,8 +521,104 @@ def test_typed_helpers_write_the_rows_append_writes():
     for i, (kind, fields) in enumerate(calls):
         getattr(typed, kind)(i, "n", *fields.values())
         generic.append(i, "n", kind, **fields)
-    assert typed.rows == generic.rows
+    assert typed == generic
+    assert list(typed) == list(generic) == [
+        {"t": i, "el": "n", "ev": kind, **fields}
+        for i, (kind, fields) in enumerate(calls)]
     assert b"".join(typed.encoded()) == encode_lines(list(generic))
+    with pytest.raises(TypeError):
+        typed.pkt_drop(9, "n", 1, "stream", 1400, "queue_cap", "l:a->b")
+    with pytest.raises(KeyError):
+        typed.pkt_drop(9, "n", 1, "stream", 1400, "meteor")
+    assert typed == generic
+
+
+def drop_mix():
+    """pkt_drop records of the link_down and queue_cap variants,
+    interleaved, as dicts."""
+    out = []
+    for i in range(30):
+        fields = dict(pid=i, kind="chunk", size=100 + i)
+        if i % 3:
+            out.append(ev(i, f"n{i % 4}", "pkt_drop", **fields,
+                          reason="queue_cap"))
+        else:
+            out.append(ev(i, f"n{i % 4}", "pkt_drop", **fields,
+                          reason="link_down", link=f"l{i}:a->b"))
+    return out
+
+
+def test_log_reads_its_records_in_log_order():
+    """Iteration, indexing, slices and == follow log order across every
+    schema, variants included, whichever way the records were appended."""
+    rng = random.Random(11)
+    log, records = random_log(rng, per_schema=4)
+    mix = drop_mix()
+    for rec in mix:
+        log.pkt_drop(*(v for k, v in rec.items() if k != "ev"))
+    records += mix
+    assert len(log) == len(records)
+    assert list(log) == records and log == records
+    assert [log[i] for i in range(len(log))] == records
+    assert [log[i] for i in range(-len(log), 0)] == records
+    with pytest.raises(IndexError):
+        log[len(log)]
+    n = len(log)
+    slices = [slice(None), slice(5, 40), slice(-30, None), slice(3, n, 7),
+              slice(None, None, -1), slice(n - 2, 4, -3), slice(9, 2),
+              slice(n + 5, None)]
+    for _ in range(20):
+        slices.append(slice(rng.randrange(-n, n), rng.randrange(-n, n),
+                            rng.choice([1, 2, 5, -1, -4])))
+    for sl in slices:
+        assert log[sl] == records[sl], sl
+    # the same records make an equal log, however they are appended
+    again = EventLog.from_records(records)
+    assert again == log and again.hash() == log.hash()
+    swapped = records[:]
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    assert EventLog.from_records(swapped) != log
+    assert EventLog.from_records(records[:-1]) != log
+    changed = records[:-1] + [{**records[-1], "size": -1}]
+    assert EventLog.from_records(changed) != log
+
+
+def test_export_then_import_returns_an_equal_log(tmp_path):
+    log, records = random_log(random.Random(12), per_schema=5)
+    # a parsed NaN is not equal to itself: keep the records JSON keeps
+    records = [r for r in records + drop_mix()
+               if json.loads(canonical_json(r)) == r]
+    log = EventLog.from_records(records)
+    (tmp_path / "effective_config.json").write_text("{}")
+    (tmp_path / "meta.json").write_text('{"mode": "icn", "seed": 1}')
+    with open(tmp_path / "events.jsonl", "wb") as fh:
+        export_jsonl(RunArtifacts(config={}, mode="icn", seed=1, events=log),
+                     fh)
+    back = import_artifacts(str(tmp_path)).events
+    assert back == log and back.hash() == log.hash()
+    assert list(back) == records
+
+
+def test_log_bytes_per_record():
+    """The log's own memory per record, its values being shared objects
+    made beforehand, so that neither ints nor encoded text count: about
+    60 B when stored by columns, about 105 B as one tuple per record."""
+    n = 25_000
+    ints = list(range(1000, 1000 + n + 200))
+    links = [f"l{i}:sw1->sw2" for i in range(8)]
+    tracemalloc.start()
+    try:
+        log = EventLog()
+        for i in range(n):
+            t = ints[i]
+            log.pkt_fwd(t, "sw1", t, "stream", links[i % 8], 1400, t,
+                        ints[i + 200])
+            log.stb_rx(t, "stb1", "ch:ch1", 1400)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 2 * n
+    assert size / len(log) < 80
 
 
 UNDECLARED = [
