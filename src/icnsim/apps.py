@@ -348,7 +348,7 @@ class Stb:
         self.adapter.act(self, "join", channel)
 
     def on_stream_packet(self, name: str, t_arrive: int, size: int) -> None:
-        self.log.stb_rx(t_arrive, self.name, name, size)
+        self.log.write("stb_rx", t_arrive, self.name, name, size)
         if self._awaiting_since is not None:
             self.log.append(t_arrive, self.name, "acquisition",
                             channel=self.channel,

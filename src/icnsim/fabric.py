@@ -46,6 +46,12 @@ class Packet:
     payload: tuple = ()
 
 
+def segment_sizes(size: int, mtu: int) -> list:
+    """The packet sizes of a size-byte response cut at mtu bytes: full
+    segments, then the rest; an empty response is one empty packet."""
+    return [min(mtu, size - sent) for sent in range(0, size, mtu)] or [0]
+
+
 class FidNode:
     """Stateless forwarding element: routing state lives in the packet.
 
@@ -134,8 +140,8 @@ class Fabric:
 
     def inject(self, node: str, packet: Packet, ttl: Optional[int] = None) -> None:
         t = self.engine.now
-        self.log.pkt_inject(t, node, packet.pid, packet.kind, packet.name,
-                            packet.size)
+        self.log.write("pkt_inject", t, node, packet.pid, packet.kind,
+                       packet.name, packet.size)
         self._process(node, packet,
                       self.params.default_ttl if ttl is None else ttl, None)
 
@@ -152,15 +158,16 @@ class Fabric:
             tapped = consumers is not None and consumers > 0
             surplus = len(egress) - 1 + (1 if tapped else 0)
             if surplus > 0:
-                self.log.pkt_branch(t, node, packet.pid, packet.size, surplus)
+                self.log.write("pkt_branch", t, node, packet.pid, packet.size,
+                               surplus)
             for link in egress:
                 self._send(node, link, packet, ttl - 1)
             if tapped:
-                self.log.pkt_deliver(t, node, packet.pid, packet.kind,
-                                     packet.size, consumers, False)
+                self.log.write("pkt_deliver", t, node, packet.pid, packet.kind,
+                               packet.size, consumers, False)
         elif consumers is not None:
-            self.log.pkt_deliver(t, node, packet.pid, packet.kind, packet.size,
-                                 consumers, consumers == 0)
+            self.log.write("pkt_deliver", t, node, packet.pid, packet.kind,
+                           packet.size, consumers, consumers == 0)
         else:
             self._drop(node, packet, reason or "no_egress")
 
@@ -176,8 +183,8 @@ class Fabric:
         tx_us = (packet.size * 8_000_000 + link.capacity_bps - 1) // link.capacity_bps
         link.busy_until = start + tx_us
         arrive = start + tx_us + link.latency_us
-        self.log.pkt_fwd(t, node, packet.pid, packet.kind, link.key,
-                         packet.size, start, arrive)
+        self.log.write("pkt_fwd", t, node, packet.pid, packet.kind, link.key,
+                       packet.size, start, arrive)
         self.engine.schedule(arrive - t, self._arrive, link, packet, ttl, start)
 
     def _arrive(self, link: Link, packet: Packet, ttl: int, start: int) -> None:
@@ -189,8 +196,8 @@ class Fabric:
         self._process(link.dst, packet, ttl, link)
 
     def _drop(self, node: str, packet: Packet, reason: str, *link) -> None:
-        self.log.pkt_drop(self.engine.now, node, packet.pid, packet.kind,
-                          packet.size, reason, *link)
+        self.log.write(("pkt_drop", reason), self.engine.now, node,
+                       packet.pid, packet.kind, packet.size, *link)
 
     # -- control path -------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fabric import Fabric, Packet
+from .fabric import Fabric, Packet, segment_sizes
 from .simkernel import Engine
 from .telemetry import EventLog
 from .topology import Link, TopologyEvent, TopologyGraph, ROLE_PCE
@@ -360,13 +360,8 @@ class IpServerEndpoint:
 
     def _reply(self, rid: int, requester: str, kind: str, host: str,
                path: str, status: int, size: int, meta) -> None:
-        mtu = self.params.mtu
-        segments = max(1, -(-size // mtu))
-        remaining = size
         pkt_kind = kind if status == 200 else "error"
-        for _ in range(segments):
-            seg = min(mtu, remaining)
-            remaining -= seg
+        for seg in segment_sizes(size, self.params.mtu):
             pkt = Packet(pid=self.fabric.next_pid(), kind=pkt_kind,
                          name=f"{host}{path}", size=seg,
                          src=self.host_id, dst=requester,

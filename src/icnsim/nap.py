@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .fabric import Fabric, Packet
+from .fabric import Fabric, Packet, segment_sizes
 from .fid import FID, zero_fid
 from .simkernel import Engine
 from .telemetry import EventLog
@@ -260,15 +260,11 @@ class Nap:
     def _respond(self, group: _Group, rid: int, status: int, size: int,
                  meta, fid: FID, epoch: int) -> None:
         self.update_fid(group.name, fid, epoch)
-        mtu = self.params.mtu
-        segments = max(1, -(-size // mtu))
+        segments = segment_sizes(size, self.params.mtu)
         self.log.append(self.engine.now, self.name, "snap_respond",
                         name=group.name, rid=rid, size=size,
-                        segments=segments, members=len(group.members))
-        remaining = size
-        for _ in range(segments):
-            seg = min(mtu, remaining)
-            remaining -= seg
+                        segments=len(segments), members=len(group.members))
+        for seg in segments:
             pkt = Packet(pid=self.fabric.next_pid(), kind=group.kind,
                          name=group.name, size=seg, fid=fid,
                          payload=("resp", rid, size, status, meta))

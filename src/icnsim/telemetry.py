@@ -4,17 +4,18 @@ The append-only event log is the only record of what the data plane
 did (the data plane keeps no counters), and summarize() here recomputes
 everything from the exported records alone.
 
-EVENT_FIELDS is the log's schema.  EventLog stores the records by
-columns: for each schema (a plain kind, or one variant of a variant
-kind) one list per field, without ev and the variant field, which are
-constant per schema, plus one schema id byte per record in log order.
-The hot data-plane kinds have typed positional append helpers, and the
-generic append() rejects any record the schema does not declare.
-Reducers read a field with log.column(kind, name), in log order for a
-plain kind and in no set order for a variant kind, and count records
-with log.count(kind).  The canonical encoding (one sorted-key JSON
-object per line) is rendered through one "%" template per schema,
-compiled from EVENT_FIELDS on first use; readers that want dicts get
+EVENT_FIELDS is the log's schema, compiled once at import.  EventLog
+keeps, for each schema (a plain kind, or one variant of a variant kind),
+one flat list of its records' stored values, record after record (all
+fields but ev and the variant field, which are constant per schema),
+plus one schema id byte per record in log order.  The hot data-plane
+kinds are written with log.write(key, t, el, *values), which checks the
+number of values; the generic append() rejects any record dict the
+schema does not declare.  Reducers read a field with log.column(kind,
+name), an iterator in log order for a plain kind and in no set order for
+a variant kind, and count records with log.count(kind).  The canonical
+encoding (one sorted-key JSON object per line) is rendered through one
+"%" template per schema; readers that want dicts iterate the log and get
 them built on access.
 
 Metric samples are a separate, optional stream reduced from the log;
@@ -30,7 +31,6 @@ import io
 import json
 import os
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -46,7 +46,7 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _BATCH = 4096
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
-# dicts are dropped once their values are in the log's columns, so a
+# dicts are dropped once their values are in the log, so a
 # batch small enough to stay in cache makes both parsing and storing
 # faster.
 _READ_BATCH = 1 << 16
@@ -75,7 +75,7 @@ def encode_lines(records) -> bytearray:
 # value of that field to its fields, and that field sits at the same
 # position in every variant.  EventLog.append() and import_artifacts()
 # reject records this table does not declare; adding a kind is one entry
-# here (plus, if it is hot, a typed helper on EventLog).
+# here.
 EVENT_FIELDS = {
     "acquisition": ("channel", "dur_us"),
     "begin": ("scenario", "mode", "seed"),
@@ -139,23 +139,20 @@ VARIANT_FIELD = {"ctrl": "msg", "igmp": "action", "pkt_drop": "reason"}
 
 _HEAD = ("t", "el", "ev")
 
-# Every compiled schema, indexed by its id.  An EventLog keeps one id byte
-# per record, so there may be at most 255 schemas.
-_BY_SID: list = []
-
 
 class _Schema:
-    """One record layout, compiled: its id, its names in record order, the
-    names the log keeps a column of (all but ev and the variant field,
-    which are constant), the "%" template of its canonical JSON (keys
-    sorted; the constants are text in it), the indexes of the columns the
-    template takes, in key order, its record dict with the constants
-    filled in, and the getter of the stored values of a record dict."""
+    """One record layout, compiled: its kind and id, its names in record
+    order, the names the log stores (all but ev and the variant field,
+    which are constant) and their number, the "%" template of its
+    canonical JSON (keys sorted; the constants are text in it), the
+    positions among the stored values of those the template takes, in
+    key order, its record dict with the constants filled in, and the
+    getter of the stored values of a record dict."""
 
-    __slots__ = ("sid", "names", "stored", "template", "pick", "blank",
-                 "read")
+    __slots__ = ("kind", "sid", "names", "stored", "width", "template",
+                 "pick", "blank", "read")
 
-    def __init__(self, kind: str, fields: tuple, variant=None):
+    def __init__(self, sid: int, kind: str, fields: tuple, variant=None):
         names = _HEAD + fields
         if len(set(names)) != len(names):
             raise ValueError(f"{kind}: duplicate field in {names}")
@@ -172,16 +169,16 @@ class _Schema:
                 picked.append(stored.index(name))
             parts.append(encode_basestring_ascii(name).replace("%", "%%")
                          + ":" + value)
+        self.kind = kind
+        self.sid = sid
         self.names = names
         self.stored = stored
+        self.width = len(stored)
         self.template = "{" + ",".join(parts) + "}"
         self.pick = picked
         self.blank = {**dict.fromkeys(names), **fixed}
         # t and el are always stored, so read returns a tuple
         self.read = itemgetter(*stored)
-        assert len(_BY_SID) < 255, "more schemas than an id byte holds"
-        self.sid = len(_BY_SID)
-        _BY_SID.append(self)
 
     def record(self, values) -> dict:
         """The record dict of one record's stored values."""
@@ -190,38 +187,24 @@ class _Schema:
         return rec
 
 
-class _Variants:
-    """The schemas of one variant kind, keyed by the value of its variant
-    field."""
-
-    __slots__ = ("field", "by_value")
-
-    def __init__(self, kind: str, decl: dict):
-        self.field = VARIANT_FIELD[kind]
-        self.by_value = {v: _Schema(kind, fields, v)
-                         for v, fields in decl.items()}
-
-
-class _Compiled(dict):
-    """EVENT_FIELDS compiled kind by kind, on a kind's first use rather
-    than at import: each kind maps to its _Schema, or to its _Variants.
-    Compiling a schema gives it the next id, so every log in a process
-    agrees on the ids.  An undeclared kind raises KeyError."""
-
-    def __missing__(self, kind: str):
-        decl = EVENT_FIELDS[kind]
-        s = self[kind] = (_Variants(kind, decl) if isinstance(decl, dict)
-                          else _Schema(kind, decl))
-        return s
+def _compile() -> dict:
+    """EVENT_FIELDS compiled: each plain kind, and each (kind, variant) of
+    a variant kind, mapped to its _Schema.  Ids follow the declaration
+    order; an EventLog keeps one id byte per record."""
+    table = {}
+    for kind, decl in EVENT_FIELDS.items():
+        variants = decl.items() if isinstance(decl, dict) else [(None, decl)]
+        for variant, fields in variants:
+            key = kind if variant is None else (kind, variant)
+            table[key] = _Schema(len(table), kind, fields, variant)
+    assert len(table) <= 256, "more schemas than an id byte holds"
+    return table
 
 
-_SCHEMAS = _Compiled()
-
-
-def _schemas_of(kind: str) -> tuple:
-    """The schemas of a plain kind (one) or of a variant kind (each)."""
-    s = _SCHEMAS[kind]
-    return tuple(s.by_value.values()) if s.__class__ is _Variants else (s,)
+_SCHEMAS = _compile()
+_BY_SID = tuple(_SCHEMAS.values())
+# the variant field of each declared kind, None for a plain kind
+_VARIANT_OF = {**dict.fromkeys(EVENT_FIELDS), **VARIANT_FIELD}
 
 
 def _reject(rec: dict) -> ValueError:
@@ -229,15 +212,14 @@ def _reject(rec: dict) -> ValueError:
     kind = rec.get("ev")
     if kind not in EVENT_FIELDS:
         return ValueError(f"unknown event kind {kind!r}")
-    s = _SCHEMAS[kind]
-    if s.__class__ is _Variants:
-        variant = rec.get(s.field)
-        s = s.by_value.get(variant)
-        if s is None:
+    key = kind
+    if kind in VARIANT_FIELD:
+        key = kind, rec.get(VARIANT_FIELD[kind])
+        if key not in _SCHEMAS:
             return ValueError(f"{kind}: unknown {VARIANT_FIELD[kind]} "
-                              f"{variant!r}")
-    return ValueError(f"{kind} record needs exactly the fields {s.names}, "
-                      f"got {tuple(rec)}")
+                              f"{key[1]!r}")
+    return ValueError(f"{kind} record needs exactly the fields "
+                      f"{_SCHEMAS[key].names}, got {tuple(rec)}")
 
 
 class _Strings(dict):
@@ -268,134 +250,65 @@ def _render(values: list, strings: _Strings):
             for x in values]
 
 
-def _encode(seq: bytearray, columns: dict) -> tuple:
+def _encode(seq: bytearray, values: list) -> tuple:
     """Canonical JSONL of a log's records, as one bytes chunk per _BATCH
     records; joined, the same bytes as encode_lines of their dicts.  Each
-    batch is encoded a schema at a time: the schema's columns are sliced
-    from where its previous batch ended, rendered column by column and
-    formatted into lines, and one cursor per schema then takes the lines
-    back in log order.  Chunks, unlike one growing buffer, hold no spare
-    capacity."""
+    batch is encoded a schema at a time: each field the template takes is
+    sliced from the schema's values where its previous batch ended,
+    rendered field by field and formatted into lines, and one cursor per
+    schema then takes the lines back in log order.  Chunks, unlike one
+    growing buffer, hold no spare capacity."""
     strings = _Strings()
-    done = dict.fromkeys(columns, 0)
+    done = [0] * len(values)
     out = []
     for i in range(0, len(seq), _BATCH):
         sids = seq[i:i + _BATCH]
         lines = {}
         for sid in set(sids):
-            s, cols = _BY_SID[sid], columns[sid]
+            s, vals = _BY_SID[sid], values[sid]
             lo = done[sid]
-            hi = done[sid] = lo + sids.count(sid)
-            rendered = [_render(cols[j][lo:hi], strings) for j in s.pick]
+            hi = done[sid] = lo + sids.count(sid) * s.width
+            rendered = [_render(vals[lo + j:hi:s.width], strings)
+                        for j in s.pick]
             lines[sid] = map(s.template.__mod__, zip(*rendered))
         out.append(("\n".join(map(next, map(lines.__getitem__, sids)))
                     + "\n").encode())
     return tuple(out)
 
 
-class EventLog(Sequence):
+class EventLog:
     """Append-only record stream with a stable canonical encoding.
 
-    The log is stored by columns.  Each schema (a plain kind, or one
-    variant of a variant kind) has one list per stored field, in log
+    Each schema (a plain kind, or one variant of a variant kind) keeps one
+    flat list of its records' stored values, record after record in log
     order; ev and the variant field are constant per schema and are not
     stored.  A bytearray holds the schema id of each record, in log
-    order.  Nothing is changed once appended.  As a sequence the log
-    reads as record dicts, built on access; column() and count() are what
-    the reducers read.  The encoding is a view of the columns, built once
-    and kept until the log grows.
+    order.  Nothing is changed once appended.  Iterated, the log reads as
+    record dicts, built on access; column() and count() are what the
+    reducers read.  The encoding is a view of the values, built once and
+    kept until the log grows.
     """
 
     def __init__(self):
         self._seq = bytearray()
-        # schema id -> one list per stored field of that schema
-        self._cols: dict[int, tuple] = {}
+        # schema id -> the stored values of that schema's records
+        self._values = [[] for _ in _BY_SID]
         # (record count, _encode of that many records)
         self._encoded: tuple | None = None
-        self._inject = self._appends(_SCHEMAS["pkt_inject"])
-        self._fwd = self._appends(_SCHEMAS["pkt_fwd"])
-        self._branch = self._appends(_SCHEMAS["pkt_branch"])
-        self._deliver = self._appends(_SCHEMAS["pkt_deliver"])
-        self._drop = {reason: self._appends(s) for reason, s
-                      in _SCHEMAS["pkt_drop"].by_value.items()}
-        self._rx = self._appends(_SCHEMAS["stb_rx"])
 
-    def _columns(self, s: _Schema) -> tuple:
-        """The columns of schema s, made on first use."""
-        cols = self._cols.get(s.sid)
-        if cols is None:
-            cols = self._cols[s.sid] = tuple([] for _ in s.stored)
-        return cols
-
-    def _appends(self, s: _Schema) -> tuple:
-        """What a typed helper of schema s calls: the bound append of each
-        of its columns, then the append of the schema ids and its id."""
-        return (*[col.append for col in self._columns(s)], self._seq.append,
-                s.sid)
-
-    # -- typed helpers for the hot kinds: positional, in declared order,
-    # trusted by the log
-
-    def pkt_inject(self, t, el, pid, kind, name, size) -> None:
-        a, b, c, d, e, f, add, sid = self._inject
-        a(t)
-        b(el)
-        c(pid)
-        d(kind)
-        e(name)
-        f(size)
-        add(sid)
-
-    def pkt_fwd(self, t, el, pid, kind, link, size, start, arrive) -> None:
-        a, b, c, d, e, f, g, h, add, sid = self._fwd
-        a(t)
-        b(el)
-        c(pid)
-        d(kind)
-        e(link)
-        f(size)
-        g(start)
-        h(arrive)
-        add(sid)
-
-    def pkt_branch(self, t, el, pid, size, extra) -> None:
-        a, b, c, d, e, add, sid = self._branch
-        a(t)
-        b(el)
-        c(pid)
-        d(size)
-        e(extra)
-        add(sid)
-
-    def pkt_deliver(self, t, el, pid, kind, size, consumers, spurious) -> None:
-        a, b, c, d, e, f, g, add, sid = self._deliver
-        a(t)
-        b(el)
-        c(pid)
-        d(kind)
-        e(size)
-        f(consumers)
-        g(spurious)
-        add(sid)
-
-    def pkt_drop(self, t, el, pid, kind, size, reason, *link) -> None:
-        """link, the lost packet's link key, only for reason "link_down"."""
-        *appends, add, sid = self._drop[reason]
-        values = (t, el, pid, kind, size, *link)
-        if len(values) != len(appends):
-            raise TypeError(f"pkt_drop {reason}: {len(appends)} values, "
-                            f"got {len(values)}")
-        for append, value in zip(appends, values):
-            append(value)
-        add(sid)
-
-    def stb_rx(self, t, el, name, size) -> None:
-        a, b, c, d, add, sid = self._rx
-        a(t)
-        b(el)
-        c(name)
-        d(size)
-        add(sid)
+    def write(self, key, *row) -> None:
+        """Append one record, as write(key, t, el, *values): `key` is its
+        kind, or (kind, variant) for a variant kind, and the values are
+        its fields in declared order, the variant field left out.  Raises
+        KeyError for an unknown key and TypeError for a wrong number of
+        values, before it appends anything.  The hot data-plane kinds are
+        written through here."""
+        s = _SCHEMAS[key]
+        if len(row) != s.width:
+            raise TypeError(f"{key}: needs the values {s.stored}, "
+                            f"got {len(row)}")
+        self._values[s.sid].extend(row)
+        self._seq.append(s.sid)
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
         """Append any declared record; raises ValueError for an unknown
@@ -408,29 +321,29 @@ class EventLog(Sequence):
     def extend(self, records) -> None:
         """Append record dicts, each checked against the schema; when one
         is not declared, none is appended.  The checked values are grouped
-        by schema and stored column by column."""
+        by schema, then added to the log's values one schema at a time."""
         schemas = _SCHEMAS
-        groups: dict[_Schema, list] = {}
+        variant_of = _VARIANT_OF
+        groups: dict[int, list] = {}
         sids = bytearray()
         add_sid = sids.append
         try:
             for rec in records:
-                s = schemas[rec["ev"]]
-                if s.__class__ is _Variants:
-                    s = s.by_value[rec[s.field]]
+                kind = rec["ev"]
+                field = variant_of[kind]
+                s = schemas[kind if field is None else (kind, rec[field])]
                 values = s.read(rec)
                 if len(rec) != len(s.names):
                     raise KeyError
                 try:
-                    groups[s].append(values)
+                    groups[s.sid].extend(values)
                 except KeyError:
-                    groups[s] = [values]
+                    groups[s.sid] = list(values)
                 add_sid(s.sid)
         except KeyError:
             raise _reject(rec) from None
-        for s, rows in groups.items():
-            for col, values in zip(self._columns(s), zip(*rows)):
-                col += values
+        for sid, values in groups.items():
+            self._values[sid] += values
         self._seq += sids
 
     @classmethod
@@ -441,23 +354,22 @@ class EventLog(Sequence):
 
     # -- what the reducers read
 
-    def column(self, kind: str, name: str) -> list:
-        """Field `name` of every record of `kind`; do not modify it.  For a
-        plain kind it is the stored list, in log order.  For a variant
-        kind it is the columns of its variants one after another, so it
-        is not in log order: its readers only sum or count it.  Raises
-        ValueError when a schema of the kind has no such stored field."""
-        parts = [self._columns(s)[s.stored.index(name)]
-                 for s in _schemas_of(kind)]
-        return parts[0] if len(parts) == 1 else list(chain(*parts))
+    def column(self, kind: str, name: str):
+        """Field `name` of every record of `kind`, as an iterator to read
+        once.  For a plain kind it is in log order.  For a variant kind it
+        runs through its variants one after another, so it is not in log
+        order: its readers only sum or count it.  Raises ValueError when a
+        schema of the kind has no such stored field."""
+        parts = [islice(self._values[s.sid], s.stored.index(name), None,
+                        s.width)
+                 for s in _BY_SID if s.kind == kind]
+        return parts[0] if len(parts) == 1 else chain(*parts)
 
     def count(self, kind: str, variant=None) -> int:
-        """The number of records of `kind`, or of one variant of it (the
-        log counts records by kind, not by value as Sequence.count
-        would)."""
-        schemas = (_schemas_of(kind) if variant is None
-                   else (_SCHEMAS[kind].by_value[variant],))
-        return sum(len(self._columns(s)[0]) for s in schemas)
+        """The number of records of `kind`, or of one variant of it."""
+        schemas = ([s for s in _BY_SID if s.kind == kind] if variant is None
+                   else [_SCHEMAS[kind, variant]])
+        return sum(len(self._values[s.sid]) // s.width for s in schemas)
 
     # -- encoding
 
@@ -466,7 +378,7 @@ class EventLog(Sequence):
         chunks; encoded once and kept until the log grows."""
         n = len(self._seq)
         if self._encoded is None or self._encoded[0] != n:
-            self._encoded = (n, _encode(self._seq, self._cols))
+            self._encoded = (n, _encode(self._seq, self._values))
         return self._encoded[1]
 
     def hash(self) -> str:
@@ -476,49 +388,25 @@ class EventLog(Sequence):
             h.update(chunk)
         return h.hexdigest()
 
-    # -- the read-only sequence of record dicts
+    # -- the records as dicts
 
     def __len__(self) -> int:
         return len(self._seq)
 
-    def _records(self, start: int = 0):
-        """Record dicts from position start on, in log order: one cursor
-        per schema, each a zip over that schema's columns from its first
-        record at or after start."""
-        seq = self._seq
-        cursors = {
-            sid: map(_BY_SID[sid].record,
-                     zip(*[islice(c, seq.count(sid, 0, start), None)
-                           for c in cols]))
-            for sid, cols in self._cols.items()}
-        return map(next, map(cursors.__getitem__, seq[start:]))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            r = range(len(self._seq))[i]
-            if r.step < 0:
-                r = r[::-1]
-                return self[r.start:r.stop:r.step][::-1]
-            return list(islice(self._records(r.start), 0, len(r) * r.step,
-                               r.step))
-        i = range(len(self._seq))[i]
-        sid = self._seq[i]
-        k = self._seq.count(sid, 0, i)
-        return _BY_SID[sid].record([c[k] for c in self._cols[sid]])
-
     def __iter__(self):
-        return self._records()
+        """Record dicts in log order, built on access: one cursor per
+        schema takes that schema's values width at a time."""
+        cursors = [map(s.record, zip(*[iter(vals)] * s.width))
+                   for s, vals in zip(_BY_SID, self._values)]
+        return map(next, map(cursors.__getitem__, self._seq))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventLog):
-            return self._seq == other._seq and all(
-                self._cols[sid] == other._cols[sid] for sid in set(self._seq))
+            return self._seq == other._seq and self._values == other._values
         if isinstance(other, list):
             return len(other) == len(self._seq) and all(
                 a == b for a, b in zip(self, other))
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"EventLog(<{len(self._seq)} records>)"
@@ -560,10 +448,10 @@ class RunArtifacts:
 # ---------------------------------------------------------------------------
 # reducers
 #
-# Each reducer takes an EventLog and reads the columns of the fields it
-# needs with events.column(), or counts records with events.count(); the
+# Each reducer takes an EventLog and reads the fields it needs with
+# events.column(), each once, or counts records with events.count(); the
 # fabric's counters, the invariant check and the summary all read the
-# log's own columns, so none of them makes a pass to group it.
+# log's stored values in place, so none of them groups or copies it.
 
 def conservation_from_events(events: EventLog,
                              horizon_us: int | None = None) -> dict:
@@ -631,7 +519,7 @@ def merge_ratios(events: EventLog) -> dict:
     """
     server_tx = Counter(events.column("server_resp", "kind"))
     client_rx = Counter(events.column("http_resp", "kind"))
-    streams = events.column("pkt_inject", "kind").count("stream")
+    streams = Counter(events.column("pkt_inject", "kind"))["stream"]
     if streams:
         server_tx["stream"] += streams
     received = events.count("stb_rx")

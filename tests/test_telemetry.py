@@ -141,12 +141,12 @@ def test_drops_grouped_by_reason():
 
 def test_a_reducer_called_again_after_more_appends_sees_the_whole_log():
     log = EventLog()
-    log.pkt_drop(0, "a", 1, "chunk", 1, "queue_cap")
-    log.pkt_inject(0, "a", 1, "chunk", "n", 5)
+    log.write(("pkt_drop", "queue_cap"), 0, "a", 1, "chunk", 1)
+    log.write("pkt_inject", 0, "a", 1, "chunk", "n", 5)
     assert drops_by_reason(log) == {"queue_cap": 1}
     assert conservation_from_events(log)["dropped_bytes"] == 1
-    log.pkt_drop(1, "a", 2, "chunk", 2, "zero_fid")
-    log.pkt_drop(2, "b", 3, "chunk", 4, "link_down", "l:a->b")
+    log.write(("pkt_drop", "zero_fid"), 1, "a", 2, "chunk", 2)
+    log.write(("pkt_drop", "link_down"), 2, "b", 3, "chunk", 4, "l:a->b")
     log.append(3, "c", "pkt_deliver", pid=1, kind="chunk", size=5,
                consumers=1, spurious=False)
     assert drops_by_reason(log) == {"queue_cap": 1, "zero_fid": 1,
@@ -157,21 +157,25 @@ def test_a_reducer_called_again_after_more_appends_sees_the_whole_log():
 
 
 def test_columns_and_counts():
-    """A plain kind's column is the stored list, in log order; a variant
-    kind's column holds every variant's values, in no set order."""
+    """A plain kind's column is in log order; a variant kind's column
+    holds every variant's values, in no set order."""
     log = EventLog()
-    log.pkt_fwd(0, "a", 1, "chunk", "l:a->b", 100, 0, 9)
-    log.pkt_drop(1, "a", 2, "chunk", 7, "link_down", "l:a->b")
-    log.pkt_drop(2, "a", 3, "chunk", 5, "queue_cap")
-    log.pkt_fwd(3, "b", 1, "chunk", "m:b->c", 200, 3, 12)
-    log.pkt_drop(4, "a", 4, "chunk", 3, "link_down", "l:a->b")
-    assert log.column("pkt_fwd", "link") == ["l:a->b", "m:b->c"]
-    assert log.column("pkt_fwd", "t") is log.column("pkt_fwd", "t")
+    log.write("pkt_fwd", 0, "a", 1, "chunk", "l:a->b", 100, 0, 9)
+    log.write(("pkt_drop", "link_down"), 1, "a", 2, "chunk", 7, "l:a->b")
+    log.write(("pkt_drop", "queue_cap"), 2, "a", 3, "chunk", 5)
+    log.write("pkt_fwd", 3, "b", 1, "chunk", "m:b->c", 200, 3, 12)
+    log.write(("pkt_drop", "link_down"), 4, "a", 4, "chunk", 3, "l:a->b")
+    log.write("pkt_fwd", 5, "c", 1, "chunk", "n:c->d", 300, 5, 14)
+    fwd = [rec for rec in log if rec["ev"] == "pkt_fwd"]
+    for name in EVENT_FIELDS["pkt_fwd"] + ("t", "el"):
+        assert list(log.column("pkt_fwd", name)) == [r[name] for r in fwd]
+    assert list(log.column("pkt_fwd", "link")) == ["l:a->b", "m:b->c",
+                                                   "n:c->d"]
     assert sorted(log.column("pkt_drop", "size")) == [3, 5, 7]
-    assert log.column("stb_rx", "size") == []
+    assert list(log.column("stb_rx", "size")) == []
     assert (log.count("pkt_fwd"), log.count("pkt_drop"),
             log.count("pkt_drop", "link_down"), log.count("stb_rx")) == (
-                2, 3, 2, 0)
+                3, 3, 2, 0)
     # ev and the variant field are not stored; link is not in every variant
     for kind, name in (("pkt_fwd", "ev"), ("pkt_drop", "reason"),
                        ("pkt_drop", "link"), ("pkt_fwd", "nope")):
@@ -470,14 +474,15 @@ def test_random_log_round_trips_through_export_and_import(tmp_path):
     # NaN is not equal to itself, so compare the NaN-free records
     plain = [i for i, line in enumerate(b"".join(log.encoded()).splitlines())
              if b"NaN" not in line]
-    assert [back.events[i] for i in plain] == [records[i] for i in plain]
+    back_records = list(back.events)
+    assert [back_records[i] for i in plain] == [records[i] for i in plain]
 
 
 def test_log_reads_as_a_sequence_of_record_dicts():
     log = EventLog()
-    log.pkt_inject(0, "a", 7, "chunk", "n", 1000)
-    log.pkt_fwd(1, "a", 7, "chunk", "ab:a->b", 1000, 1, 9)
-    log.pkt_drop(9, "b", 7, "chunk", 1000, "link_down", "ab:a->b")
+    log.write("pkt_inject", 0, "a", 7, "chunk", "n", 1000)
+    log.write("pkt_fwd", 1, "a", 7, "chunk", "ab:a->b", 1000, 1, 9)
+    log.write(("pkt_drop", "link_down"), 9, "b", 7, "chunk", 1000, "ab:a->b")
     log.append(9, "x", "stb_active", until=50)
     records = [
         ev(0, "a", "pkt_inject", pid=7, kind="chunk", name="n", size=1000),
@@ -491,46 +496,54 @@ def test_log_reads_as_a_sequence_of_record_dicts():
     assert log == records and records == log
     assert log != records[:3] and log != records[::-1]
     assert list(log) == records
-    assert log[0] == records[0] and log[-1] == records[-1]
-    assert log[1:3] == records[1:3]
-    assert tuple(log[2]) == ("t", "el", "ev") + EVENT_FIELDS["pkt_drop"][
-        "link_down"]
+    assert tuple(list(log)[2]) == ("t", "el", "ev") + EVENT_FIELDS[
+        "pkt_drop"]["link_down"]
     # the dicts are built on access: changing one leaves the log alone
-    log[0]["size"] = 0
-    assert log[0] == records[0]
+    next(iter(log))["size"] = 0
+    assert list(log) == records
     assert log == EventLog.from_records(records)
     assert RunArtifacts(config={}, mode="icn", seed=1,
                         events=records).events == log
 
 
-def test_typed_helpers_write_the_rows_append_writes():
-    typed, generic = EventLog(), EventLog()
-    calls = [
-        ("pkt_inject", dict(pid=1, kind="stream", name="ch:a", size=1400)),
-        ("pkt_fwd", dict(pid=1, kind="stream", link="l:a->b", size=1400,
-                         start=3, arrive=9)),
-        ("pkt_branch", dict(pid=1, size=1400, extra=2)),
-        ("pkt_deliver", dict(pid=1, kind="stream", size=1400, consumers=0,
-                             spurious=True)),
-        ("pkt_drop", dict(pid=1, kind="stream", size=1400,
-                          reason="queue_cap")),
-        ("pkt_drop", dict(pid=1, kind="stream", size=1400,
-                          reason="link_down", link="l:a->b")),
-        ("stb_rx", dict(name="ch:a", size=1400)),
-    ]
-    for i, (kind, fields) in enumerate(calls):
-        getattr(typed, kind)(i, "n", *fields.values())
-        generic.append(i, "n", kind, **fields)
-    assert typed == generic
-    assert list(typed) == list(generic) == [
-        {"t": i, "el": "n", "ev": kind, **fields}
-        for i, (kind, fields) in enumerate(calls)]
-    assert b"".join(typed.encoded()) == encode_lines(list(generic))
-    with pytest.raises(TypeError):
-        typed.pkt_drop(9, "n", 1, "stream", 1400, "queue_cap", "l:a->b")
-    with pytest.raises(KeyError):
-        typed.pkt_drop(9, "n", 1, "stream", 1400, "meteor")
-    assert typed == generic
+def stored_values(rec):
+    """The key and stored values of a record dict, as write takes them."""
+    kind = rec["ev"]
+    field = VARIANT_FIELD.get(kind)
+    key = kind if field is None else (kind, rec[field])
+    return key, [v for k, v in rec.items() if k not in ("ev", field)]
+
+
+def test_write_is_checked_and_atomic():
+    """write of each record's stored values makes the log append makes,
+    for every schema; a wrong value count, an unknown kind and an unknown
+    variant raise and leave the log as it was."""
+    appended, records = random_log(random.Random(13), per_schema=3)
+    written = EventLog()
+    for rec in records:
+        key, values = stored_values(rec)
+        written.write(key, *values)
+    assert written == appended and written.hash() == appended.hash()
+    assert list(written) == records
+    before = EventLog.from_records(records)
+    key, values = stored_values(records[-1])
+    bad = [(TypeError, key, values[:-1]), (TypeError, key, values + [1]),
+           (TypeError, "stb_rx", [0, "x", "ch:a"]),
+           (TypeError, ("pkt_drop", "queue_cap"), [0, "x", 1, "k", 1, "l"]),
+           (KeyError, "no_such_kind", [0, "x"]),
+           (KeyError, ("pkt_drop", "meteor"), [0, "x", 1, "k", 1]),
+           (KeyError, "pkt_drop", [0, "x", 1, "k", 1]),
+           (KeyError, ("stb_rx", "x"), [0, "x", "ch:a", 1])]
+    for error, key, values in bad:
+        with pytest.raises(error):
+            written.write(key, *values)
+        assert len(written) == len(records)
+        assert written == before and written.hash() == before.hash()
+    # a schema key is no event kind
+    with pytest.raises(ValueError, match="unknown event kind"):
+        written.append(0, "x", ("pkt_drop", "queue_cap"), pid=1, kind="k",
+                        size=1, reason="queue_cap")
+    assert written == before
 
 
 def drop_mix():
@@ -549,29 +562,17 @@ def drop_mix():
 
 
 def test_log_reads_its_records_in_log_order():
-    """Iteration, indexing, slices and == follow log order across every
-    schema, variants included, whichever way the records were appended."""
+    """Iteration and == follow log order across every schema, variants
+    included, whichever way the records were appended."""
     rng = random.Random(11)
     log, records = random_log(rng, per_schema=4)
     mix = drop_mix()
     for rec in mix:
-        log.pkt_drop(*(v for k, v in rec.items() if k != "ev"))
+        key, values = stored_values(rec)
+        log.write(key, *values)
     records += mix
     assert len(log) == len(records)
     assert list(log) == records and log == records
-    assert [log[i] for i in range(len(log))] == records
-    assert [log[i] for i in range(-len(log), 0)] == records
-    with pytest.raises(IndexError):
-        log[len(log)]
-    n = len(log)
-    slices = [slice(None), slice(5, 40), slice(-30, None), slice(3, n, 7),
-              slice(None, None, -1), slice(n - 2, 4, -3), slice(9, 2),
-              slice(n + 5, None)]
-    for _ in range(20):
-        slices.append(slice(rng.randrange(-n, n), rng.randrange(-n, n),
-                            rng.choice([1, 2, 5, -1, -4])))
-    for sl in slices:
-        assert log[sl] == records[sl], sl
     # the same records make an equal log, however they are appended
     again = EventLog.from_records(records)
     assert again == log and again.hash() == log.hash()
@@ -602,7 +603,8 @@ def test_export_then_import_returns_an_equal_log(tmp_path):
 def test_log_bytes_per_record():
     """The log's own memory per record, its values being shared objects
     made beforehand, so that neither ints nor encoded text count: about
-    60 B when stored by columns, about 105 B as one tuple per record."""
+    50 B in one flat list per schema, about 105 B as one tuple per
+    record."""
     n = 25_000
     ints = list(range(1000, 1000 + n + 200))
     links = [f"l{i}:sw1->sw2" for i in range(8)]
@@ -611,9 +613,9 @@ def test_log_bytes_per_record():
         log = EventLog()
         for i in range(n):
             t = ints[i]
-            log.pkt_fwd(t, "sw1", t, "stream", links[i % 8], 1400, t,
-                        ints[i + 200])
-            log.stb_rx(t, "stb1", "ch:ch1", 1400)
+            log.write("pkt_fwd", t, "sw1", t, "stream", links[i % 8], 1400,
+                      t, ints[i + 200])
+            log.write("stb_rx", t, "stb1", "ch:ch1", 1400)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
