@@ -8,6 +8,7 @@ refused comparisons).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -64,22 +65,37 @@ def _cmd_run(args) -> int:
     modes = ("icn", "ip") if args.mode == "both" else (args.mode,)
     failed = False
     for mode in modes:
-        artifacts = harness.run_scenario(
-            config, mode, seed=args.seed,
-            telemetry_enabled=not args.no_telemetry)
-        summary = telemetry.summarize(artifacts)
+        if mode != modes[0]:
+            # a run's world is a web of reference cycles, so only the
+            # cycle collector frees the last mode's log
+            gc.collect()
+        outdir = None
         if args.out:
             outdir = (os.path.join(args.out, mode) if len(modes) > 1
                       else args.out)
-            telemetry.export(artifacts, outdir, fmt=args.format,
-                             summary=summary)
-            print(f"[{mode}] artifacts written to {outdir}")
-        sys.stdout.write(telemetry.render_summary(summary))
-        print(f"[{mode}] events_hash={artifacts.meta['events_hash']}")
-        for violation in artifacts.meta["violations"]:
-            print(f"[{mode}] invariant violation: {violation}", file=sys.stderr)
-            failed = True
+        failed |= _run_mode(args, config, mode, outdir)
     return 1 if failed else 0
+
+
+def _run_mode(args, config: dict, mode: str, outdir: str | None) -> bool:
+    """Run, export and report one mode; True when it violated an
+    invariant.  Its artifacts go out of scope on return, so one mode's
+    log is not held while the next mode runs."""
+    artifacts = harness.run_scenario(
+        config, mode, seed=args.seed,
+        telemetry_enabled=not args.no_telemetry, out=outdir,
+        fmt=args.format)
+    if outdir is None:
+        sys.stdout.write(telemetry.render_summary(
+            telemetry.summarize(artifacts)))
+    else:
+        print(f"[{mode}] artifacts written to {outdir}")
+        with open(os.path.join(outdir, telemetry.SUMMARY_FILE)) as fh:
+            sys.stdout.write(fh.read())
+    print(f"[{mode}] events_hash={artifacts.meta['events_hash']}")
+    for violation in artifacts.meta["violations"]:
+        print(f"[{mode}] invariant violation: {violation}", file=sys.stderr)
+    return bool(artifacts.meta["violations"])
 
 
 def _cmd_compare(args) -> int:

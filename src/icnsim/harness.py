@@ -14,6 +14,7 @@ import json
 import os
 from importlib import resources
 
+from . import telemetry
 from .apps import (HlsCatalog, HlsClient, HlsClientParams, HlsServer,
                    IptvSource, Stb, SurrogateAgent, packet_interval_us)
 from .fabric import Fabric, FabricParams, FidNode, trace_delivery
@@ -603,8 +604,11 @@ def _schedule_digest_probes(w: World, effective: dict, times_us: list) -> None:
 # running
 
 def run_scenario(config: dict, mode: str, seed: int = None,
-                 telemetry_enabled: bool = True) -> RunArtifacts:
-    """Validate, build, run and check one scenario in one mode."""
+                 telemetry_enabled: bool = True, out: str | None = None,
+                 fmt: str = "both") -> RunArtifacts:
+    """Validate, build, run and check one scenario in one mode.  With
+    `out`, the run's artifact directory is exported there, in format
+    `fmt` (see telemetry.export)."""
     if mode not in MODES:
         raise ConfigError([f"mode: must be one of {MODES}, got {mode!r}"])
     effective = validate_config(config)
@@ -617,8 +621,6 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     w.log.append(0, "run", "begin", scenario=effective["name"], mode=mode,
                  seed=seed)
     executed = w.engine.run_until(duration_us)
-    # hash() encodes the log once and the log keeps the bytes for export
-    events_hash = w.log.hash()
     w.fabric.flush_counters()
 
     violations = _check_invariants(w, effective, mode)
@@ -627,14 +629,22 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         "mode": mode,
         "seed": seed,
         "config_hash": config_hash(effective),
-        "events_hash": events_hash,
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
         "engine_events": executed,
         "violations": violations,
     }
-    return RunArtifacts(config=effective, mode=mode, seed=seed,
-                        events=w.log, samples=w.telemetry.samples, meta=meta)
+    artifacts = RunArtifacts(config=effective, mode=mode, seed=seed,
+                             events=w.log, samples=w.telemetry.samples,
+                             meta=meta)
+    # one streamed pass encodes the log: it yields events_hash and, when
+    # exporting, writes events.jsonl; the encoding is not kept.  export is
+    # looked up on the module, so a wrapped telemetry.export is the one run
+    if out is None:
+        meta["events_hash"] = w.log.hash()
+    else:
+        telemetry.export(artifacts, out, fmt)
+    return artifacts
 
 
 def _check_invariants(w: World, effective: dict, mode: str) -> list:

@@ -15,8 +15,11 @@ schema does not declare.  Reducers read a field with log.column(kind,
 name), an iterator in log order for a plain kind and in no set order for
 a variant kind, and count records with log.count(kind).  The canonical
 encoding (one sorted-key JSON object per line) is rendered through one
-"%" template per schema; readers that want dicts iterate the log and get
-them built on access.
+"%" template per schema, a batch of records at a time, and streamed:
+log.hash(out) feeds each batch's bytes to sha256 and, when exporting, to
+events.jsonl, so a run encodes its log once and keeps none of the
+encoding.  Readers that want dicts iterate the log and get them built on
+access.
 
 Metric samples are a separate, optional stream reduced from the log;
 disabling them must not change the event log in any way (the
@@ -41,8 +44,8 @@ from operator import itemgetter, mul
 # separators=(",", ":")), without building an encoder per record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# Records encoded per step of encode_lines and EventLog.encoded; bounds
-# their transient memory.
+# Records encoded per step of encode_lines and of the log's encoder
+# (one chunk of EventLog.hash); bounds their transient memory.
 _BATCH = 4096
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
@@ -250,17 +253,17 @@ def _render(values: list, strings: _Strings):
             for x in values]
 
 
-def _encode(seq: bytearray, values: list) -> tuple:
-    """Canonical JSONL of a log's records, as one bytes chunk per _BATCH
-    records; joined, the same bytes as encode_lines of their dicts.  Each
-    batch is encoded a schema at a time: each field the template takes is
-    sliced from the schema's values where its previous batch ended,
-    rendered field by field and formatted into lines, and one cursor per
-    schema then takes the lines back in log order.  Chunks, unlike one
-    growing buffer, hold no spare capacity."""
+def _encode(seq: bytearray, values: list):
+    """Canonical JSONL of a log's records, yielded as one bytes chunk per
+    _BATCH records; joined, the same bytes as encode_lines of their dicts.
+    Each batch is encoded a schema at a time: each field the template
+    takes is sliced from the schema's values where its previous batch
+    ended, rendered field by field and formatted into lines, and one
+    cursor per schema then takes the lines back in log order.  A chunk is
+    dropped once the consumer moves on, so memory peaks at one batch's
+    text whatever the log's length."""
     strings = _Strings()
     done = [0] * len(values)
-    out = []
     for i in range(0, len(seq), _BATCH):
         sids = seq[i:i + _BATCH]
         lines = {}
@@ -271,9 +274,8 @@ def _encode(seq: bytearray, values: list) -> tuple:
             rendered = [_render(vals[lo + j:hi:s.width], strings)
                         for j in s.pick]
             lines[sid] = map(s.template.__mod__, zip(*rendered))
-        out.append(("\n".join(map(next, map(lines.__getitem__, sids)))
-                    + "\n").encode())
-    return tuple(out)
+        yield ("\n".join(map(next, map(lines.__getitem__, sids)))
+               + "\n").encode()
 
 
 class EventLog:
@@ -285,16 +287,14 @@ class EventLog:
     stored.  A bytearray holds the schema id of each record, in log
     order.  Nothing is changed once appended.  Iterated, the log reads as
     record dicts, built on access; column() and count() are what the
-    reducers read.  The encoding is a view of the values, built once and
-    kept until the log grows.
+    reducers read.  The encoding is streamed from the values by hash(),
+    which keeps none of it.
     """
 
     def __init__(self):
         self._seq = bytearray()
         # schema id -> the stored values of that schema's records
         self._values = [[] for _ in _BY_SID]
-        # (record count, _encode of that many records)
-        self._encoded: tuple | None = None
 
     def write(self, key, *row) -> None:
         """Append one record, as write(key, t, el, *values): `key` is its
@@ -373,19 +373,16 @@ class EventLog:
 
     # -- encoding
 
-    def encoded(self) -> tuple:
-        """The canonical JSONL encoding of the log, as consecutive bytes
-        chunks; encoded once and kept until the log grows."""
-        n = len(self._seq)
-        if self._encoded is None or self._encoded[0] != n:
-            self._encoded = (n, _encode(self._seq, self._values))
-        return self._encoded[1]
-
-    def hash(self) -> str:
-        """sha256 of the canonical JSONL encoding of the records."""
+    def hash(self, out=None) -> str:
+        """sha256 of the canonical JSONL encoding of the records.  The log
+        is encoded one batch at a time and each chunk is fed to the hash
+        and, when `out` is a binary file, written there, so the file gets
+        exactly the hashed bytes from the same pass.  No chunk is kept."""
         h = hashlib.sha256()
-        for chunk in self.encoded():
+        for chunk in _encode(self._seq, self._values):
             h.update(chunk)
+            if out is not None:
+                out.write(chunk)
         return h.hexdigest()
 
     # -- the records as dicts
@@ -669,11 +666,14 @@ SUMMARY_FILE = "summary.txt"
 META_FILE = "meta.json"
 
 
-def export_jsonl(artifacts: RunArtifacts, fh) -> None:
+def export_jsonl(artifacts: RunArtifacts, fh) -> str:
     """Write events, then samples, one canonical JSON record per line, to
-    the binary file fh.  The events are the log's own encoded bytes."""
-    fh.writelines(artifacts.events.encoded())
+    the binary file fh; returns the events' events_hash.  The events are
+    streamed through EventLog.hash(fh), so the pass that writes them is
+    the one that hashes them."""
+    digest = artifacts.events.hash(fh)
     fh.write(encode_lines([{"ev": "sample", **r} for r in artifacts.samples]))
+    return digest
 
 
 def export_csv(samples) -> str:
@@ -718,13 +718,14 @@ def render_summary(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both",
-           summary: dict | None = None) -> dict:
+def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both") -> dict:
     """Write the artifact directory; returns the path map.
 
     fmt selects "jsonl", "csv" or "both" payload files; the effective
-    config, summary and meta files are always written.  summary is
-    summarize(artifacts), when the caller has already computed it.
+    config, summary and meta files are always written.  The events are
+    encoded once, by the pass that writes events.jsonl or, for "csv", by
+    hash() alone; its digest is set as artifacts.meta's events_hash,
+    which meta.json carries.
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {}
@@ -739,12 +740,13 @@ def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both",
     if fmt in ("jsonl", "both"):
         paths[EVENTS_FILE] = os.path.join(outdir, EVENTS_FILE)
         with open(paths[EVENTS_FILE], "wb") as fh:
-            export_jsonl(artifacts, fh)
+            digest = export_jsonl(artifacts, fh)
+    else:
+        digest = artifacts.events.hash()
+    artifacts.meta["events_hash"] = digest
     if fmt in ("csv", "both"):
         write(METRICS_FILE, export_csv(artifacts.samples))
-    if summary is None:
-        summary = summarize(artifacts)
-    write(SUMMARY_FILE, render_summary(summary))
+    write(SUMMARY_FILE, render_summary(summarize(artifacts)))
     write(META_FILE, json.dumps(artifacts.meta, sort_keys=True, indent=2) + "\n")
     return paths
 

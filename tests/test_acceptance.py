@@ -402,7 +402,8 @@ def test_pinned_events_hashes_match_exported_bytes(suite, tmp_path):
         event_lines = b"".join(line for line in raw.splitlines(keepends=True)
                                if b'"ev":"sample"' not in line)
         assert hashlib.sha256(event_lines).hexdigest() \
-            == artifacts.meta["events_hash"], (name, mode)
+            == artifacts.meta["events_hash"] \
+            == PINNED_EVENTS_HASH[(name, mode)], (name, mode)
 
 
 def test_pinned_samples_hashes(suite):

@@ -1,10 +1,15 @@
 """Command line behavior: exit codes, exports, cross-process determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
+import pytest
+
+from icnsim import harness, telemetry
 from icnsim.cli import main
 
 
@@ -65,6 +70,57 @@ def test_no_telemetry_skips_samples_but_not_events(tmp_path, capsys):
     csv_text = (out_dir / "metrics.csv").read_text()
     assert csv_text == "t,el,metric,value\n"
     assert "[icn] events_hash=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["both", "jsonl", "csv"])
+def test_run_out_encodes_each_mode_once(fmt, tmp_path, capsys, monkeypatch):
+    """With --out, one pass per mode encodes the log: it gives the
+    events_hash in meta.json, which is the hash of a run without --out
+    and of the exported event lines, and stdout is that of a run without
+    --out plus the lines naming the artifact directories."""
+    assert main(["run", "--scenario", "trial_topology"]) == 0
+    plain = capsys.readouterr().out
+    hashes = dict(line.split(" events_hash=")
+                  for line in plain.splitlines() if " events_hash=" in line)
+    calls = []
+    encode = telemetry._encode
+
+    def counted(*args):
+        calls.append(args)
+        return encode(*args)
+    monkeypatch.setattr(telemetry, "_encode", counted)
+    assert main(["run", "--scenario", "trial_topology", "--out",
+                 str(tmp_path), "--format", fmt]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out
+            if " artifacts written to " not in line] == plain.splitlines()
+    for mode in ("icn", "ip"):
+        meta = json.loads((tmp_path / mode / "meta.json").read_text())
+        assert meta["events_hash"] == hashes[f"[{mode}]"]
+        events = tmp_path / mode / "events.jsonl"
+        if fmt == "csv":
+            assert not events.exists()
+            continue
+        lines = [line for line in events.read_bytes().splitlines(True)
+                 if b'"ev":"sample"' not in line]
+        assert hashlib.sha256(b"".join(lines)).hexdigest() \
+            == meta["events_hash"]
+
+
+def test_run_both_frees_the_first_log_before_the_second_run(monkeypatch,
+                                                            capsys):
+    logs = []
+    run_scenario = harness.run_scenario
+
+    def tracked(*args, **kw):
+        assert [ref() for ref in logs] == [None] * len(logs)
+        artifacts = run_scenario(*args, **kw)
+        logs.append(weakref.ref(artifacts.events))
+        return artifacts
+    monkeypatch.setattr(harness, "run_scenario", tracked)
+    assert main(["run", "--scenario", "trial_topology"]) == 0
+    assert len(logs) == 2
 
 
 def test_compare_command_round_trips_exports(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Event log reducers, export round-trips, hashing."""
 
 import dataclasses
+import hashlib
+import io
 import json
 import random
 import tracemalloc
@@ -22,6 +24,15 @@ from icnsim.telemetry import (_BATCH, _READ_BATCH, EVENT_FIELDS,
 
 def ev(t, el, event, **fields):
     return {"t": t, "el": el, "ev": event, **fields}
+
+
+def streamed(log):
+    """The bytes log.hash(out) writes; checks they are what it hashes."""
+    buf = io.BytesIO()
+    digest = log.hash(buf)
+    data = buf.getvalue()
+    assert hashlib.sha256(data).hexdigest() == digest
+    return data
 
 
 def test_canonical_json_is_key_sorted_and_compact():
@@ -67,25 +78,60 @@ def test_encode_lines_matches_json_dumps_across_batches():
         encode_lines([{"t": 0, "members": {"a"}}])
 
 
-def test_encode_lines_peaks_at_output_plus_one_batch():
-    """Both encoders, encode_lines of dicts and the log's own, peak at
-    their output plus one batch's working memory: under 6 batches of
-    output, where encoding all records at once takes over 11."""
-    batches = 8
+def pkt_fwd_log(batches):
     log = EventLog()
     for i in range(batches * _BATCH):
         log.append(i, f"sw{i % 7}", "pkt_fwd", pid=i, kind="stream",
                    link=f"l{i % 5}:sw{i % 7}->sw{i % 3}", size=1400,
                    start=i, arrive=i + 112)
-    records = list(log)
-    for encode in (lambda: [encode_lines(records)], log.encoded):
+    return log
+
+
+def test_encode_lines_peaks_at_output_plus_one_batch():
+    """encode_lines peaks at its output plus one batch's working memory:
+    under 6 batches of output, where encoding all records at once takes
+    over 11."""
+    batches = 8
+    records = list(pkt_fwd_log(batches))
+    tracemalloc.start()
+    try:
+        size = len(encode_lines(records))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - size < 6 * size // batches
+
+
+class ByteCounter:
+    """A binary file that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+
+def test_hash_streams_the_encoding_and_keeps_none_of_it():
+    """hash(), with or without a file to write to, peaks under 5 batches
+    of text (one batch's lines, their join and its bytes), not at the
+    whole encoding of 8 batches, and keeps no copy of it: under a quarter
+    batch is still allocated when it returns."""
+    batches = 8
+    log = pkt_fwd_log(batches)
+    size = len(streamed(log))
+    for out in (None, ByteCounter()):
         tracemalloc.start()
         try:
-            size = sum(map(len, encode()))
-            peak = tracemalloc.get_traced_memory()[1]
+            digest = log.hash(out)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - size < 6 * size // batches
+        assert digest == hashlib.sha256(encode_lines(list(log))).hexdigest()
+        assert peak < 5 * size // batches
+        assert kept < size // (4 * batches)
+        if out is not None:
+            assert out.size == size
 
 
 def test_disabled_telemetry_records_nothing():
@@ -349,23 +395,28 @@ def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
     log.append(2, "y", "pkt_deliver", pid=1, kind="data", size=10,
                consumers=1, spurious=False)
     digest = log.hash()
-    hashed = log.encoded()
     artifacts = RunArtifacts(config={"name": "t"}, mode="icn", seed=1,
                              events=log, meta={"events_hash": digest})
     export(artifacts, str(tmp_path / "all"))
     with open(tmp_path / "all" / "events.jsonl", "rb") as fh:
-        assert fh.read() == b"".join(hashed) == encode_lines(list(log))
-    # the log encoded once: export reused the bytes hash() made
-    assert log.encoded() is hashed
-    # a replaced event list is encoded afresh, not taken from the old bytes
+        hashed = fh.read()
+    assert hashed == streamed(log) == encode_lines(list(log))
+    assert hashlib.sha256(hashed).hexdigest() == digest
+    assert artifacts.meta["events_hash"] == digest
+    # a replaced event list is encoded afresh, not taken from the old
+    # bytes, and meta.json carries the hash of what was written
     kept = [r for r in log if r["ev"] == "pkt_inject"]
-    export(dataclasses.replace(artifacts, events=kept), str(tmp_path / "kept"))
+    replaced = dataclasses.replace(artifacts, events=kept,
+                                   meta=dict(artifacts.meta))
+    export(replaced, str(tmp_path / "kept"))
     with open(tmp_path / "kept" / "events.jsonl", "rb") as fh:
         assert fh.read() == encode_lines(kept)
+    with open(tmp_path / "kept" / "meta.json") as fh:
+        assert json.load(fh)["events_hash"] == events_hash(kept) != digest
     # and a log that grew after hashing is encoded again
     log.append(3, "y", "stb_rx", name="ch:a", size=10)
-    assert b"".join(log.encoded()) == encode_lines(list(log)) \
-        != b"".join(hashed)
+    assert streamed(log) == encode_lines(list(log)) != hashed
+    assert log.hash() != digest
 
 
 def test_export_csv_layout():
@@ -449,12 +500,12 @@ def test_compiled_encoder_matches_json_dumps_for_every_schema():
     rng = random.Random(6)
     for _ in range(5):
         log, records = random_log(rng)
-        lines = b"".join(log.encoded()).splitlines(keepends=True)
+        lines = streamed(log).splitlines(keepends=True)
         assert len(lines) == len(records)
         for line, rec in zip(lines, records):
             assert line == (json.dumps(rec, sort_keys=True,
                                        separators=(",", ":")) + "\n").encode()
-        assert b"".join(log.encoded()) == encode_lines(records)
+        assert streamed(log) == encode_lines(records)
         assert log.hash() == events_hash(records)
 
 
@@ -465,14 +516,16 @@ def test_random_log_round_trips_through_export_and_import(tmp_path):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     samples = [{"t": 1, "el": "sw", "metric": "tx_bytes", "value": 5}]
     with open(tmp_path / "events.jsonl", "wb") as fh:
-        export_jsonl(RunArtifacts(config={}, mode="icn", seed=1, events=log,
-                                  samples=samples), fh)
+        assert export_jsonl(RunArtifacts(config={}, mode="icn", seed=1,
+                                         events=log, samples=samples),
+                            fh) == meta["events_hash"]
     back = import_artifacts(str(tmp_path))
     assert events_hash(back.events) == meta["events_hash"]
-    assert b"".join(back.events.encoded()) == b"".join(log.encoded())
+    encoded = streamed(log)
+    assert streamed(back.events) == encoded
     assert back.samples == samples
     # NaN is not equal to itself, so compare the NaN-free records
-    plain = [i for i, line in enumerate(b"".join(log.encoded()).splitlines())
+    plain = [i for i, line in enumerate(encoded.splitlines())
              if b"NaN" not in line]
     back_records = list(back.events)
     assert [back_records[i] for i in plain] == [records[i] for i in plain]
