@@ -6,20 +6,23 @@ everything from the exported records alone.
 
 EVENT_FIELDS is the log's schema, compiled once at import.  EventLog
 keeps, for each schema (a plain kind, or one variant of a variant kind),
-one flat list of its records' stored values, record after record (all
-fields but ev and the variant field, which are constant per schema),
-plus one schema id byte per record in log order.  The hot data-plane
-kinds are written with log.write(key, t, el, *values), which checks the
-number of values; the generic append() rejects any record dict the
-schema does not declare.  Reducers read a field with log.column(kind,
-name), an iterator in log order for a plain kind and in no set order for
-a variant kind, and count records with log.count(kind).  The canonical
-encoding (one sorted-key JSON object per line) is rendered through one
-"%" template per schema, a batch of records at a time, and streamed:
-log.hash(out) feeds each batch's bytes to sha256 and, when exporting, to
-events.jsonl, so a run encodes its log once and keeps none of the
-encoding.  Readers that want dicts iterate the log and get them built on
-access.
+one column per stored field (all fields but ev and the variant field,
+which are constant per schema), plus one schema id byte per record in
+log order.  A column is an array('q') while every value in it is an int
+(never a bool) that fits in 64 bits, else a list; the type follows from
+the content.  The hot data-plane kinds are written with log.write(key,
+t, el, *values), which checks the number of values and extends the
+schema's flat buffer; the generic append() rejects any record dict the
+schema does not declare.  The buffered values are moved into the
+columns in bulk, every _BATCH records and before any read.  Reducers
+read a field with log.column(kind, name), an iterator in log order for
+a plain kind and in no set order for a variant kind, and count records
+with log.count(kind).  The canonical encoding (one sorted-key JSON
+object per line) is rendered through one "%" template per schema, a
+batch of records at a time, and streamed: log.hash(out) feeds each
+batch's bytes to sha256 and, when exporting, to events.jsonl, so a run
+encodes its log once and keeps none of the encoding.  Readers that want
+dicts iterate the log and get them built on access.
 
 Metric samples are a separate, optional stream reduced from the log;
 disabling them must not change the event log in any way (the
@@ -33,11 +36,12 @@ import hashlib
 import io
 import json
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 
 
 # One shared encoder: the same text as json.dumps(record, sort_keys=True,
@@ -45,7 +49,8 @@ from operator import itemgetter, mul
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # Records encoded per step of encode_lines and of the log's encoder
-# (one chunk of EventLog.hash); bounds their transient memory.
+# (one chunk of EventLog.hash), and records an EventLog buffers before it
+# packs them into its columns; bounds their transient memory.
 _BATCH = 4096
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
@@ -206,8 +211,21 @@ def _compile() -> dict:
 
 _SCHEMAS = _compile()
 _BY_SID = tuple(_SCHEMAS.values())
+# the schemas of each declared kind
+_KINDS = {kind: tuple(s for s in _BY_SID if s.kind == kind)
+          for kind in EVENT_FIELDS}
 # the variant field of each declared kind, None for a plain kind
 _VARIANT_OF = {**dict.fromkeys(EVENT_FIELDS), **VARIANT_FIELD}
+
+
+def _group(kind, variant=None) -> tuple:
+    """The schemas of a declared kind, or of one variant of it."""
+    try:
+        return (_KINDS[kind] if variant is None
+                else (_SCHEMAS[kind, variant],))
+    except KeyError:
+        key = kind if variant is None else (kind, variant)
+        raise ValueError(f"undeclared event kind {key!r}") from None
 
 
 def _reject(rec: dict) -> ValueError:
@@ -236,11 +254,14 @@ class _Strings(dict):
 _BOOLS = {True: "true", False: "false"}
 
 
-def _render(values: list, strings: _Strings):
+def _render(values, strings: _Strings):
     """One template field's values, as the template takes them: an int as
     itself, a str through the memo, any other value (bool, None, float,
-    list) through canonical_json.  Values of one type are rendered in a
-    single C-level pass."""
+    list) through canonical_json.  An array holds ints only and is taken
+    as it is; a list's values of one type are rendered in a single C-level
+    pass."""
+    if values.__class__ is array:
+        return values
     types = set(map(type, values))
     if types == {int}:
         return values
@@ -253,26 +274,25 @@ def _render(values: list, strings: _Strings):
             for x in values]
 
 
-def _encode(seq: bytearray, values: list):
+def _encode(seq: bytearray, columns: list):
     """Canonical JSONL of a log's records, yielded as one bytes chunk per
     _BATCH records; joined, the same bytes as encode_lines of their dicts.
-    Each batch is encoded a schema at a time: each field the template
-    takes is sliced from the schema's values where its previous batch
-    ended, rendered field by field and formatted into lines, and one
-    cursor per schema then takes the lines back in log order.  A chunk is
-    dropped once the consumer moves on, so memory peaks at one batch's
-    text whatever the log's length."""
+    Each batch is encoded a schema at a time: each column the template
+    takes is sliced where its previous batch ended, rendered column by
+    column and formatted into lines, and one cursor per schema then takes
+    the lines back in log order.  A chunk is dropped once the consumer
+    moves on, so memory peaks at one batch's text whatever the log's
+    length."""
     strings = _Strings()
-    done = [0] * len(values)
+    done = [0] * len(columns)
     for i in range(0, len(seq), _BATCH):
         sids = seq[i:i + _BATCH]
         lines = {}
         for sid in set(sids):
-            s, vals = _BY_SID[sid], values[sid]
+            s, cols = _BY_SID[sid], columns[sid]
             lo = done[sid]
-            hi = done[sid] = lo + sids.count(sid) * s.width
-            rendered = [_render(vals[lo + j:hi:s.width], strings)
-                        for j in s.pick]
+            hi = done[sid] = lo + sids.count(sid)
+            rendered = [_render(cols[j][lo:hi], strings) for j in s.pick]
             lines[sid] = map(s.template.__mod__, zip(*rendered))
         yield ("\n".join(map(next, map(lines.__getitem__, sids)))
                + "\n").encode()
@@ -282,19 +302,24 @@ class EventLog:
     """Append-only record stream with a stable canonical encoding.
 
     Each schema (a plain kind, or one variant of a variant kind) keeps one
-    flat list of its records' stored values, record after record in log
-    order; ev and the variant field are constant per schema and are not
-    stored.  A bytearray holds the schema id of each record, in log
-    order.  Nothing is changed once appended.  Iterated, the log reads as
-    record dicts, built on access; column() and count() are what the
-    reducers read.  The encoding is streamed from the values by hash(),
-    which keeps none of it.
+    column per stored field, in log order; ev and the variant field are
+    constant per schema and are not stored.  A column is an array('q')
+    while every value in it is an int (never a bool) that fits in 64
+    bits; otherwise it is a list, and stays one.  Written records go to
+    the schema's flat buffer first, record after record, and _pack()
+    moves them into the columns in bulk.  A bytearray holds the schema id
+    of each record, in log order.  Nothing is changed once appended.
+    Iterated, the log reads as record dicts, built on access; column()
+    and count() are what the reducers read.  The encoding is streamed
+    from the columns by hash(), which keeps none of it.
     """
 
     def __init__(self):
         self._seq = bytearray()
-        # schema id -> the stored values of that schema's records
-        self._values = [[] for _ in _BY_SID]
+        # schema id -> the values written since the last pack
+        self._buf = [[] for _ in _BY_SID]
+        # schema id -> one column per stored field
+        self._cols = [[array("q") for _ in s.stored] for s in _BY_SID]
 
     def write(self, key, *row) -> None:
         """Append one record, as write(key, t, el, *values): `key` is its
@@ -307,8 +332,35 @@ class EventLog:
         if len(row) != s.width:
             raise TypeError(f"{key}: needs the values {s.stored}, "
                             f"got {len(row)}")
-        self._values[s.sid].extend(row)
-        self._seq.append(s.sid)
+        self._buf[s.sid].extend(row)
+        seq = self._seq
+        seq.append(s.sid)
+        if not len(seq) % _BATCH:
+            self._pack()
+
+    def _pack(self) -> None:
+        """Move every buffered value into its column, a field at a time.
+        An array column takes a field's values when all of them are
+        exact ints that fit in 64 bits (fromlist appends nothing when one
+        does not fit); otherwise the column turns into a list, so a bool,
+        float, str or larger int keeps the type it is encoded by."""
+        for s, buf, cols in zip(_BY_SID, self._buf, self._cols):
+            if not buf:
+                continue
+            width = s.width
+            for j, col in enumerate(cols):
+                part = buf[j::width]
+                if col.__class__ is list:
+                    col += part
+                    continue
+                if list(map(type, part)).count(int) == len(part):
+                    try:
+                        col.fromlist(part)
+                        continue
+                    except OverflowError:
+                        pass
+                cols[j] = col.tolist() + part
+            buf.clear()
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
         """Append any declared record; raises ValueError for an unknown
@@ -321,7 +373,8 @@ class EventLog:
     def extend(self, records) -> None:
         """Append record dicts, each checked against the schema; when one
         is not declared, none is appended.  The checked values are grouped
-        by schema, then added to the log's values one schema at a time."""
+        by schema and added to the schemas' buffers, which are packed when
+        the log passes a multiple of _BATCH records, as in write()."""
         schemas = _SCHEMAS
         variant_of = _VARIANT_OF
         groups: dict[int, list] = {}
@@ -343,8 +396,11 @@ class EventLog:
         except KeyError:
             raise _reject(rec) from None
         for sid, values in groups.items():
-            self._values[sid] += values
+            self._buf[sid] += values
+        before = len(self._seq)
         self._seq += sids
+        if before // _BATCH != len(self._seq) // _BATCH:
+            self._pack()
 
     @classmethod
     def from_records(cls, records) -> "EventLog":
@@ -358,18 +414,19 @@ class EventLog:
         """Field `name` of every record of `kind`, as an iterator to read
         once.  For a plain kind it is in log order.  For a variant kind it
         runs through its variants one after another, so it is not in log
-        order: its readers only sum or count it.  Raises ValueError when a
-        schema of the kind has no such stored field."""
-        parts = [islice(self._values[s.sid], s.stored.index(name), None,
-                        s.width)
-                 for s in _BY_SID if s.kind == kind]
-        return parts[0] if len(parts) == 1 else chain(*parts)
+        order: its readers only sum or count it.  Raises ValueError for an
+        undeclared kind, and when a schema of the kind has no such stored
+        field."""
+        self._pack()
+        parts = [self._cols[s.sid][s.stored.index(name)]
+                 for s in _group(kind)]
+        return iter(parts[0]) if len(parts) == 1 else chain(*parts)
 
     def count(self, kind: str, variant=None) -> int:
-        """The number of records of `kind`, or of one variant of it."""
-        schemas = ([s for s in _BY_SID if s.kind == kind] if variant is None
-                   else [_SCHEMAS[kind, variant]])
-        return sum(len(self._values[s.sid]) // s.width for s in schemas)
+        """The number of records of `kind`, or of one variant of it.
+        Raises ValueError for an undeclared kind or variant."""
+        self._pack()
+        return sum(len(self._cols[s.sid][0]) for s in _group(kind, variant))
 
     # -- encoding
 
@@ -378,8 +435,9 @@ class EventLog:
         is encoded one batch at a time and each chunk is fed to the hash
         and, when `out` is a binary file, written there, so the file gets
         exactly the hashed bytes from the same pass.  No chunk is kept."""
+        self._pack()
         h = hashlib.sha256()
-        for chunk in _encode(self._seq, self._values):
+        for chunk in _encode(self._seq, self._cols):
             h.update(chunk)
             if out is not None:
                 out.write(chunk)
@@ -392,14 +450,17 @@ class EventLog:
 
     def __iter__(self):
         """Record dicts in log order, built on access: one cursor per
-        schema takes that schema's values width at a time."""
-        cursors = [map(s.record, zip(*[iter(vals)] * s.width))
-                   for s, vals in zip(_BY_SID, self._values)]
+        schema walks its columns together."""
+        self._pack()
+        cursors = [map(s.record, zip(*cols))
+                   for s, cols in zip(_BY_SID, self._cols)]
         return map(next, map(cursors.__getitem__, self._seq))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventLog):
-            return self._seq == other._seq and self._values == other._values
+            self._pack()
+            other._pack()
+            return self._seq == other._seq and self._cols == other._cols
         if isinstance(other, list):
             return len(other) == len(self._seq) and all(
                 a == b for a, b in zip(self, other))
@@ -539,20 +600,24 @@ def disruption_intervals(arrival_times, active_start: int, active_end: int,
     period; a sink with no deliveries at all counts one disruption
     spanning its whole active period.  max_gap_us is one threshold for
     every gap, or a list parallel to arrival_times that gives the
-    threshold of the gap ending at each arrival.
+    threshold of the gap ending at each arrival.  Arrivals are taken in
+    (time, threshold) order; times that strictly increase already are in
+    that order, so only other inputs are sorted as pairs.
     """
     if not isinstance(max_gap_us, (list, tuple)):
-        max_gap_us = [max_gap_us] * len(arrival_times)
-    arrivals = sorted((t, gap) for t, gap in zip(arrival_times, max_gap_us)
-                      if active_start <= t <= active_end)
-    if not arrivals:
-        if active_end > active_start:
-            return [(active_start, active_end)]
-        return []
+        max_gap_us = repeat(max_gap_us)
+    arrivals = zip(arrival_times, max_gap_us)
+    if not all(map(lt, arrival_times, islice(arrival_times, 1, None))):
+        arrivals = sorted(arrivals)
     out = []
-    for (prev, _), (nxt, gap) in zip(arrivals, arrivals[1:]):
-        if nxt - prev > gap:
-            out.append((prev, nxt))
+    prev = None
+    for t, gap in arrivals:
+        if active_start <= t <= active_end:
+            if prev is not None and t - prev > gap:
+                out.append((prev, t))
+            prev = t
+    if prev is None and active_end > active_start:
+        return [(active_start, active_end)]
     return out
 
 

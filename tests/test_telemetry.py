@@ -6,12 +6,14 @@ import io
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
 from icnsim.apps import IptvSource
+from icnsim.harness import load_scenario, run_scenario
 from icnsim.simkernel import Engine
-from icnsim.telemetry import (_BATCH, _READ_BATCH, EVENT_FIELDS,
+from icnsim.telemetry import (_BATCH, _READ_BATCH, _SCHEMAS, EVENT_FIELDS,
                               VARIANT_FIELD, EventLog, RunArtifacts,
                               Telemetry, canonical_json,
                               conservation_from_events, disruption_intervals,
@@ -229,6 +231,25 @@ def test_columns_and_counts():
             log.column(kind, name)
 
 
+def test_column_and_count_of_an_undeclared_kind_raise():
+    """A misspelled kind or variant raises instead of reading as no
+    traffic; a declared kind with no records reads as empty."""
+    log = EventLog()
+    log.write("stb_rx", 0, "stb", "ch:a", 1400)
+    for kind in ("stb_rxx", "", ("pkt_drop", "queue_cap")):
+        with pytest.raises(ValueError, match="undeclared event kind"):
+            log.column(kind, "t")
+        with pytest.raises(ValueError, match="undeclared event kind"):
+            log.count(kind)
+    for kind, variant in (("pkt_drop", "meteor"), ("stb_rx", "x"),
+                          ("stb_rxx", None)):
+        with pytest.raises(ValueError, match="undeclared event kind"):
+            log.count(kind, variant)
+    assert (log.count("stb_rx"), log.count("pkt_fwd"),
+            log.count("pkt_drop", "queue_cap")) == (1, 0, 0)
+    assert list(log.column("pkt_fwd", "t")) == []
+
+
 def test_merge_ratios_for_fetches_and_streams():
     events = []
     for _ in range(2):
@@ -269,6 +290,56 @@ def test_disruption_intervals_report_large_gaps_only():
 def test_no_arrivals_count_as_whole_span_disruption():
     assert disruption_intervals([], 10, 50, 5) == [(10, 50)]
     assert disruption_intervals([], 10, 10, 5) == []
+
+
+def sorted_disruption_intervals(arrival_times, active_start, active_end,
+                                max_gap_us):
+    """The reference: every in-span arrival as a (time, gap) pair, sorted,
+    then each consecutive pair judged by the later one's gap."""
+    if not isinstance(max_gap_us, (list, tuple)):
+        max_gap_us = [max_gap_us] * len(arrival_times)
+    arrivals = sorted((t, gap) for t, gap in zip(arrival_times, max_gap_us)
+                      if active_start <= t <= active_end)
+    if not arrivals:
+        if active_end > active_start:
+            return [(active_start, active_end)]
+        return []
+    return [(prev, nxt) for (prev, _), (nxt, gap)
+            in zip(arrivals, arrivals[1:]) if nxt - prev > gap]
+
+
+def test_disruption_intervals_match_the_sorted_reference():
+    """In order, shuffled, with equal times, negative or per-arrival
+    thresholds, and arrivals outside the span: the same intervals as
+    sorting every arrival as a (time, gap) pair."""
+    rng = random.Random(3)
+    for case in range(400):
+        n = rng.randrange(12)
+        times = sorted(rng.randrange(0, 60, rng.choice((1, 5)))
+                       for _ in range(n))
+        if case % 2:
+            rng.shuffle(times)
+        gaps = (rng.randrange(-3, 20) if case % 3 else
+                [rng.randrange(-3, 20) for _ in times])
+        start, end = sorted(rng.randrange(-5, 70) for _ in range(2))
+        assert disruption_intervals(times, start, end, gaps) == \
+            sorted_disruption_intervals(times, start, end, gaps)
+
+
+def test_disruption_intervals_in_order_build_no_pair_per_arrival():
+    """Arrivals already in order are judged in place: 100,000 of them
+    allocate under 100 kB, where sorting them as pairs takes about 7 MB."""
+    times = list(range(0, 10_000_000, 100))
+    gaps = [150] * len(times)
+    times[5000] += 60
+    tracemalloc.start()
+    try:
+        out = disruption_intervals(times, 0, times[-1], gaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == [(times[4999], times[5000])]
+    assert peak < 100_000
 
 
 def test_stall_replay_matches_live_accounting():
@@ -674,6 +745,145 @@ def test_log_bytes_per_record():
         tracemalloc.stop()
     assert len(log) == 2 * n
     assert size / len(log) < 80
+
+
+def test_log_bytes_per_record_with_distinct_ints():
+    """The same records with t, pid, start and arrive made afresh for each
+    record, as a run makes them: in array('q') columns each is 8 bytes
+    and its int object is freed, so the log stays under 70 B per record,
+    where one object per value takes about 130 B."""
+    n = 25_000
+    links = [f"l{i}:sw1->sw2" for i in range(8)]
+    tracemalloc.start()
+    try:
+        log = EventLog()
+        for i in range(n):
+            t = 1_000_000 + 3 * i
+            log.write("pkt_fwd", t, "sw1", t + 7, "stream", links[i % 8],
+                      1400, t + 1, t + 112)
+            log.write("stb_rx", t + 2, "stb1", "ch:ch1", 1400)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 2 * n
+    assert size / len(log) < 70
+
+
+def stored_column(log, key, name):
+    """The column that holds field `name` of schema `key`, packed."""
+    log._pack()
+    s = _SCHEMAS[key]
+    return log._cols[s.sid][s.stored.index(name)]
+
+
+@pytest.mark.parametrize("mode", ["icn", "ip"])
+def test_a_runs_int_fields_are_packed_into_arrays(mode):
+    log = run_scenario(load_scenario("trial_topology"), mode).events
+    assert log.count("pkt_fwd") > _BATCH
+    for name in ("t", "pid", "size", "start", "arrive"):
+        assert stored_column(log, "pkt_fwd", name).__class__ is array
+    for name in ("el", "kind", "link"):
+        assert stored_column(log, "pkt_fwd", name).__class__ is list
+
+
+ODD_INTS = [True, False, 1.0, "7", 2**70, -(2**63) - 1, None]
+
+
+@pytest.mark.parametrize("route", ["write", "extend"])
+@pytest.mark.parametrize("odd", ODD_INTS, ids=repr)
+def test_an_int_column_that_meets_another_value_becomes_a_list(odd, route):
+    """Ints fill an array over more than one pack; one value that is no
+    int in 64 bits, written or extended in, turns that column into a list
+    for good, and the log still streams the bytes of its dicts."""
+    records = [ev(i, "sw1", "pkt_fwd", pid=i, kind="chunk", link="l:a->b",
+                  size=1400, start=i, arrive=2**63 - 1 - i)
+               for i in range(_BATCH + 5)]
+    records.append(ev(_BATCH + 5, "sw1", "pkt_fwd", pid=_BATCH + 5,
+                      kind="chunk", link="l:a->b", size=odd, start=0,
+                      arrive=-(2**63)))
+    records += [ev(i, "sw1", "pkt_fwd", pid=i, kind="chunk", link="l:a->b",
+                   size=1400, start=i, arrive=i)
+                for i in range(_BATCH + 6, 2 * _BATCH + 9)]
+    log = EventLog()
+    if route == "write":
+        for rec in records:
+            key, values = stored_values(rec)
+            log.write(key, *values)
+    else:
+        log.extend(records[:_BATCH // 2])
+        log.extend(records[_BATCH // 2:])
+    assert stored_column(log, "pkt_fwd", "size").__class__ is list
+    for name in ("t", "pid", "start", "arrive"):
+        assert stored_column(log, "pkt_fwd", name).__class__ is array
+    assert streamed(log) == encode_lines(records)
+    assert list(log) == records
+    assert [type(v) for v in log.column("pkt_fwd", "size")] == [
+        type(r["size"]) for r in records]
+    # more ints after the list turned stay in the list
+    log.write("pkt_fwd", 0, "sw1", 0, "chunk", "l:a->b", 9, 0, 0)
+    assert stored_column(log, "pkt_fwd", "size")[-2:] == [1400, 9]
+
+
+READS = {
+    "column": lambda log: {(kind, name): list(log.column(kind, name))
+                           for kind in ("pkt_fwd", "stb_rx", "pkt_drop")
+                           for name in ("t", "el", "size")},
+    "count": lambda log: ([log.count(kind)
+                           for kind in ("pkt_fwd", "stb_rx", "pkt_drop")],
+                          log.count("pkt_drop", "link_down")),
+    "hash": lambda log: log.hash(),
+    "dicts": list,
+}
+
+
+def test_reads_between_writes_across_pack_boundaries_see_the_whole_log():
+    """Reads interleaved with writes and appends, on both sides of the
+    batch boundaries where the log packs its buffers, equal the reads of
+    a log built from the same records in one go."""
+    rng = random.Random(5)
+    records = []
+    for i in range(3 * _BATCH + 5):
+        pick = rng.randrange(10)
+        if pick < 5:
+            records.append(ev(i, f"sw{i % 3}", "pkt_fwd", pid=i,
+                              kind="stream", link=f"l{i % 4}:a->b",
+                              size=1400, start=i + 1, arrive=i + 99))
+        elif pick < 8:
+            records.append(ev(i, "stb", "stb_rx", name="ch:a", size=1316))
+        elif pick < 9:
+            records.append(ev(i, "n", "pkt_drop", pid=i, kind="stream",
+                              size=i % 1500, reason="queue_cap"))
+        else:
+            records.append(ev(i, "n", "pkt_drop", pid=i, kind="stream",
+                              size=1400, reason="link_down", link="l0:a->b"))
+    stops = sorted({1, _BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH // 2,
+                    2 * _BATCH - 1, 2 * _BATCH, 2 * _BATCH + 7,
+                    3 * _BATCH + 1, len(records)})
+    log = EventLog()
+    done = 0
+    for k, stop in enumerate(stops):
+        for j in range(done, stop):
+            rec = records[j]
+            if j % 11 == 0:
+                log.append(**{"t": rec["t"], "element": rec["el"],
+                              "event": rec["ev"],
+                              **{k: v for k, v in rec.items()
+                                 if k not in ("t", "el", "ev")}})
+            else:
+                key, values = stored_values(rec)
+                log.write(key, *values)
+        done = stop
+        whole = EventLog.from_records(records[:stop])
+        # each kind of read, == included, comes first after some writes,
+        # while values written since the last pack are still buffered
+        first = [*READS, "=="][k % (len(READS) + 1)]
+        if first == "==":
+            assert log == whole
+        for name in sorted(READS, key=lambda name: name != first):
+            assert READS[name](log) == READS[name](whole), name
+        assert log == whole and whole == log
+        assert len(log) == len(whole) == stop
+        assert log != EventLog.from_records(records[:stop - 1])
 
 
 UNDECLARED = [
