@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from . import _bitops
 from .fid import FID, should_forward
 from .simkernel import Engine
 from .telemetry import EventLog, Telemetry
@@ -57,7 +56,10 @@ class FidNode:
 
     The only attributes are the static link attachment (and its egress
     link identifier ints) and an optional local sink callback for gateway
-    nodes; there is nothing a topology change could update.
+    nodes; there is nothing a topology change could update.  A decision
+    is one pass over the (link, pattern) pairs fixed at construction, in
+    link order, with no per-packet checks: FID guarantees its bits fit
+    its width.
     """
 
     def __init__(self, name: str, egress_links: list[Link],
@@ -66,27 +68,25 @@ class FidNode:
         self.name = name
         self.egress_links = list(egress_links)
         self.link_ids = [link_ids[l.key] for l in self.egress_links]
-        self.width = self.link_ids[0].width if self.link_ids else 0
-        self._patterns = tuple(lid.bits for lid in self.link_ids)
-        self._wbytes = (self.width + 7) // 8
+        self._pairs = tuple((link, lid.bits) for link, lid
+                            in zip(self.egress_links, self.link_ids))
         self.sink = sink
 
     def process(self, packet: Packet, ttl: int, in_link, t: int):
-        if self.egress_links and packet.fid is not None:
-            idx = _bitops.select_covered(
-                packet.fid.bits, self._patterns, len(self._patterns), self._wbytes)
+        fid = packet.fid
+        if fid is not None:
+            bits = fid.bits
             # never back out of the reverse of the arrival link, which a
             # Bloom identifier may cover along with the link itself
             back = in_link.reverse if in_link is not None else None
-            egress = [link for link in map(self.egress_links.__getitem__, idx)
-                      if link.up and link.key != back]
+            egress = [link for link, p in self._pairs
+                      if p & bits == p and link.up and link.key != back]
         else:
             egress = []
         consumers = self.sink(packet, t) if self.sink is not None else None
         reason = None
         if not egress:
-            zero = packet.fid is not None and packet.fid.popcount() == 0
-            if zero and not consumers:
+            if fid is not None and fid.bits == 0 and not consumers:
                 # an all-zeros identifier forwards nowhere: dropped at
                 # source, never a spurious delivery
                 consumers = None
@@ -172,20 +172,23 @@ class Fabric:
             self._drop(node, packet, reason or "no_egress")
 
     def _send(self, node: str, link: Link, packet: Packet, ttl: int) -> None:
-        t = self.engine.now
-        backlog_us = max(0, link.busy_until - t)
-        if self.params.queue_cap_bytes is not None:
-            backlog_bytes = backlog_us * link.capacity_bps // 8_000_000
-            if backlog_bytes + packet.size > self.params.queue_cap_bytes:
+        engine = self.engine
+        t = engine.now
+        busy = link.busy_until
+        capacity = link.capacity_bps
+        cap = self.params.queue_cap_bytes
+        if cap is not None:
+            backlog_bytes = max(0, busy - t) * capacity // 8_000_000
+            if backlog_bytes + packet.size > cap:
                 self._drop(node, packet, "queue_cap")
                 return
-        start = max(t, link.busy_until)
-        tx_us = (packet.size * 8_000_000 + link.capacity_bps - 1) // link.capacity_bps
-        link.busy_until = start + tx_us
-        arrive = start + tx_us + link.latency_us
+        start = busy if busy > t else t
+        busy = link.busy_until = (
+            start + (packet.size * 8_000_000 + capacity - 1) // capacity)
+        arrive = busy + link.latency_us
         self.log.write("pkt_fwd", t, node, packet.pid, packet.kind, link.key,
                        packet.size, start, arrive)
-        self.engine.schedule(arrive - t, self._arrive, link, packet, ttl, start)
+        engine.schedule(arrive - t, self._arrive, link, packet, ttl, start)
 
     def _arrive(self, link: Link, packet: Packet, ttl: int, start: int) -> None:
         # a link that went down (or bounced) while the packet was on the

@@ -51,7 +51,7 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # Records encoded per step of encode_lines and of the log's encoder
 # (one chunk of EventLog.hash), and records an EventLog buffers before it
 # packs them into its columns; bounds their transient memory.
-_BATCH = 4096
+_BATCH = 2048
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
 # dicts are dropped once their values are in the log, so a

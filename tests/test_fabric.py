@@ -1,9 +1,12 @@
 """Data plane: serialization timing, queueing, loss, byte conservation."""
 
+import random
+
 import pytest
 
 from icnsim.fabric import Fabric, FabricParams, FidNode, Packet, trace_delivery
-from icnsim.fid import FidConfig, assign_link_ids, encode_path, zero_fid
+from icnsim.fid import (FID, FidConfig, assign_link_ids, encode_path,
+                        should_forward, zero_fid)
 from icnsim.simkernel import Engine
 from icnsim.telemetry import EventLog, Telemetry, conservation_from_events
 from icnsim.topology import TopologyGraph
@@ -129,6 +132,28 @@ def test_queue_cap_drops_excess():
     drops = [r for r in log if r["ev"] == "pkt_drop"]
     assert len(drops) == 1 and drops[0]["reason"] == "queue_cap"
     assert len(sink.arrivals) == 2
+    assert conservation_from_events(log)["balanced"]
+
+
+def test_packet_over_the_cap_is_dropped_on_an_idle_link():
+    """The backlog of an idle link counts as zero, never as negative: a
+    packet larger than the cap is dropped even when the link has been
+    idle for a long time, and one exactly at the cap is sent."""
+    topo = chain_topology()
+    engine, log, fabric = make_fabric(topo, queue_cap_bytes=1000)
+    sink = RecordingSink()
+    fabric.add_handler("a", StaticForwarder(topo.egress("a")))
+    fabric.add_handler("b", sink)
+    fabric.inject("a", packet(fabric, size=1001))
+    fabric.inject("a", packet(fabric, size=1000))
+    # the link is busy until 1000 us; at 50 ms it has long been idle
+    engine.schedule_at(50_000, fabric.inject, "a", packet(fabric, size=1001))
+    engine.run_until(1_000_000)
+    drops = [(r["t"], r["pid"], r["reason"]) for r in log
+             if r["ev"] == "pkt_drop"]
+    assert drops == [(0, 0, "queue_cap"), (50_000, 2, "queue_cap")]
+    assert [r["pid"] for r in log if r["ev"] == "pkt_fwd"] == [1]
+    assert sink.arrivals == [(1500, 1)]
     assert conservation_from_events(log)["balanced"]
 
 
@@ -359,3 +384,46 @@ def test_copy_arriving_at_the_horizon_is_delivered_not_undrained():
     cons = conservation_from_events(log, 3_000)
     assert cons["undrained_bytes"] == cons["in_flight_bytes"] == 0
     assert cons["balanced"] and conservation_from_events(log)["balanced"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_forwarding_decision_matches_the_reference_rule(topo_factory, mode):
+    """On random topologies with random links down, for every node and
+    every arrival link, FidNode picks exactly the up links the FID covers,
+    minus the reverse of the arrival link, in link order: the rule that
+    trace_delivery walks.  An all-zeros FID is dropped as zero_fid."""
+    rng = random.Random(f"forwarding-{mode}")
+    checked = chosen = 0
+    for _ in range(40):
+        topo = topo_factory(rng, max_nodes=12, extra_links=6)
+        m = len(topo.links) if mode == "exact" else rng.choice((8, 16, 32))
+        lids = assign_link_ids(topo, FidConfig(m=m, k=3, mode=mode),
+                               rng.randrange(1 << 30))
+        for physical in rng.sample(sorted(topo.physical),
+                                   rng.randint(0, len(topo.physical) // 2)):
+            topo.set_link_state(physical, False)
+        keys = topo.sorted_link_keys()
+        fids = [zero_fid(m), FID(rng.randrange(1 << m), m)]
+        fids += [encode_path([lids[k] for k in rng.sample(keys, n)], width=m)
+                 for n in (1, 2, len(keys) // 2, len(keys))]
+        for name in topo.nodes:
+            egress = topo.egress(name)
+            node = FidNode(name, egress, lids)
+            arrivals = [None] + [l for l in topo.links.values()
+                                 if l.dst == name]
+            for fid in fids:
+                pkt = Packet(pid=0, kind="chunk", name="x", size=1, fid=fid)
+                for in_link in arrivals:
+                    back = in_link.reverse if in_link is not None else None
+                    expected = [l for l in egress if l.up and l.key != back
+                                and should_forward(fid, lids[l.key])]
+                    got, consumers, reason = node.process(pkt, 8, in_link, 0)
+                    assert got == expected
+                    assert consumers is None
+                    if fid.bits == 0:
+                        assert reason == "zero_fid"
+                    else:
+                        assert reason == (None if got else "no_egress")
+                    checked += 1
+                    chosen += len(got)
+    assert checked > 1000 and chosen > 0
