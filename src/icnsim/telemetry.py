@@ -8,9 +8,11 @@ EVENT_FIELDS is the log's schema, compiled once at import.  EventLog
 keeps, for each schema (a plain kind, or one variant of a variant kind),
 one column per stored field (all fields but ev and the variant field,
 which are constant per schema), plus one schema id byte per record in
-log order.  A column is an array('q') while every value in it is an int
-(never a bool) that fits in 64 bits, else a list; the type follows from
-the content.  The hot data-plane kinds are written with log.write(key,
+log order.  A column is as compact as its content allows, and its type
+follows from that content: an array of the narrowest signed typecode
+while every value in it is an int (never a bool), an unsigned array of
+codes into the log's one string table while every value is a str, else
+a list.  The hot data-plane kinds are written with log.write(key,
 t, el, *values), which checks the number of values and extends the
 schema's flat buffer; the generic append() rejects any record dict the
 schema does not declare.  The buffered values are moved into the
@@ -37,8 +39,9 @@ import io
 import json
 import os
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, lt, mul
@@ -243,47 +246,78 @@ def _reject(rec: dict) -> ValueError:
                       f"{_SCHEMAS[key].names}, got {tuple(rec)}")
 
 
-class _Strings(dict):
-    """Memo of the JSON text of the strings one encode meets."""
+class _Table(dict):
+    """A log's string table: each str its coded columns hold, mapped to
+    its code, the index of the str in .strs.  A str gets the next code
+    the first time it is looked up, so codes follow first-pack order and
+    one map(table.__getitem__, values) codes a batch in C, calling back
+    into Python once per new str only."""
 
-    def __missing__(self, s: str) -> str:
-        text = self[s] = encode_basestring_ascii(s)
-        return text
+    def __init__(self):
+        super().__init__()
+        self.strs: list[str] = []
+
+    def __missing__(self, s: str) -> int:
+        code = self[s] = len(self.strs)
+        self.strs.append(s)
+        return code
+
+
+# The typecode an int column (signed) or a coded str column (unsigned)
+# widens to when its values overflow; a column starts at the narrowest.
+_WIDER = {"b": "h", "h": "i", "i": "q", "B": "H", "H": "I"}
+_CODED = frozenset("BHI")
+
+
+def _fill(col: array, values: list):
+    """col with values appended, widened by one typecode each time
+    fromlist overflows (it appends nothing then); None when the widest
+    overflows too."""
+    while True:
+        try:
+            col.fromlist(values)
+            return col
+        except OverflowError:
+            wider = _WIDER.get(col.typecode)
+            if wider is None:
+                return None
+            col = array(wider, col)
 
 
 _BOOLS = {True: "true", False: "false"}
 
 
-def _render(values, strings: _Strings):
+def _render(values, texts: list):
     """One template field's values, as the template takes them: an int as
-    itself, a str through the memo, any other value (bool, None, float,
-    list) through canonical_json.  An array holds ints only and is taken
-    as it is; a list's values of one type are rendered in a single C-level
-    pass."""
+    itself, a str as its JSON text, any other value (bool, None, float,
+    list) through canonical_json.  An int array is taken as it is and a
+    coded array is one index per value into texts, the JSON text of each
+    str of the log's table; a list's values of one type are rendered in a
+    single C-level pass."""
     if values.__class__ is array:
+        if values.typecode in _CODED:
+            return map(texts.__getitem__, values)
         return values
     types = set(map(type, values))
     if types == {int}:
         return values
     if types == {str}:
-        return map(strings.__getitem__, values)
+        return map(encode_basestring_ascii, values)
     if types == {bool}:
         return map(_BOOLS.__getitem__, values)
-    return [x if x.__class__ is int
-            else strings[x] if x.__class__ is str else canonical_json(x)
-            for x in values]
+    return [x if x.__class__ is int else canonical_json(x) for x in values]
 
 
-def _encode(seq: bytearray, columns: list):
+def _encode(seq: bytearray, columns: list, table: _Table):
     """Canonical JSONL of a log's records, yielded as one bytes chunk per
     _BATCH records; joined, the same bytes as encode_lines of their dicts.
-    Each batch is encoded a schema at a time: each column the template
-    takes is sliced where its previous batch ended, rendered column by
-    column and formatted into lines, and one cursor per schema then takes
-    the lines back in log order.  A chunk is dropped once the consumer
-    moves on, so memory peaks at one batch's text whatever the log's
-    length."""
-    strings = _Strings()
+    Each str of the table is encoded once, up front.  Each batch is
+    encoded a schema at a time: each column the template takes is sliced
+    where its previous batch ended, rendered column by column and
+    formatted into lines, and one cursor per schema then takes the lines
+    back in log order.  A chunk is dropped once the consumer moves on, so
+    memory peaks at one batch's text whatever the log's length."""
+    texts = list(map(encode_basestring_ascii, table.strs))
     done = [0] * len(columns)
     for i in range(0, len(seq), _BATCH):
         sids = seq[i:i + _BATCH]
@@ -292,7 +326,7 @@ def _encode(seq: bytearray, columns: list):
             s, cols = _BY_SID[sid], columns[sid]
             lo = done[sid]
             hi = done[sid] = lo + sids.count(sid)
-            rendered = [_render(cols[j][lo:hi], strings) for j in s.pick]
+            rendered = [_render(cols[j][lo:hi], texts) for j in s.pick]
             lines[sid] = map(s.template.__mod__, zip(*rendered))
         yield ("\n".join(map(next, map(lines.__getitem__, sids)))
                + "\n").encode()
@@ -303,15 +337,23 @@ class EventLog:
 
     Each schema (a plain kind, or one variant of a variant kind) keeps one
     column per stored field, in log order; ev and the variant field are
-    constant per schema and are not stored.  A column is an array('q')
-    while every value in it is an int (never a bool) that fits in 64
-    bits; otherwise it is a list, and stays one.  Written records go to
-    the schema's flat buffer first, record after record, and _pack()
-    moves them into the columns in bulk.  A bytearray holds the schema id
-    of each record, in log order.  Nothing is changed once appended.
-    Iterated, the log reads as record dicts, built on access; column()
-    and count() are what the reducers read.  The encoding is streamed
-    from the columns by hash(), which keeps none of it.
+    constant per schema and are not stored.  A column takes the most
+    compact form its content allows, and its type follows from that
+    content alone:
+    - an int column, while every value in it is an int (never a bool):
+      an array of the narrowest signed typecode that holds them, widened
+      b -> h -> i -> q as values need;
+    - a coded column, while every value in it is a str: an unsigned array
+      (B -> H -> I, as the codes need) of codes into the log's one string
+      table, which holds each distinct str once;
+    - otherwise a list of the values, which stays one.
+    Written records go to the schema's flat buffer first, record after
+    record, and _pack() moves them into the columns in bulk.  A bytearray
+    holds the schema id of each record, in log order.  Nothing is changed
+    once appended.  Iterated, the log reads as record dicts, built on
+    access; column() and count() are what the reducers read.  The
+    encoding is streamed from the columns by hash(), which keeps none of
+    it.
     """
 
     def __init__(self):
@@ -319,7 +361,8 @@ class EventLog:
         # schema id -> the values written since the last pack
         self._buf = [[] for _ in _BY_SID]
         # schema id -> one column per stored field
-        self._cols = [[array("q") for _ in s.stored] for s in _BY_SID]
+        self._cols = [[array("b") for _ in s.stored] for s in _BY_SID]
+        self._table = _Table()
 
     def write(self, key, *row) -> None:
         """Append one record, as write(key, t, el, *values): `key` is its
@@ -340,10 +383,13 @@ class EventLog:
 
     def _pack(self) -> None:
         """Move every buffered value into its column, a field at a time.
-        An array column takes a field's values when all of them are
-        exact ints that fit in 64 bits (fromlist appends nothing when one
-        does not fit); otherwise the column turns into a list, so a bool,
-        float, str or larger int keeps the type it is encoded by."""
+        An int column takes a field's values when all of them are ints
+        (bool excluded), widened as fromlist needs; an empty column or a
+        coded one takes them as codes when all of them are strs.  A column
+        that meets any other value, or an int beyond 64 bits, turns into a
+        list of its values, so a bool, None, float or larger int keeps the
+        type it is encoded by."""
+        table = self._table
         for s, buf, cols in zip(_BY_SID, self._buf, self._cols):
             if not buf:
                 continue
@@ -353,14 +399,23 @@ class EventLog:
                 if col.__class__ is list:
                     col += part
                     continue
-                if list(map(type, part)).count(int) == len(part):
-                    try:
-                        col.fromlist(part)
-                        continue
-                    except OverflowError:
-                        pass
-                cols[j] = col.tolist() + part
+                coded = col.typecode in _CODED
+                kinds = list(map(type, part))
+                packed = None
+                if not coded and kinds.count(int) == len(part):
+                    packed = _fill(col, part)
+                elif (coded or not col) and kinds.count(str) == len(part):
+                    packed = _fill(col if coded else array("B"),
+                                   list(map(table.__getitem__, part)))
+                cols[j] = (packed if packed is not None
+                           else [*self._values(col), *part])
             buf.clear()
+
+    def _values(self, col):
+        """A column's values, a coded one decoded through the table."""
+        if col.__class__ is array and col.typecode in _CODED:
+            return map(self._table.strs.__getitem__, col)
+        return col
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
         """Append any declared record; raises ValueError for an unknown
@@ -418,7 +473,7 @@ class EventLog:
         undeclared kind, and when a schema of the kind has no such stored
         field."""
         self._pack()
-        parts = [self._cols[s.sid][s.stored.index(name)]
+        parts = [self._values(self._cols[s.sid][s.stored.index(name)])
                  for s in _group(kind)]
         return iter(parts[0]) if len(parts) == 1 else chain(*parts)
 
@@ -437,7 +492,7 @@ class EventLog:
         exactly the hashed bytes from the same pass.  No chunk is kept."""
         self._pack()
         h = hashlib.sha256()
-        for chunk in _encode(self._seq, self._cols):
+        for chunk in _encode(self._seq, self._cols, self._table):
             h.update(chunk)
             if out is not None:
                 out.write(chunk)
@@ -452,7 +507,7 @@ class EventLog:
         """Record dicts in log order, built on access: one cursor per
         schema walks its columns together."""
         self._pack()
-        cursors = [map(s.record, zip(*cols))
+        cursors = [map(s.record, zip(*map(self._values, cols)))
                    for s, cols in zip(_BY_SID, self._cols)]
         return map(next, map(cursors.__getitem__, self._seq))
 
@@ -460,7 +515,11 @@ class EventLog:
         if isinstance(other, EventLog):
             self._pack()
             other._pack()
-            return self._seq == other._seq and self._cols == other._cols
+            # codes follow first-pack order, so compare what they stand for
+            return self._seq == other._seq and all(
+                list(self._values(a)) == list(other._values(b))
+                for a, b in zip(chain.from_iterable(self._cols),
+                                chain.from_iterable(other._cols)))
         if isinstance(other, list):
             return len(other) == len(self._seq) and all(
                 a == b for a, b in zip(self, other))
@@ -599,12 +658,12 @@ def disruption_intervals(arrival_times, active_start: int, active_end: int,
     Gaps are measured between consecutive deliveries inside the active
     period; a sink with no deliveries at all counts one disruption
     spanning its whole active period.  max_gap_us is one threshold for
-    every gap, or a list parallel to arrival_times that gives the
-    threshold of the gap ending at each arrival.  Arrivals are taken in
-    (time, threshold) order; times that strictly increase already are in
-    that order, so only other inputs are sorted as pairs.
+    every gap, or a list, tuple or array parallel to arrival_times that
+    gives the threshold of the gap ending at each arrival.  Arrivals are
+    taken in (time, threshold) order; times that strictly increase
+    already are in that order, so only other inputs are sorted as pairs.
     """
-    if not isinstance(max_gap_us, (list, tuple)):
+    if not isinstance(max_gap_us, (list, tuple, array)):
         max_gap_us = repeat(max_gap_us)
     arrivals = zip(arrival_times, max_gap_us)
     if not all(map(lt, arrival_times, islice(arrival_times, 1, None))):
@@ -691,8 +750,9 @@ def summarize(artifacts: RunArtifacts) -> dict:
     max_gap = {ch["name"]: 2 * packet_interval_us(params["mtu"],
                                                   ch["bitrate_mbps"])
                for ch in iptv.get("channels") or []}
-    stb_rx: dict[str, list[int]] = {}
-    stb_gap: dict[str, list[int]] = {}
+    # each sink's arrival times and gap thresholds, in int arrays
+    stb_rx: dict[str, array] = defaultdict(partial(array, "q"))
+    stb_gap: dict[str, array] = defaultdict(partial(array, "q"))
     stb_span: dict[str, list[int]] = {}
     stream_gap: dict[str, int] = {}
     for el, t, stream in zip(*(events.column("stb_rx", f)
@@ -701,8 +761,8 @@ def summarize(artifacts: RunArtifacts) -> dict:
         if gap is None:
             # stream names are "<plane prefix>:<channel>" in both modes
             gap = stream_gap[stream] = max_gap[stream.split(":", 1)[1]]
-        stb_rx.setdefault(el, []).append(t)
-        stb_gap.setdefault(el, []).append(gap)
+        stb_rx[el].append(t)
+        stb_gap[el].append(gap)
     for el, t, until in zip(*(events.column("stb_active", f)
                               for f in ("el", "t", "until"))):
         stb_span[el] = [t, until]

@@ -727,8 +727,9 @@ def test_export_then_import_returns_an_equal_log(tmp_path):
 def test_log_bytes_per_record():
     """The log's own memory per record, its values being shared objects
     made beforehand, so that neither ints nor encoded text count: about
-    50 B in one flat list per schema, about 105 B as one tuple per
-    record."""
+    13 B with str fields as one-byte codes and ints at their narrowest
+    width, about 50 B in one flat list per schema, about 105 B as one
+    tuple per record."""
     n = 25_000
     ints = list(range(1000, 1000 + n + 200))
     links = [f"l{i}:sw1->sw2" for i in range(8)]
@@ -744,14 +745,15 @@ def test_log_bytes_per_record():
     finally:
         tracemalloc.stop()
     assert len(log) == 2 * n
-    assert size / len(log) < 80
+    assert size / len(log) < 30
 
 
 def test_log_bytes_per_record_with_distinct_ints():
     """The same records with t, pid, start and arrive made afresh for each
-    record, as a run makes them: in array('q') columns each is 8 bytes
-    and its int object is freed, so the log stays under 70 B per record,
-    where one object per value takes about 130 B."""
+    record, as a run makes them: each is 4 bytes in its column and its int
+    object is freed, and each str field is one code byte, so the log stays
+    under 30 B per record, where one object per value takes about 130 B
+    and array('q') columns with str lists about 53 B."""
     n = 25_000
     links = [f"l{i}:sw1->sw2" for i in range(8)]
     tracemalloc.start()
@@ -766,7 +768,7 @@ def test_log_bytes_per_record_with_distinct_ints():
     finally:
         tracemalloc.stop()
     assert len(log) == 2 * n
-    assert size / len(log) < 70
+    assert size / len(log) < 30
 
 
 def stored_column(log, key, name):
@@ -776,14 +778,149 @@ def stored_column(log, key, name):
     return log._cols[s.sid][s.stored.index(name)]
 
 
+def is_coded(col):
+    return col.__class__ is array and col.typecode in "BHI"
+
+
 @pytest.mark.parametrize("mode", ["icn", "ip"])
-def test_a_runs_int_fields_are_packed_into_arrays(mode):
+def test_a_runs_fields_are_coded_and_at_their_narrowest_width(mode):
     log = run_scenario(load_scenario("trial_topology"), mode).events
     assert log.count("pkt_fwd") > _BATCH
-    for name in ("t", "pid", "size", "start", "arrive"):
-        assert stored_column(log, "pkt_fwd", name).__class__ is array
     for name in ("el", "kind", "link"):
-        assert stored_column(log, "pkt_fwd", name).__class__ is list
+        assert is_coded(stored_column(log, "pkt_fwd", name))
+    size = stored_column(log, "pkt_fwd", "size")
+    assert size.__class__ is array and size.typecode == "h"
+    for name in ("t", "start", "arrive"):
+        col = stored_column(log, "pkt_fwd", name)
+        assert col.typecode in "bhi" and col.itemsize <= 4
+
+
+def fwd(i, size=1400, link="l:a->b", kind="chunk"):
+    return ev(i, "sw1", "pkt_fwd", pid=i, kind=kind, link=link, size=size,
+              start=i, arrive=i)
+
+
+def build(records, route):
+    """A log of records, written one by one or extended in two parts."""
+    log = EventLog()
+    if route == "write":
+        for rec in records:
+            key, values = stored_values(rec)
+            log.write(key, *values)
+    else:
+        log.extend(records[:len(records) // 3])
+        log.extend(records[len(records) // 3:])
+    return log
+
+
+@pytest.mark.parametrize("route", ["write", "extend"])
+def test_an_int_column_widens_across_packs_and_turns_into_a_list_past_64_bits(
+        route):
+    """Each pack widens the size column as far as its values need, and no
+    further; 2**63 fits no array, so the column becomes a list."""
+    steps = [(0, "b"), (-2**7, "b"), (2**7 - 1, "b"), (2**7, "h"),
+             (-2**7 - 1, "h"), (2**15, "i"), (-2**15 - 1, "i"),
+             (2**31, "q"), (-2**31 - 1, "q"), (2**63 - 1, "q"),
+             (-2**63, "q")]
+    records, widths = [], []
+    for value, typecode in steps:
+        records += [fwd(i, size=5) for i in range(len(records),
+                                                  len(records) + _BATCH - 1)]
+        records.append(fwd(len(records), size=value))
+        widths.append((len(records), typecode))
+    log = EventLog()
+    done = 0
+    for stop, typecode in widths:
+        log.extend(records[done:stop])
+        done = stop
+        assert stored_column(log, "pkt_fwd", "size").typecode == typecode
+    assert streamed(log) == encode_lines(records)
+    log = build(records + [fwd(len(records), size=2**63)], route)
+    col = stored_column(log, "pkt_fwd", "size")
+    assert col.__class__ is list and col[-1] == 2**63
+    assert col[:len(records)] == [r["size"] for r in records]
+    assert stored_column(log, "pkt_fwd", "pid").typecode == "h"
+
+
+@pytest.mark.parametrize("route", ["write", "extend"])
+@pytest.mark.parametrize("odd", [None, True, 7], ids=repr)
+def test_a_coded_column_that_meets_another_value_becomes_a_list(odd, route):
+    records = [fwd(i, link=f"l{i % 3}:a->b") for i in range(_BATCH + 5)]
+    records.append(fwd(_BATCH + 5, link=odd))
+    records += [fwd(i, link="l9:a->b")
+                for i in range(_BATCH + 6, 2 * _BATCH + 9)]
+    log = build(records, route)
+    col = stored_column(log, "pkt_fwd", "link")
+    assert col.__class__ is list
+    assert is_coded(stored_column(log, "pkt_fwd", "kind"))
+    links = list(log.column("pkt_fwd", "link"))
+    assert links == [r["link"] for r in records]
+    assert [type(v) for v in links] == [type(r["link"]) for r in records]
+    assert streamed(log) == encode_lines(records)
+    assert list(log) == records
+    # more strs after the list turned stay in the list
+    log.write("pkt_fwd", 0, "sw1", 0, "chunk", "l0:a->b", 9, 0, 0)
+    assert stored_column(log, "pkt_fwd", "link")[-2:] == ["l9:a->b", "l0:a->b"]
+
+
+@pytest.mark.parametrize("strs, typecode", [(256, "B"), (257, "H"),
+                                            (65_536, "H"), (65_537, "I")])
+def test_codes_widen_with_the_number_of_distinct_strings(strs, typecode):
+    """A coded column widens once its codes pass what its typecode holds,
+    256 strs in B and 65,536 in H; every distinct str is kept once in the
+    table, the other coded columns stay narrow, and the encoding does not
+    change."""
+    # "sw1" and "chunk" take the first two codes
+    records = [fwd(i, link=f"l{i}") for i in range(strs - 2)]
+    records += [fwd(i, link=f"l{i % 7}") for i in range(_BATCH)]
+    log = EventLog.from_records(records)
+    assert len(log._table.strs) == strs
+    assert stored_column(log, "pkt_fwd", "link").typecode == typecode
+    assert stored_column(log, "pkt_fwd", "kind").typecode == "B"
+    assert streamed(log) == encode_lines(records)
+    assert list(log.column("pkt_fwd", "link")) == [r["link"]
+                                                   for r in records]
+
+
+def test_logs_of_the_same_records_are_equal_whatever_the_write_splits():
+    """Codes follow the order strs are first packed in, which depends on
+    where the packs fall; logs of the same records compare equal anyway,
+    and unequal when one str differs."""
+    rng = random.Random(3)
+    names = [f"n{i}" for i in range(5000)]
+    records = [rng.choice([
+        ev(i, rng.choice(names), "stb_rx", name=rng.choice(names), size=1),
+        fwd(i, link=rng.choice(names), kind=rng.choice(names))])
+        for i in range(3 * _BATCH)]
+    logs = [build(records, "write"), build(records, "extend")]
+    late = EventLog()
+    for part in (records[:_BATCH // 3], records[_BATCH // 3:_BATCH + 5],
+                 records[_BATCH + 5:]):
+        late.extend(part)
+    logs.append(late)
+    assert len({tuple(log._table.strs) for log in logs}) == len(logs)
+    assert all(a == b for a in logs for b in logs)
+    assert len({log.hash() for log in logs}) == 1
+    changed = records[:]
+    changed[_BATCH + 1] = {**changed[_BATCH + 1], "el": "other"}
+    assert EventLog.from_records(changed) != logs[0]
+    assert logs[1] != EventLog.from_records(changed)
+
+
+def test_an_imported_log_shares_one_str_per_distinct_value(tmp_path):
+    """Imported records pass through the same packing, so each distinct
+    str of the coded columns is one object, the one the table holds, and
+    the summary equals the run's own."""
+    art = run_scenario(load_scenario("trial_topology"), "icn")
+    export(art, str(tmp_path))
+    back = import_artifacts(str(tmp_path))
+    log = back.events
+    log._pack()
+    strs = {id(value) for cols in log._cols for col in cols
+            if is_coded(col) for value in log._values(col)}
+    assert len(strs) == len(log._table.strs) > 1
+    assert summarize(back) == summarize(art)
+    assert log == art.events
 
 
 ODD_INTS = [True, False, 1.0, "7", 2**70, -(2**63) - 1, None]
