@@ -9,22 +9,19 @@ makes the planes diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .simkernel import Engine, US_PER_MS
 from .telemetry import EventLog
 
 
-@dataclass
-class HlsCatalog:
+class HlsCatalog(namedtuple(
+        "HlsCatalog", "host path_prefix chunk_duration_us bitrates_mbps "
+        "playlist_window playlist_bytes",
+        defaults=("/live", 2_000_000, (2, 8), 5, 500))):
     """One live stream: rolling playlist over constant-duration chunks."""
 
-    host: str
-    path_prefix: str = "/live"
-    chunk_duration_us: int = 2_000_000
-    bitrates_mbps: tuple = (2, 8)
-    playlist_window: int = 5
-    playlist_bytes: int = 500
+    __slots__ = ()
 
     def chunk_bytes(self, bitrate_mbps: int) -> int:
         # bitrate (Mb/s) x duration (us) gives bits exactly
@@ -94,17 +91,12 @@ class HlsServer:
         return 404, 64, "error", None
 
 
-@dataclass
-class HlsClientParams:
-    start_us: int
-    chunks: int
-    timeout_us: int = 4_000_000
-    abr_safety: float = 0.8
-    abr_upshift_chunks: int = 3
-    ewma_weight: float = 0.5
-    startup_hold_us: int = 750_000
-    chunk_offset_us: int = 500_000
-    max_attempts: int = 6
+class HlsClientParams(namedtuple(
+        "HlsClientParams", "start_us chunks timeout_us abr_safety "
+        "abr_upshift_chunks ewma_weight startup_hold_us chunk_offset_us "
+        "max_attempts",
+        defaults=(4_000_000, 0.8, 3, 0.5, 750_000, 500_000, 6))):
+    __slots__ = ()
 
 
 class HlsClient:

@@ -13,8 +13,7 @@ The fabric keeps no counters of its own: flush_counters reduces the log.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import Callable, Optional
 
 from .fid import FID, should_forward
@@ -25,8 +24,8 @@ from .topology import Link, TopologyEvent, TopologyGraph
 DEFAULT_TTL = 64
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(namedtuple("Packet", "pid kind name size fid src dst payload",
+                        defaults=(None, None, None, ()))):
     """Immutable packet description; per-copy state (TTL) travels separately.
 
     kind is the traffic class used by the reducers ("chunk", "playlist",
@@ -35,14 +34,7 @@ class Packet:
     multicast group name).
     """
 
-    pid: int
-    kind: str
-    name: str
-    size: int
-    fid: Optional[FID] = None
-    src: Optional[str] = None
-    dst: Optional[str] = None
-    payload: tuple = ()
+    __slots__ = ()
 
 
 def segment_sizes(size: int, mtu: int) -> list:
@@ -104,11 +96,10 @@ class FidNode:
         return h.hexdigest()
 
 
-@dataclass
-class FabricParams:
-    detection_delay_us: int = 10_000
-    queue_cap_bytes: Optional[int] = None
-    default_ttl: int = DEFAULT_TTL
+class FabricParams(namedtuple(
+        "FabricParams", "detection_delay_us queue_cap_bytes default_ttl",
+        defaults=(10_000, None, DEFAULT_TTL))):
+    __slots__ = ()
 
 
 class Fabric:
@@ -244,12 +235,12 @@ class Fabric:
 # ---------------------------------------------------------------------------
 # pure traversal (no event loop): used by invariant checks and tests
 
-@dataclass
 class DeliveryTrace:
-    links_used: set = field(default_factory=set)
-    sink_nodes: set = field(default_factory=set)
-    dead_ends: set = field(default_factory=set)
-    hops: int = 0
+    __slots__ = ("links_used", "sink_nodes", "dead_ends", "hops")
+
+    def __init__(self):
+        self.links_used, self.sink_nodes, self.dead_ends = set(), set(), set()
+        self.hops = 0
 
 
 def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],

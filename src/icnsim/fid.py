@@ -12,7 +12,7 @@ a node forwards on a link iff the link's bits are a subset of the FID.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _bitops
 from .simkernel import substream_seed
@@ -22,38 +22,35 @@ class CapacityError(ValueError):
     """Exact mode needs at least as many bits as directed links."""
 
 
-@dataclass(frozen=True)
-class FidConfig:
-    m: int = 256
-    k: int = 5
-    mode: str = "exact"
+class FidConfig(namedtuple("FidConfig", "m k mode")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "bloom"):
-            raise ValueError(f"unknown fid mode {self.mode!r}")
-        if self.m < 1:
+    def __new__(cls, m: int = 256, k: int = 5, mode: str = "exact"):
+        if mode not in ("exact", "bloom"):
+            raise ValueError(f"unknown fid mode {mode!r}")
+        if m < 1:
             raise ValueError("m must be positive")
-        if self.mode == "bloom" and not 1 <= self.k < self.m:
+        if mode == "bloom" and not 1 <= k < m:
             raise ValueError("bloom mode requires 1 <= k < m")
+        return super().__new__(cls, m, k, mode)
 
     @property
     def width_bytes(self) -> int:
         return (self.m + 7) // 8
 
 
-@dataclass(frozen=True)
-class FID:
+class FID(namedtuple("FID", "bits width")):
     """OR-combination of link identifiers; all-zeros forwards nowhere.
 
     bits is an int whose bit i is link bit i; it must fit in width bits.
     """
 
-    bits: int
-    width: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.bits < 1 << self.width:
+    def __new__(cls, bits: int, width: int):
+        if not 0 <= bits < 1 << width:
             raise ValueError("bits do not fit width")
+        return super().__new__(cls, bits, width)
 
     def popcount(self) -> int:
         return _bitops.popcount(self.bits)

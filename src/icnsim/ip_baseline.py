@@ -11,7 +11,7 @@ stream is identical across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fabric import Fabric, Packet, segment_sizes
 from .simkernel import Engine
@@ -245,13 +245,10 @@ class DnsDirectory:
             raise KeyError(f"no DNS record for {hostname!r}") from None
 
 
-@dataclass
-class IpEndpointParams:
-    access_latency_us: int = 1_000
-    mtu: int = 1400
-    request_bytes: int = 400
-    igmp_bytes: int = 64
-    attempts_per_address: int = 2
+class IpEndpointParams(namedtuple(
+        "IpEndpointParams", "access_latency_us mtu request_bytes igmp_bytes "
+        "attempts_per_address", defaults=(1_000, 1400, 400, 64, 2))):
+    __slots__ = ()
 
 
 class IpHttpTransport:

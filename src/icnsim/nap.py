@@ -12,7 +12,7 @@ by control-plane notifications.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .fabric import Fabric, Packet, segment_sizes
 from .fid import FID, zero_fid
@@ -43,30 +43,34 @@ def scope_key(name: str) -> str:
     return name.rsplit("/", 1)[0]
 
 
-@dataclass
-class NapParams:
-    coalesce_window_us: int = 100_000
-    access_latency_us: int = 1_000
-    control_latency_us: int = 1_000
-    mtu: int = 1400
+class NapParams(namedtuple(
+        "NapParams",
+        "coalesce_window_us access_latency_us control_latency_us mtu",
+        defaults=(100_000, 1_000, 1_000, 1400))):
+    __slots__ = ()
 
 
-@dataclass
 class _Pending:
     """Requests from local clients awaiting one named response."""
 
-    clients: list = field(default_factory=list)
-    received: dict = field(default_factory=dict)
+    __slots__ = ("clients", "received")
+
+    def __init__(self, clients: list):
+        self.clients = clients
+        self.received = {}
 
 
-@dataclass
 class _Group:
     """Coalescing group: identical requests within one window."""
 
-    name: str
-    fingerprint: tuple
-    kind: str
-    members: dict
+    __slots__ = ("name", "fingerprint", "kind", "members")
+
+    def __init__(self, name: str, fingerprint: tuple, kind: str,
+                 members: dict):
+        self.name = name
+        self.fingerprint = fingerprint
+        self.kind = kind
+        self.members = members
 
 
 class Nap:

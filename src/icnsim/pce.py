@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .fid import FID, FidConfig, combine_trees, encode_path, zero_fid
@@ -27,17 +27,14 @@ class UnreachableError(RuntimeError):
     """No path exists between the requested gateways."""
 
 
-@dataclass(frozen=True)
-class PathResult:
-    links: tuple
-    fid: FID
-    cost: int
+class PathResult(namedtuple("PathResult", "links fid cost")):
+    __slots__ = ()
 
 
-@dataclass
-class PceParams:
-    control_latency_us: int = 1_000
-    processing_delay_us: int = 5_000
+class PceParams(namedtuple("PceParams",
+                           "control_latency_us processing_delay_us",
+                           defaults=(1_000, 5_000))):
+    __slots__ = ()
 
 
 class Pce:

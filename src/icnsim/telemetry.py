@@ -40,7 +40,6 @@ import json
 import os
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -545,21 +544,24 @@ class Telemetry:
         return hashlib.sha256(encode_lines(self.samples)).hexdigest()
 
 
-@dataclass
 class RunArtifacts:
     """Everything one simulation run produces.  events is an EventLog; a
     list of record dicts given here is checked and stored as one."""
 
-    config: dict
-    mode: str
-    seed: int
-    events: EventLog = field(default_factory=EventLog)
-    samples: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("config", "mode", "seed", "events", "samples", "meta")
 
-    def __post_init__(self):
-        if not isinstance(self.events, EventLog):
-            self.events = EventLog.from_records(self.events)
+    def __init__(self, config: dict, mode: str, seed: int,
+                 events=None, samples: list = None, meta: dict = None):
+        if events is None:
+            events = EventLog()
+        elif not isinstance(events, EventLog):
+            events = EventLog.from_records(events)
+        self.config = config
+        self.mode = mode
+        self.seed = seed
+        self.events = events
+        self.samples = [] if samples is None else samples
+        self.meta = {} if meta is None else meta
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ A physical link between two nodes is modelled as two independent directed
 links that fail together.  Parallel physical links between the same node
 pair are allowed (e.g. a primary and a backup trunk); deterministic
 tie-breaks therefore order links by insertion index, and nodes by their
-insertion index as well.
+insertion index as well.  Each node's egress links are one tuple, built
+as links are added; egress() returns it without copying.  Nodes and
+topology events are immutable tuples; a Link's state (up, up_since,
+busy_until) changes in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 ROLE_FN = "fn"
 ROLE_NAP = "nap"
@@ -17,41 +20,45 @@ ROLE_PCE = "pce"
 ROLES = (ROLE_FN, ROLE_NAP, ROLE_PCE)
 
 
-@dataclass
-class Node:
-    name: str
-    role: str
-    index: int
+class Node(namedtuple("Node", "name role index")):
+    __slots__ = ()
 
 
-@dataclass
 class Link:
-    """One direction of a physical link."""
+    """One direction of a physical link.
 
-    key: str
-    physical: str
-    src: str
-    dst: str
-    capacity_bps: int
-    latency_us: int
-    index: int
-    # key of the opposite direction of the same physical link
-    reverse: str
-    up: bool = True
-    # time the link last transitioned to up; packets whose transmission
-    # started before this are treated as lost in flight
-    up_since: int = 0
-    # serialization queue tail (absolute virtual time)
-    busy_until: int = 0
+    reverse is the key of the opposite direction of the same physical
+    link; up_since is the time the link last came up (packets whose
+    transmission started before it are lost in flight); busy_until is
+    the serialization queue tail (absolute virtual time).
+    """
+
+    __slots__ = ("key", "physical", "src", "dst", "capacity_bps",
+                 "latency_us", "index", "reverse", "up", "up_since",
+                 "busy_until")
+
+    def __init__(self, key: str, physical: str, src: str, dst: str,
+                 capacity_bps: int, latency_us: int, index: int,
+                 reverse: str, up: bool = True, up_since: int = 0,
+                 busy_until: int = 0):
+        self.key = key
+        self.physical = physical
+        self.src = src
+        self.dst = dst
+        self.capacity_bps = capacity_bps
+        self.latency_us = latency_us
+        self.index = index
+        self.reverse = reverse
+        self.up = up
+        self.up_since = up_since
+        self.busy_until = busy_until
 
 
-@dataclass
-class TopologyEvent:
+class TopologyEvent(namedtuple("TopologyEvent", "physical up directed_keys",
+                               defaults=((),))):
     """State change of a physical link, as reported to control planes."""
 
-    physical: str
-    up: bool
-    directed_keys: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
 
 class TopologyGraph:
@@ -61,7 +68,8 @@ class TopologyGraph:
         self.nodes: dict[str, Node] = {}
         self.links: dict[str, Link] = {}
         self.physical: dict[str, tuple[str, str]] = {}
-        self._egress: dict[str, list[str]] = {}
+        # node -> its egress links in insertion order, built by add_link
+        self._egress: dict[str, tuple[Link, ...]] = {}
         self.epoch: int = 0
 
     def add_node(self, name: str, role: str) -> Node:
@@ -71,7 +79,7 @@ class TopologyGraph:
             raise ValueError(f"duplicate node {name!r}")
         node = Node(name, role, len(self.nodes))
         self.nodes[name] = node
-        self._egress[name] = []
+        self._egress[name] = ()
         return node
 
     def add_link(self, physical: str, a: str, b: str,
@@ -91,13 +99,13 @@ class TopologyGraph:
             link = Link(key, physical, src, dst, capacity_bps, latency_us,
                         index=len(self.links), reverse=reverse)
             self.links[key] = link
-            self._egress[src].append(key)
+            self._egress[src] += (link,)
         self.physical[physical] = (key_ab, key_ba)
         return key_ab, key_ba
 
-    def egress(self, node: str) -> list[Link]:
+    def egress(self, node: str) -> tuple[Link, ...]:
         """Egress links of a node, in insertion order."""
-        return [self.links[k] for k in self._egress[node]]
+        return self._egress[node]
 
     def set_link_state(self, physical: str, up: bool, at_us: int = 0) -> TopologyEvent:
         """Flip both directions of a physical link; bumps the epoch."""

@@ -1,6 +1,5 @@
 """Event log reducers, export round-trips, hashing."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -477,8 +476,10 @@ def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
     # a replaced event list is encoded afresh, not taken from the old
     # bytes, and meta.json carries the hash of what was written
     kept = [r for r in log if r["ev"] == "pkt_inject"]
-    replaced = dataclasses.replace(artifacts, events=kept,
-                                   meta=dict(artifacts.meta))
+    replaced = RunArtifacts(config=artifacts.config, mode=artifacts.mode,
+                            seed=artifacts.seed, events=kept,
+                            samples=artifacts.samples,
+                            meta=dict(artifacts.meta))
     export(replaced, str(tmp_path / "kept"))
     with open(tmp_path / "kept" / "events.jsonl", "rb") as fh:
         assert fh.read() == encode_lines(kept)
