@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 when a run finished but violated a runtime
-invariant, 2 for configuration errors (including unknown scenarios and
-refused comparisons).
+invariant, 2 for configuration errors (including unknown scenarios,
+refused comparisons and artifact directories that cannot be imported).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ def main(argv=None) -> int:
                        help="write artifact directories under this path")
     run_p.add_argument("--no-telemetry", action="store_true",
                        help="disable the metric sample stream")
-    run_p.add_argument("--format", choices=("jsonl", "csv", "both"),
-                       default="both", help="payload files to export")
 
     cmp_p = sub.add_parser("compare",
                            help="compare two exported artifact directories")
@@ -83,8 +81,7 @@ def _run_mode(args, config: dict, mode: str, outdir: str | None) -> bool:
     log is not held while the next mode runs."""
     artifacts = harness.run_scenario(
         config, mode, seed=args.seed,
-        telemetry_enabled=not args.no_telemetry, out=outdir,
-        fmt=args.format)
+        telemetry_enabled=not args.no_telemetry, out=outdir)
     if outdir is None:
         sys.stdout.write(telemetry.render_summary(
             telemetry.summarize(artifacts)))
@@ -99,9 +96,15 @@ def _run_mode(args, config: dict, mode: str, outdir: str | None) -> bool:
 
 
 def _cmd_compare(args) -> int:
-    a = telemetry.import_artifacts(args.a)
-    b = telemetry.import_artifacts(args.b)
-    sys.stdout.write(harness.render_comparison(harness.compare_artifacts(a, b)))
+    runs = []
+    for outdir in (args.a, args.b):
+        try:
+            runs.append(telemetry.import_artifacts(outdir))
+        except (OSError, ValueError) as exc:
+            raise harness.ConfigError(
+                f"cannot import {outdir}: {exc}") from None
+    sys.stdout.write(harness.render_comparison(
+        harness.compare_artifacts(*runs)))
     return 0
 
 

@@ -12,7 +12,6 @@ import copy
 import hashlib
 import json
 import os
-from importlib import resources
 
 from . import telemetry
 from .apps import (HlsCatalog, HlsClient, HlsClientParams, HlsServer,
@@ -86,13 +85,15 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # scenario loading and validation
 
+_SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "scenarios")
+
+
 def list_scenarios() -> list:
     """Names of the scenario files shipped inside the package."""
-    out = []
-    for entry in resources.files("icnsim.scenarios").iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name[:-5])
-    return sorted(out)
+    return sorted(name[:-5] for name in os.listdir(_SCENARIOS)
+                  if name.endswith(".json"))
+
 
 def load_scenario(ref: str) -> dict:
     """Load a scenario by shipped name or by file path.
@@ -101,11 +102,11 @@ def load_scenario(ref: str) -> dict:
     name; resolution never depends on the working directory.
     """
     if not ref.endswith(".json") and os.sep not in ref:
-        entry = resources.files("icnsim.scenarios") / f"{ref}.json"
-        if not entry.is_file():
+        path = os.path.join(_SCENARIOS, f"{ref}.json")
+        if not os.path.isfile(path):
             raise ConfigError(
                 [f"unknown scenario {ref!r}; shipped: {', '.join(list_scenarios())}"])
-        return json.loads(entry.read_text())
+        ref = path
     try:
         with open(ref) as fh:
             return json.load(fh)
@@ -604,11 +605,11 @@ def _schedule_digest_probes(w: World, effective: dict, times_us: list) -> None:
 # running
 
 def run_scenario(config: dict, mode: str, seed: int = None,
-                 telemetry_enabled: bool = True, out: str | None = None,
-                 fmt: str = "both") -> RunArtifacts:
+                 telemetry_enabled: bool = True,
+                 out: str | None = None) -> RunArtifacts:
     """Validate, build, run and check one scenario in one mode.  With
-    `out`, the run's artifact directory is exported there, in format
-    `fmt` (see telemetry.export)."""
+    `out`, the run's artifact directory is exported there (see
+    telemetry.export)."""
     if mode not in MODES:
         raise ConfigError([f"mode: must be one of {MODES}, got {mode!r}"])
     effective = validate_config(config)
@@ -643,7 +644,7 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     if out is None:
         meta["events_hash"] = w.log.hash()
     else:
-        telemetry.export(artifacts, out, fmt)
+        telemetry.export(artifacts, out)
     return artifacts
 
 

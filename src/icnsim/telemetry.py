@@ -495,6 +495,9 @@ class EventLog:
             h.update(chunk)
             if out is not None:
                 out.write(chunk)
+            # drop it before the next batch is encoded, so one chunk
+            # is held at a time, not two
+            del chunk
         return h.hexdigest()
 
     # -- the records as dicts
@@ -791,24 +794,14 @@ METRICS_FILE = "metrics.csv"
 CONFIG_FILE = "effective_config.json"
 SUMMARY_FILE = "summary.txt"
 META_FILE = "meta.json"
-
-
-def export_jsonl(artifacts: RunArtifacts, fh) -> str:
-    """Write events, then samples, one canonical JSON record per line, to
-    the binary file fh; returns the events' events_hash.  The events are
-    streamed through EventLog.hash(fh), so the pass that writes them is
-    the one that hashes them."""
-    digest = artifacts.events.hash(fh)
-    fh.write(encode_lines([{"ev": "sample", **r} for r in artifacts.samples]))
-    return digest
+SAMPLE_FIELDS = ("t", "el", "metric", "value")
 
 
 def export_csv(samples) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "el", "metric", "value"])
-    for rec in samples:
-        writer.writerow([rec["t"], rec["el"], rec["metric"], rec["value"]])
+    writer.writerow(SAMPLE_FIELDS)
+    writer.writerows(map(itemgetter(*SAMPLE_FIELDS), samples))
     return buf.getvalue()
 
 
@@ -845,14 +838,15 @@ def render_summary(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both") -> dict:
-    """Write the artifact directory; returns the path map.
+def export(artifacts: RunArtifacts, outdir: str) -> dict:
+    """Write the artifact directory, always the same five files; returns
+    the path map.
 
-    fmt selects "jsonl", "csv" or "both" payload files; the effective
-    config, summary and meta files are always written.  The events are
-    encoded once, by the pass that writes events.jsonl or, for "csv", by
-    hash() alone; its digest is set as artifacts.meta's events_hash,
-    which meta.json carries.
+    events.jsonl holds the events alone, streamed through
+    EventLog.hash(fh), so the pass that writes the file is the one that
+    hashes it and the file's sha256 is its events_hash, which is set in
+    artifacts.meta and carried by meta.json.  The samples go to
+    metrics.csv only.
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {}
@@ -864,23 +858,21 @@ def export(artifacts: RunArtifacts, outdir: str, fmt: str = "both") -> dict:
         paths[name] = p
 
     write(CONFIG_FILE, json.dumps(artifacts.config, sort_keys=True, indent=2) + "\n")
-    if fmt in ("jsonl", "both"):
-        paths[EVENTS_FILE] = os.path.join(outdir, EVENTS_FILE)
-        with open(paths[EVENTS_FILE], "wb") as fh:
-            digest = export_jsonl(artifacts, fh)
-    else:
-        digest = artifacts.events.hash()
-    artifacts.meta["events_hash"] = digest
-    if fmt in ("csv", "both"):
-        write(METRICS_FILE, export_csv(artifacts.samples))
+    paths[EVENTS_FILE] = os.path.join(outdir, EVENTS_FILE)
+    with open(paths[EVENTS_FILE], "wb") as fh:
+        artifacts.meta["events_hash"] = artifacts.events.hash(fh)
+    write(METRICS_FILE, export_csv(artifacts.samples))
     write(SUMMARY_FILE, render_summary(summarize(artifacts)))
     write(META_FILE, json.dumps(artifacts.meta, sort_keys=True, indent=2) + "\n")
     return paths
 
 
 def import_artifacts(outdir: str) -> RunArtifacts:
-    """Rebuild RunArtifacts from an exported directory; every event record
-    is checked against the schema."""
+    """Rebuild RunArtifacts from an exported directory.  Every line of
+    events.jsonl is an event record, checked against the schema; the
+    samples are read back from metrics.csv, t and value as ints.  Raises
+    OSError for a file that cannot be read and ValueError for one that
+    does not parse or holds a record the schema does not declare."""
     with open(os.path.join(outdir, CONFIG_FILE)) as fh:
         config = json.load(fh)
     with open(os.path.join(outdir, META_FILE)) as fh:
@@ -888,18 +880,18 @@ def import_artifacts(outdir: str) -> RunArtifacts:
     # one json.loads per batch of about _READ_BATCH bytes of lines: a raw
     # newline only ever separates records, so the non-blank lines joined by
     # commas form one JSON array
-    log, samples = EventLog(), []
+    log = EventLog()
     with open(os.path.join(outdir, EVENTS_FILE), "rb") as fh:
         for lines in iter(lambda: fh.readlines(_READ_BATCH), []):
             batch = b",".join([line for line in lines if line.strip()])
-            recs = json.loads(b"[" + batch + b"]")
-            events = [rec for rec in recs if rec.get("ev") != "sample"]
-            log.extend(events)
-            if len(events) != len(recs):
-                for rec in recs:
-                    if rec.get("ev") == "sample":
-                        rec.pop("ev")
-                        samples.append(rec)
+            log.extend(json.loads(b"[" + batch + b"]"))
+    with open(os.path.join(outdir, METRICS_FILE), newline="") as fh:
+        rows = csv.reader(fh)
+        if next(rows, None) != list(SAMPLE_FIELDS):
+            raise ValueError(f"{METRICS_FILE}: header is not "
+                             f"{','.join(SAMPLE_FIELDS)}")
+        samples = [{"t": int(t), "el": el, "metric": metric,
+                    "value": int(value)} for t, el, metric, value in rows]
     return RunArtifacts(config=config, mode=meta["mode"], seed=meta["seed"],
                         events=log, samples=samples, meta=meta)
 

@@ -38,8 +38,9 @@ from icnsim.harness import load_scenario, run_scenario
 from icnsim.pce import Pce, PceParams, UnreachableError
 from icnsim.simkernel import Engine
 from icnsim.telemetry import (EVENT_FIELDS, EVENTS_FILE, VARIANT_FIELD,
-                              EventLog, conservation_from_events, events_hash,
-                              export, import_artifacts, link_bytes_from_events,
+                              EventLog, conservation_from_events,
+                              encode_lines, events_hash, export,
+                              import_artifacts, link_bytes_from_events,
                               summarize)
 
 SCENARIOS = ("coincidental_multicast", "hls_failover", "iptv_failover",
@@ -386,22 +387,23 @@ def test_c8_byte_conservation(suite, tmp_path):
         back = import_artifacts(str(outdir))
         assert events_hash(back.events) == back.meta["events_hash"]
         assert conservation_from_events(back.events)["balanced"]
+        # the samples read back from metrics.csv keep their samples_hash
+        assert hashlib.sha256(encode_lines(back.samples)).hexdigest() \
+            == back.meta["samples_hash"]
 
 
 def test_pinned_events_hashes_match_exported_bytes(suite, tmp_path):
     """Every shipped run keeps its pinned events_hash, and that hash is
-    the sha256 of the event lines of the exported events.jsonl exactly as
-    written, not of a re-encoding."""
+    the sha256 of the whole exported events.jsonl exactly as written, not
+    of a re-encoding."""
     assert set(suite["runs"]) == set(PINNED_EVENTS_HASH)
     for (name, mode), artifacts in suite["runs"].items():
         assert artifacts.meta["events_hash"] \
             == PINNED_EVENTS_HASH[(name, mode)], (name, mode)
         outdir = tmp_path / f"{name}_{mode}"
-        export(artifacts, str(outdir), fmt="jsonl")
+        export(artifacts, str(outdir))
         raw = (outdir / EVENTS_FILE).read_bytes()
-        event_lines = b"".join(line for line in raw.splitlines(keepends=True)
-                               if b'"ev":"sample"' not in line)
-        assert hashlib.sha256(event_lines).hexdigest() \
+        assert hashlib.sha256(raw).hexdigest() \
             == artifacts.meta["events_hash"] \
             == PINNED_EVENTS_HASH[(name, mode)], (name, mode)
 

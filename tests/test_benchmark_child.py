@@ -1,8 +1,10 @@
 """The benchmark's child process (e2ebench/child.py) reads what a run
 returns: the event log as record dicts, its length, the events_hash of
-an imported log.  Tier-1 does not run the benchmark, so this runs the
+an imported log.  The events_hash it pins is the sha256 of the exported
+events.jsonl.  Tier-1 does not run the benchmark, so this runs the
 unedited child, traced and untraced, on a small shipped scenario."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -28,9 +30,10 @@ def child(tmp_path, name, *args) -> dict:
     return json.loads(result.read_text())
 
 
-def event_lines(outdir: Path) -> int:
-    with open(outdir / "events.jsonl", "rb") as fh:
-        return sum(1 for line in fh if b'"ev":"sample"' not in line)
+def events_file(outdir: Path) -> tuple:
+    """The line count and sha256 of the exported events.jsonl."""
+    data = (outdir / "events.jsonl").read_bytes()
+    return data.count(b"\n"), hashlib.sha256(data).hexdigest()
 
 
 def test_child_runs_and_compares_the_shipped_scenario(tmp_path):
@@ -43,7 +46,9 @@ def test_child_runs_and_compares_the_shipped_scenario(tmp_path):
         assert res["rc"] == 0, (mode, res)
         assert res["violations"] == []
         assert res["events_hash"] == PINNED_EVENTS_HASH[(SCENARIO, mode)]
-        assert res["records"] == event_lines(out) > 0
+        lines, digest = events_file(out)
+        assert res["records"] == lines > 0
+        assert digest == res["events_hash"]
         assert res["headline"]["merge_ratios"]
         if traced:
             assert res["layers"]["telemetry.records"] == res["records"]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -65,19 +66,22 @@ def test_run_both_modes_exports_artifact_dirs(tmp_path, capsys):
 def test_no_telemetry_skips_samples_but_not_events(tmp_path, capsys):
     out_dir = tmp_path / "solo"
     assert main(["run", "--scenario", "trial_topology", "--mode", "icn",
-                 "--out", str(out_dir), "--no-telemetry",
-                 "--format", "csv"]) == 0
+                 "--out", str(out_dir), "--no-telemetry"]) == 0
     csv_text = (out_dir / "metrics.csv").read_text()
     assert csv_text == "t,el,metric,value\n"
     assert "[icn] events_hash=" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("fmt", ["both", "jsonl", "csv"])
-def test_run_out_encodes_each_mode_once(fmt, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("checked", ["both", "jsonl", "csv"])
+def test_run_out_encodes_each_mode_once(checked, tmp_path, capsys,
+                                        monkeypatch):
     """With --out, one pass per mode encodes the log: it gives the
-    events_hash in meta.json, which is the hash of a run without --out
-    and of the exported event lines, and stdout is that of a run without
-    --out plus the lines naming the artifact directories."""
+    events_hash in meta.json, which is the hash of a run without --out,
+    and stdout is that of a run without --out plus the lines naming the
+    artifact directories.  Each case then checks the exported files that
+    it names against meta.json: the whole events.jsonl against
+    events_hash, the samples read back from metrics.csv against
+    samples_hash, or both."""
     assert main(["run", "--scenario", "trial_topology"]) == 0
     plain = capsys.readouterr().out
     hashes = dict(line.split(" events_hash=")
@@ -90,7 +94,7 @@ def test_run_out_encodes_each_mode_once(fmt, tmp_path, capsys, monkeypatch):
         return encode(*args)
     monkeypatch.setattr(telemetry, "_encode", counted)
     assert main(["run", "--scenario", "trial_topology", "--out",
-                 str(tmp_path), "--format", fmt]) == 0
+                 str(tmp_path)]) == 0
     assert len(calls) == 2
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out
@@ -98,14 +102,20 @@ def test_run_out_encodes_each_mode_once(fmt, tmp_path, capsys, monkeypatch):
     for mode in ("icn", "ip"):
         meta = json.loads((tmp_path / mode / "meta.json").read_text())
         assert meta["events_hash"] == hashes[f"[{mode}]"]
-        events = tmp_path / mode / "events.jsonl"
-        if fmt == "csv":
-            assert not events.exists()
-            continue
-        lines = [line for line in events.read_bytes().splitlines(True)
-                 if b'"ev":"sample"' not in line]
-        assert hashlib.sha256(b"".join(lines)).hexdigest() \
-            == meta["events_hash"]
+        if checked in ("both", "jsonl"):
+            events = (tmp_path / mode / "events.jsonl").read_bytes()
+            assert hashlib.sha256(events).hexdigest() == meta["events_hash"]
+        if checked in ("both", "csv"):
+            back = telemetry.import_artifacts(str(tmp_path / mode))
+            assert hashlib.sha256(telemetry.encode_lines(back.samples)) \
+                .hexdigest() == meta["samples_hash"]
+
+
+def test_run_refuses_the_removed_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "trial_topology", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_run_both_frees_the_first_log_before_the_second_run(monkeypatch,
@@ -144,6 +154,62 @@ def test_compare_refuses_mismatched_exports(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(root / "s1"), str(root / "s7")]) == 2
     assert "different seeds" in capsys.readouterr().err
+
+
+def remove_dir(outdir):
+    shutil.rmtree(outdir)
+
+
+def remove_metrics(outdir):
+    (outdir / "metrics.csv").unlink()
+
+
+def append_partial_record(outdir):
+    with open(outdir / "events.jsonl", "ab") as fh:
+        fh.write(b'{"t":1,\n')
+
+
+def append_sample_record(outdir):
+    # the layout of older exports, which appended the samples as records
+    with open(outdir / "events.jsonl", "ab") as fh:
+        fh.write(b'{"el":"sw","ev":"sample","metric":"drops","t":1,'
+                 b'"value":2}\n')
+
+
+def append_float_sample(outdir):
+    with open(outdir / "metrics.csv", "a") as fh:
+        fh.write("1,sw,drops,2.5\n")
+
+
+def empty_metrics(outdir):
+    (outdir / "metrics.csv").write_text("")
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    root = tmp_path_factory.mktemp("exported")
+    assert main(["run", "--scenario", "trial_topology", "--out",
+                 str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("damage", [
+    remove_dir, remove_metrics, append_partial_record, append_sample_record,
+    append_float_sample, empty_metrics])
+def test_compare_refuses_a_directory_it_cannot_import(damage, exported,
+                                                      tmp_path, capsys):
+    """compare exits 2 with one config error naming the directory, not
+    with a traceback."""
+    root = tmp_path / "runs"
+    shutil.copytree(exported, root)
+    capsys.readouterr()
+    damage(root / "ip")
+    assert main(["compare", str(root / "icn"), str(root / "ip")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: cannot import {root / 'ip'}: ")
 
 
 def _hash_in_subprocess(hashseed: str) -> str:

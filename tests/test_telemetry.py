@@ -17,8 +17,8 @@ from icnsim.telemetry import (_BATCH, _READ_BATCH, _SCHEMAS, EVENT_FIELDS,
                               Telemetry, canonical_json,
                               conservation_from_events, disruption_intervals,
                               drops_by_reason, encode_lines, events_hash,
-                              export, export_csv, export_jsonl,
-                              import_artifacts, link_bytes_from_events,
+                              export, export_csv, import_artifacts,
+                              link_bytes_from_events,
                               merge_ratios, render_summary,
                               stalls_from_events, summarize)
 
@@ -427,6 +427,13 @@ def test_export_import_round_trip(tmp_path):
     assert back.config == artifacts.config
     assert back.meta == artifacts.meta
     assert events_hash(back.events) == artifacts.meta["events_hash"]
+    # events.jsonl holds events only: the sample lines older exports
+    # appended there are refused
+    with open(paths["events.jsonl"], "ab") as fh:
+        fh.write(b'{"el":"sw","ev":"sample","metric":"tx_bytes","t":10,'
+                 b'"value":1000}\n')
+    with pytest.raises(ValueError, match="unknown event kind 'sample'"):
+        import_artifacts(str(tmp_path / "out"))
 
 
 def test_import_across_batches_skips_blank_lines(tmp_path):
@@ -438,20 +445,18 @@ def test_import_across_batches_skips_blank_lines(tmp_path):
     artifacts = RunArtifacts(config={"name": "big"}, mode="icn", seed=1,
                              events=events, samples=samples,
                              meta={"mode": "icn", "seed": 1})
-    export(artifacts, str(tmp_path), fmt="jsonl")
+    export(artifacts, str(tmp_path))
     path = tmp_path / "events.jsonl"
     data = path.read_bytes()
     assert len(data) > 2 << 20
     # a run of blank lines that covers the end of the first read batch, so
     # one batch ends and the next starts inside it; more blank lines
-    # mid-file and before the samples
+    # mid-file and at the end
     mark = _READ_BATCH
     start = data.rindex(b"\n", 0, mark) + 1
     data = data[:start] + b"\n" * (mark - start + 8) + data[start:]
     mid = data.index(b"\n", 3 << 19) + 1
-    first_sample = data.index(b'{"el":"sw","ev":"sample"')
-    data = (data[:mid] + b"\n  \n" + data[mid:first_sample] + b"\n"
-            + data[first_sample:] + b"\n")
+    data = data[:mid] + b"\n  \n" + data[mid:] + b"\n\n"
     path.write_bytes(data)
     back = import_artifacts(str(tmp_path))
     assert back.events == events
@@ -588,9 +593,8 @@ def test_random_log_round_trips_through_export_and_import(tmp_path):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     samples = [{"t": 1, "el": "sw", "metric": "tx_bytes", "value": 5}]
     with open(tmp_path / "events.jsonl", "wb") as fh:
-        assert export_jsonl(RunArtifacts(config={}, mode="icn", seed=1,
-                                         events=log, samples=samples),
-                            fh) == meta["events_hash"]
+        assert log.hash(fh) == meta["events_hash"]
+    (tmp_path / "metrics.csv").write_text(export_csv(samples))
     back = import_artifacts(str(tmp_path))
     assert events_hash(back.events) == meta["events_hash"]
     encoded = streamed(log)
@@ -718,8 +722,8 @@ def test_export_then_import_returns_an_equal_log(tmp_path):
     (tmp_path / "effective_config.json").write_text("{}")
     (tmp_path / "meta.json").write_text('{"mode": "icn", "seed": 1}')
     with open(tmp_path / "events.jsonl", "wb") as fh:
-        export_jsonl(RunArtifacts(config={}, mode="icn", seed=1, events=log),
-                     fh)
+        log.hash(fh)
+    (tmp_path / "metrics.csv").write_text(export_csv([]))
     back = import_artifacts(str(tmp_path)).events
     assert back == log and back.hash() == log.hash()
     assert list(back) == records
