@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter, namedtuple
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .fid import FID, should_forward
 from .simkernel import Engine
@@ -56,7 +56,7 @@ class FidNode:
 
     def __init__(self, name: str, egress_links: list[Link],
                  link_ids: dict[str, FID],
-                 sink: Optional[Callable] = None):
+                 sink: Callable | None = None):
         self.name = name
         self.egress_links = list(egress_links)
         self.link_ids = [link_ids[l.key] for l in self.egress_links]
@@ -129,7 +129,7 @@ class Fabric:
 
     # -- data path ----------------------------------------------------------
 
-    def inject(self, node: str, packet: Packet, ttl: Optional[int] = None) -> None:
+    def inject(self, node: str, packet: Packet, ttl: int | None = None) -> None:
         t = self.engine.now
         self.log.write("pkt_inject", t, node, packet.pid, packet.kind,
                        packet.name, packet.size)
@@ -179,7 +179,10 @@ class Fabric:
         arrive = busy + link.latency_us
         self.log.write("pkt_fwd", t, node, packet.pid, packet.kind, link.key,
                        packet.size, start, arrive)
-        engine.schedule(arrive - t, self._arrive, link, packet, ttl, start)
+        # the plain function, made once, rather than a new bound method
+        # per queued copy
+        engine.schedule(arrive - t, Fabric._arrive, self, link, packet, ttl,
+                        start)
 
     def _arrive(self, link: Link, packet: Packet, ttl: int, start: int) -> None:
         # a link that went down (or bounced) while the packet was on the
@@ -245,7 +248,7 @@ class DeliveryTrace:
 
 def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],
                    fid: FID, origin: str, ttl: int = DEFAULT_TTL,
-                   sinks: Optional[set] = None) -> DeliveryTrace:
+                   sinks: set | None = None) -> DeliveryTrace:
     """Walk a FID through the topology without the event loop.
 
     Follows every up link whose identifier is covered by the FID, except

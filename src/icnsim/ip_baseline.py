@@ -358,11 +358,14 @@ class IpServerEndpoint:
     def _reply(self, rid: int, requester: str, kind: str, host: str,
                path: str, status: int, size: int, meta) -> None:
         pkt_kind = kind if status == 200 else "error"
+        # every segment of the response shares one name and one payload
+        name = f"{host}{path}"
+        payload = ("resp", rid, size, status, meta, kind)
         for seg in segment_sizes(size, self.params.mtu):
             pkt = Packet(pid=self.fabric.next_pid(), kind=pkt_kind,
-                         name=f"{host}{path}", size=seg,
+                         name=name, size=seg,
                          src=self.host_id, dst=requester,
-                         payload=("resp", rid, size, status, meta, kind))
+                         payload=payload)
             self.fabric.inject(self.node, pkt)
 
 

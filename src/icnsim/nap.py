@@ -268,10 +268,11 @@ class Nap:
         self.log.append(self.engine.now, self.name, "snap_respond",
                         name=group.name, rid=rid, size=size,
                         segments=len(segments), members=len(group.members))
+        payload = ("resp", rid, size, status, meta)
         for seg in segments:
             pkt = Packet(pid=self.fabric.next_pid(), kind=group.kind,
                          name=group.name, size=seg, fid=fid,
-                         payload=("resp", rid, size, status, meta))
+                         payload=payload)
             self.fabric.inject(self.name, pkt)
 
     def inject_stream(self, channel: str, size: int) -> None:

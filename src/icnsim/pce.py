@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import namedtuple
-from typing import Optional
 
 from .fid import FID, FidConfig, combine_trees, encode_path, zero_fid
 from .simkernel import Engine

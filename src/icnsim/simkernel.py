@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from typing import Callable
+from collections.abc import Callable
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -42,7 +42,9 @@ class Engine:
             raise ValueError(f"negative delay: {delay_us}")
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + int(delay_us), seq, action, args))
+        # one flat entry per event: no separate args tuple stays queued
+        heapq.heappush(self._heap, (self.now + int(delay_us), seq, action)
+                       + args)
         return seq
 
     def schedule_at(self, at_us: int, action: Callable, *args) -> int:
@@ -65,12 +67,13 @@ class Engine:
         executed = 0
         heap = self._heap
         while heap and heap[0][0] <= t_end_us:
-            t, seq, action, args = heapq.heappop(heap)
+            event = heapq.heappop(heap)
+            seq = event[1]
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 continue
-            self.now = t
-            action(*args)
+            self.now = event[0]
+            event[2](*event[3:])
             executed += 1
         self.now = t_end_us
         return executed

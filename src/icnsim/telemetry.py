@@ -53,7 +53,7 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # Records encoded per step of encode_lines and of the log's encoder
 # (one chunk of EventLog.hash), and records an EventLog buffers before it
 # packs them into its columns; bounds their transient memory.
-_BATCH = 2048
+_BATCH = 1024
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
 # dicts are dropped once their values are in the log, so a
@@ -230,15 +230,17 @@ def _group(kind, variant=None) -> tuple:
         raise ValueError(f"undeclared event kind {key!r}") from None
 
 
-def _reject(rec: dict) -> ValueError:
-    """The error for a record dict the schema does not declare."""
+def _reject(rec) -> ValueError:
+    """The error for a record the schema does not declare."""
+    if not isinstance(rec, dict):
+        return ValueError(f"record is not an object: {rec!r}")
     kind = rec.get("ev")
-    if kind not in EVENT_FIELDS:
+    if not isinstance(kind, str) or kind not in EVENT_FIELDS:
         return ValueError(f"unknown event kind {kind!r}")
     key = kind
     if kind in VARIANT_FIELD:
         key = kind, rec.get(VARIANT_FIELD[kind])
-        if key not in _SCHEMAS:
+        if not isinstance(key[1], str) or key not in _SCHEMAS:
             return ValueError(f"{kind}: unknown {VARIANT_FIELD[kind]} "
                               f"{key[1]!r}")
     return ValueError(f"{kind} record needs exactly the fields "
@@ -434,6 +436,7 @@ class EventLog:
         groups: dict[int, list] = {}
         sids = bytearray()
         add_sid = sids.append
+        records = iter(records)  # a non-iterable raises here, not below
         try:
             for rec in records:
                 kind = rec["ev"]
@@ -447,7 +450,8 @@ class EventLog:
                 except KeyError:
                     groups[s.sid] = list(values)
                 add_sid(s.sid)
-        except KeyError:
+        except (KeyError, TypeError):
+            # TypeError: a record that is not a dict, or an unhashable kind
             raise _reject(rec) from None
         for sid, values in groups.items():
             self._buf[sid] += values
@@ -872,11 +876,19 @@ def import_artifacts(outdir: str) -> RunArtifacts:
     events.jsonl is an event record, checked against the schema; the
     samples are read back from metrics.csv, t and value as ints.  Raises
     OSError for a file that cannot be read and ValueError for one that
-    does not parse or holds a record the schema does not declare."""
+    does not parse, is not the JSON object it should be, lacks a meta
+    field that compare reads (mode, seed, scenario, config_hash) or holds
+    a record the schema does not declare."""
     with open(os.path.join(outdir, CONFIG_FILE)) as fh:
         config = json.load(fh)
     with open(os.path.join(outdir, META_FILE)) as fh:
         meta = json.load(fh)
+    for name, value in ((CONFIG_FILE, config), (META_FILE, meta)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name}: not a JSON object")
+    for key in ("mode", "seed", "scenario", "config_hash"):
+        if key not in meta:
+            raise ValueError(f"{META_FILE}: no {key!r}")
     # one json.loads per batch of about _READ_BATCH bytes of lines: a raw
     # newline only ever separates records, so the non-blank lines joined by
     # commas form one JSON array

@@ -185,6 +185,27 @@ def empty_metrics(outdir):
     (outdir / "metrics.csv").write_text("")
 
 
+def append_non_object_record(outdir):
+    with open(outdir / "events.jsonl", "ab") as fh:
+        fh.write(b"5\n")
+
+
+def not_an_object(name):
+    def damage(outdir):
+        (outdir / name).write_text("[5]")
+    damage.__name__ = f"{name.split('.')[0]}_not_an_object"
+    return damage
+
+
+def meta_without(key):
+    def damage(outdir):
+        meta = json.loads((outdir / "meta.json").read_text())
+        del meta[key]
+        (outdir / "meta.json").write_text(json.dumps(meta))
+    damage.__name__ = f"meta_without_{key}"
+    return damage
+
+
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
     root = tmp_path_factory.mktemp("exported")
@@ -195,7 +216,10 @@ def exported(tmp_path_factory):
 
 @pytest.mark.parametrize("damage", [
     remove_dir, remove_metrics, append_partial_record, append_sample_record,
-    append_float_sample, empty_metrics])
+    append_float_sample, empty_metrics, append_non_object_record,
+    meta_without("mode"), meta_without("seed"), meta_without("scenario"),
+    meta_without("config_hash"), not_an_object("meta.json"),
+    not_an_object("effective_config.json")])
 def test_compare_refuses_a_directory_it_cannot_import(damage, exported,
                                                       tmp_path, capsys):
     """compare exits 2 with one config error naming the directory, not

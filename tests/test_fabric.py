@@ -1,6 +1,7 @@
 """Data plane: serialization timing, queueing, loss, byte conservation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -384,6 +385,40 @@ def test_copy_arriving_at_the_horizon_is_delivered_not_undrained():
     cons = conservation_from_events(log, 3_000)
     assert cons["undrained_bytes"] == cons["in_flight_bytes"] == 0
     assert cons["balanced"] and conservation_from_events(log)["balanced"]
+
+
+class _NoLog:
+    """A log that keeps nothing, so only the queued copies are measured."""
+
+    def write(self, *values):
+        pass
+
+
+def test_queued_copy_costs_one_flat_heap_entry():
+    """Copies of one packet queued behind each other on a slow link hold
+    one flat heap entry each: no args tuple and no bound method per copy.
+    Traced bytes per pending copy (Python 3.11): about 319 with a separate
+    args tuple and a bound _arrive per copy, about 215 without."""
+    topo = TopologyGraph()
+    topo.add_node("a", "fn")
+    topo.add_node("b", "fn")
+    topo.add_link("ab", "a", "b", 1_000, 0)
+    engine = Engine(1)
+    fabric = Fabric(engine, topo, _NoLog(), Telemetry(), FabricParams())
+    fabric.add_handler("a", StaticForwarder(topo.egress("a")))
+    pkt = Packet(pid=0, kind="chunk", name="x", size=1400)
+    fabric.inject("a", pkt)
+    copies = 4_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(copies):
+            fabric.inject("a", pkt)
+        per_copy = (tracemalloc.get_traced_memory()[0] - before) / copies
+    finally:
+        tracemalloc.stop()
+    assert engine.pending() == copies + 1
+    assert 150 < per_copy < 265
 
 
 @pytest.mark.parametrize("mode", ["exact", "bloom"])

@@ -199,6 +199,31 @@ def test_unicast_floods_until_reverse_path_learned():
     assert response_links == {"ar:swr->swm", "al:swm->swl"}
 
 
+def test_segments_of_one_response_share_name_and_payload():
+    """_reply builds a response's name and payload once; every segment
+    carries the same two objects."""
+    topo = star()
+    engine, log, fabric, stp, switches = ip_world(topo)
+    params = IpEndpointParams()
+    endpoint = IpServerEndpoint(StubServer(engine, size=5000), "s1", "swr",
+                                fabric, engine, params)
+    switches["swr"].attach_host("s1", endpoint)
+    client = RecordingHost("c1")
+    switches["swl"].attach_host("c1", client)
+    request = Packet(pid=fabric.next_pid(), kind="request", name="video.test",
+                     size=params.request_bytes, src="c1", dst="s1",
+                     payload=("req", "GET", "video.test", "/x", "chunk", 1,
+                              "c1"))
+    engine.schedule_at(1_000, endpoint.on_packet, request, 1_000)
+    engine.run_until(1_000_000)
+    segments = [p for _, p in client.packets]
+    assert [p.size for p in segments] == [1400, 1400, 1400, 800]
+    assert len({p.pid for p in segments}) == 4
+    assert segments[0].name == "video.test/x"
+    assert len({id(p.name) for p in segments}) == 1
+    assert len({id(p.payload) for p in segments}) == 1
+
+
 def test_dns_failover_is_sticky_and_budgeted():
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)

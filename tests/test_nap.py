@@ -176,6 +176,31 @@ def test_segmented_response_reassembled():
     assert client.responses[0][3] == 10_000
 
 
+def test_segments_of_one_response_share_one_payload():
+    """_respond builds a response's payload once; every segment carries
+    the same payload and name objects."""
+    engine, log, topo, fabric, pce, naps = star_world(n_cnaps=1)
+    naps["snap"].attach_server(HOST, StubServer(engine, size=5_000))
+    pce.register_publisher(http_scope(HOST), "snap")
+    sent = []
+    inject = fabric.inject
+
+    def recording_inject(node, packet, ttl=None):
+        sent.append(packet)
+        inject(node, packet, ttl)
+
+    fabric.inject = recording_inject
+    client = StubClient(engine)
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, "GET",
+                       HOST, "/x", "chunk")
+    engine.run_until(5_000_000)
+    segments = [p for p in sent if p.payload and p.payload[0] == "resp"]
+    assert [p.size for p in segments] == [1400, 1400, 1400, 800]
+    assert len({id(p.payload) for p in segments}) == 1
+    assert len({id(p.name) for p in segments}) == 1
+    assert client.responses[0][3] == 5_000
+
+
 def test_cancel_releases_pending_and_unsubscribes():
     engine, log, topo, fabric, pce, naps = star_world(n_cnaps=1)
     client = StubClient(engine)

@@ -16,13 +16,14 @@ from icnsim.topology import TopologyGraph
 def test_cli_and_harness_import_without_dataclasses_or_inspect():
     """Every icnsim process imports these two; dataclasses (which pulls in
     inspect, ast, dis and tokenize) would add its import and code
-    generation to each process's start-up, and importlib.resources (with
-    pathlib, tempfile and zipfile) its import."""
+    generation to each process's start-up, importlib.resources (with
+    pathlib, tempfile and zipfile) its import, and typing its import for
+    annotations nothing reads at run time."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(icnsim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, icnsim.cli, icnsim.harness; "
-            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-            " & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources',"
+            " 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

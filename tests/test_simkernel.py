@@ -87,6 +87,60 @@ def test_cancel_after_firing_is_a_noop():
     assert fired == ["x"]
 
 
+@pytest.mark.parametrize("args", [(), ("one",), (1, "two", None, (3,), 5)])
+def test_event_is_called_with_exactly_its_args(args):
+    engine = Engine()
+    calls = []
+    engine.schedule(10, lambda *got: calls.append((engine.now, got)), *args)
+    engine.run_until(100)
+    assert calls == [(10, args)]
+
+
+def test_pending_event_is_one_flat_entry():
+    """A queued event holds its args in its heap entry, with no separate
+    args tuple per event."""
+    engine = Engine()
+    action = print
+    engine.schedule(10, action, "a", 2)
+    engine.schedule(20, action)
+    assert sorted(engine._heap) == [(10, 0, action, "a", 2), (20, 1, action)]
+
+
+def test_cancelled_event_with_args_never_runs():
+    engine = Engine()
+    fired = []
+
+    def record(*args):
+        fired.append(args)
+
+    engine.schedule(10, record, "keep", 1)
+    drop = engine.schedule(10, record, "drop", 2, 3)
+    engine.schedule(20, record, "later", 4)
+    engine.cancel(drop)
+    engine.run_until(100)
+    assert fired == [("keep", 1), ("later", 4)]
+    assert engine.pending() == 0
+
+
+def test_dispatch_shim_call_shape():
+    """A shim scheduled as schedule(d, dispatch, nid, action, args), as
+    the benchmark tracer does, gets the action and its args tuple whole."""
+    engine = Engine()
+    seen = []
+
+    def dispatch(nid, action, args):
+        seen.append(nid)
+        action(*args)
+
+    fired = []
+    engine.schedule(5, dispatch, 7, lambda *got: fired.append(got),
+                    (1, ("nested",), "x"))
+    engine.schedule(6, dispatch, 8, lambda: fired.append("no args"), ())
+    engine.run_until(10)
+    assert seen == [7, 8]
+    assert fired == [(1, ("nested",), "x"), "no args"]
+
+
 def test_negative_delay_rejected():
     engine = Engine()
     with pytest.raises(ValueError):

@@ -23,6 +23,10 @@ from icnsim.telemetry import (_BATCH, _READ_BATCH, _SCHEMAS, EVENT_FIELDS,
                               stalls_from_events, summarize)
 
 
+# the meta fields import_artifacts requires, as every export writes them
+META = {"mode": "icn", "seed": 1, "scenario": "tiny", "config_hash": "0" * 64}
+
+
 def ev(t, el, event, **fields):
     return {"t": t, "el": el, "ev": event, **fields}
 
@@ -411,7 +415,7 @@ def make_artifacts():
     ]
     samples = [{"t": 10, "el": "sw", "metric": "tx_bytes", "value": 1000}]
     config = {"scenario": "tiny", "params": {"seed": 1}}
-    meta = {"mode": "icn", "seed": 1, "events_hash": events_hash(events)}
+    meta = {**META, "events_hash": events_hash(events)}
     return RunArtifacts(config=config, mode="icn", seed=1, events=events,
                         samples=samples, meta=meta)
 
@@ -444,7 +448,7 @@ def test_import_across_batches_skips_blank_lines(tmp_path):
                for i in range(100)]
     artifacts = RunArtifacts(config={"name": "big"}, mode="icn", seed=1,
                              events=events, samples=samples,
-                             meta={"mode": "icn", "seed": 1})
+                             meta=dict(META))
     export(artifacts, str(tmp_path))
     path = tmp_path / "events.jsonl"
     data = path.read_bytes()
@@ -588,7 +592,7 @@ def test_compiled_encoder_matches_json_dumps_for_every_schema():
 
 def test_random_log_round_trips_through_export_and_import(tmp_path):
     log, records = random_log(random.Random(7))
-    meta = {"mode": "icn", "seed": 1, "events_hash": log.hash()}
+    meta = {**META, "events_hash": log.hash()}
     (tmp_path / "effective_config.json").write_text("{}")
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     samples = [{"t": 1, "el": "sw", "metric": "tx_bytes", "value": 5}]
@@ -720,7 +724,7 @@ def test_export_then_import_returns_an_equal_log(tmp_path):
                if json.loads(canonical_json(r)) == r]
     log = EventLog.from_records(records)
     (tmp_path / "effective_config.json").write_text("{}")
-    (tmp_path / "meta.json").write_text('{"mode": "icn", "seed": 1}')
+    (tmp_path / "meta.json").write_text(json.dumps(META))
     with open(tmp_path / "events.jsonl", "wb") as fh:
         log.hash(fh)
     (tmp_path / "metrics.csv").write_text(export_csv([]))
@@ -1062,7 +1066,7 @@ def test_append_rejects_undeclared_records(kind, fields, message):
 @pytest.mark.parametrize("kind, fields, message", UNDECLARED)
 def test_import_rejects_undeclared_records(kind, fields, message, tmp_path):
     (tmp_path / "effective_config.json").write_text("{}")
-    (tmp_path / "meta.json").write_text('{"mode": "icn", "seed": 1}')
+    (tmp_path / "meta.json").write_text(json.dumps(META))
     good = canonical_json(ev(0, "x", "stb_rx", name="ch:a", size=1))
     bad = canonical_json(ev(1, "x", kind, **fields))
     (tmp_path / "events.jsonl").write_text(good + "\n" + bad + "\n")
@@ -1071,3 +1075,19 @@ def test_import_rejects_undeclared_records(kind, fields, message, tmp_path):
     with pytest.raises(ValueError, match=message):
         RunArtifacts(config={}, mode="icn", seed=1,
                      events=[json.loads(good), json.loads(bad)])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (5, "record is not an object: 5"),
+    (["stb_rx"], "record is not an object"),
+    (ev(1, "x", ["stb_rx"]), r"unknown event kind \['stb_rx'\]"),
+    (ev(1, "x", "pkt_drop", reason=["meteor"], pid=1, kind="chunk", size=1),
+     r"pkt_drop: unknown reason \['meteor'\]"),
+])
+def test_extend_rejects_a_record_that_is_not_a_declared_object(bad, message):
+    """A parsed line that is not an object, or whose kind or variant is
+    not even hashable, is refused like an undeclared record."""
+    log = EventLog()
+    with pytest.raises(ValueError, match=message):
+        log.extend([ev(0, "x", "stb_rx", name="ch:a", size=1), bad])
+    assert len(log) == 0
