@@ -17,8 +17,7 @@ from .telemetry import EventLog
 
 class HlsCatalog(namedtuple(
         "HlsCatalog", "host path_prefix chunk_duration_us bitrates_mbps "
-        "playlist_window playlist_bytes",
-        defaults=("/live", 2_000_000, (2, 8), 5, 500))):
+        "playlist_window playlist_bytes")):
     """One live stream: rolling playlist over constant-duration chunks."""
 
     __slots__ = ()
@@ -51,15 +50,14 @@ class HlsServer:
     """
 
     def __init__(self, name: str, nap: str, catalog: HlsCatalog,
-                 engine: Engine, log: EventLog, reply_delay_us: int,
-                 up: bool = True):
+                 engine: Engine, log: EventLog, reply_delay_us: int):
         self.name = name
         self.nap = nap
         self.catalog = catalog
         self.engine = engine
         self.log = log
         self.reply_delay_us = reply_delay_us
-        self.up = up
+        self.up = True
 
     def set_up(self, up: bool) -> None:
         self.up = up
@@ -94,8 +92,7 @@ class HlsServer:
 class HlsClientParams(namedtuple(
         "HlsClientParams", "start_us chunks timeout_us abr_safety "
         "abr_upshift_chunks ewma_weight startup_hold_us chunk_offset_us "
-        "max_attempts",
-        defaults=(4_000_000, 0.8, 3, 0.5, 750_000, 500_000, 6))):
+        "max_attempts")):
     __slots__ = ()
 
 

@@ -8,7 +8,6 @@ refused comparisons and artifact directories that cannot be imported).
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 
@@ -63,10 +62,6 @@ def _cmd_run(args) -> int:
     modes = ("icn", "ip") if args.mode == "both" else (args.mode,)
     failed = False
     for mode in modes:
-        if mode != modes[0]:
-            # a run's world is a web of reference cycles, so only the
-            # cycle collector frees the last mode's log
-            gc.collect()
         outdir = None
         if args.out:
             outdir = (os.path.join(args.out, mode) if len(modes) > 1

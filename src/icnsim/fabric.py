@@ -21,8 +21,6 @@ from .simkernel import Engine
 from .telemetry import EventLog, Telemetry
 from .topology import Link, TopologyEvent, TopologyGraph
 
-DEFAULT_TTL = 64
-
 
 class Packet(namedtuple("Packet", "pid kind name size fid src dst payload",
                         defaults=(None, None, None, ()))):
@@ -97,8 +95,7 @@ class FidNode:
 
 
 class FabricParams(namedtuple(
-        "FabricParams", "detection_delay_us queue_cap_bytes default_ttl",
-        defaults=(10_000, None, DEFAULT_TTL))):
+        "FabricParams", "detection_delay_us queue_cap_bytes default_ttl")):
     __slots__ = ()
 
 
@@ -106,12 +103,12 @@ class Fabric:
     """Event-driven packet transport shared by both data planes."""
 
     def __init__(self, engine: Engine, topo: TopologyGraph, log: EventLog,
-                 telemetry: Telemetry, params: FabricParams = None):
+                 telemetry: Telemetry, params: FabricParams):
         self.engine = engine
         self.topo = topo
         self.log = log
         self.telemetry = telemetry
-        self.params = params or FabricParams()
+        self.params = params
         self.handlers: dict[str, object] = {}
         self.topology_listeners: list[Callable] = []
         self._next_pid = 0
@@ -129,12 +126,11 @@ class Fabric:
 
     # -- data path ----------------------------------------------------------
 
-    def inject(self, node: str, packet: Packet, ttl: int | None = None) -> None:
+    def inject(self, node: str, packet: Packet) -> None:
         t = self.engine.now
         self.log.write("pkt_inject", t, node, packet.pid, packet.kind,
                        packet.name, packet.size)
-        self._process(node, packet,
-                      self.params.default_ttl if ttl is None else ttl, None)
+        self._process(node, packet, self.params.default_ttl, None)
 
     def _process(self, node: str, packet: Packet, ttl: int, in_link) -> None:
         t = self.engine.now
@@ -216,14 +212,14 @@ class Fabric:
         if not self.telemetry.enabled:
             return
         log = self.log
-        tx_bytes, queue_peak = {}, {}
+        tx_bytes, tx_pkts, queue_peak = {}, {}, {}
         for t, key, size, start in zip(*(log.column("pkt_fwd", name) for name
                                          in ("t", "link", "size", "start"))):
             tx_bytes[key] = tx_bytes.get(key, 0) + size
+            tx_pkts[key] = tx_pkts.get(key, 0) + 1
             backlog_us = start - t
             if backlog_us > queue_peak.get(key, 0):
                 queue_peak[key] = backlog_us
-        tx_pkts = Counter(log.column("pkt_fwd", "link"))
         drops = Counter(log.column("pkt_drop", "el"))
         t = self.engine.now
         for key in sorted(tx_bytes):
@@ -247,15 +243,15 @@ class DeliveryTrace:
 
 
 def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],
-                   fid: FID, origin: str, ttl: int = DEFAULT_TTL,
-                   sinks: set | None = None) -> DeliveryTrace:
+                   fid: FID, origin: str, ttl: int,
+                   sinks: set) -> DeliveryTrace:
     """Walk a FID through the topology without the event loop.
 
     Follows every up link whose identifier is covered by the FID, except
     the reverse of the link a copy arrived on, exactly like the per-packet
-    forwarding decision, and reports the links used and the nodes where
-    copies terminated.  sinks, when given, marks which terminating nodes
-    count as deliveries rather than dead ends.
+    forwarding decision, for at most ttl hops, and reports the links used
+    and the nodes where copies terminated: a terminating node in sinks is
+    a delivery, any other a dead end.
     """
     trace = DeliveryTrace()
     frontier = [(origin, ttl, None)]
@@ -268,9 +264,7 @@ def trace_delivery(topo: TopologyGraph, link_ids: dict[str, FID],
                         and should_forward(fid, link_ids[link.key])):
                     egress.append(link)
         if not egress:
-            if sinks is not None and node in sinks:
-                trace.sink_nodes.add(node)
-            elif sinks is None:
+            if node in sinks:
                 trace.sink_nodes.add(node)
             else:
                 trace.dead_ends.add(node)

@@ -65,15 +65,11 @@ def zero_fid(width: int) -> FID:
 
 
 def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, FID]:
-    """Assign a link identifier to every directed link of the topology.
-
-    Accepts a TopologyGraph or any ordered iterable of link keys.  The
-    same (topology, config, seed) always yields the same assignment.
+    """Assign a link identifier to every directed link of a TopologyGraph,
+    in link insertion order.  The same (topology, config, seed) always
+    yields the same assignment.
     """
-    if hasattr(topology, "sorted_link_keys"):
-        keys = topology.sorted_link_keys()
-    else:
-        keys = list(topology)
+    keys = topology.sorted_link_keys()
     if config.mode == "exact":
         if len(keys) > config.m:
             raise CapacityError(
@@ -87,25 +83,19 @@ def assign_link_ids(topology, config: FidConfig, seed: int) -> dict[str, FID]:
     return out
 
 
-def encode_path(fids, width: int | None = None) -> FID:
-    """OR equal-width FIDs into one: the link identifiers of a path, or the
-    paths of a multicast delivery tree.
-
-    Empty input yields the all-zeros FID, which forwards nowhere; width
-    must then be given explicitly.
+def encode_path(fids, width: int) -> FID:
+    """OR FIDs of the given width into one: the link identifiers of a path,
+    or the paths of a multicast delivery tree.  Raises ValueError for a FID
+    of another width.  Empty input yields the all-zeros FID, which forwards
+    nowhere.
     """
     items = list(fids)
     if not items:
-        if width is None:
-            raise ValueError("width required to encode an empty set")
         return zero_fid(width)
-    w = items[0].width
-    if width is not None and width != w:
-        raise ValueError("width mismatch")
     for f in items:
-        if f.width != w:
-            raise ValueError("mixed FID widths")
-    return FID(_bitops.or_many([f.bits for f in items]), w)
+        if f.width != width:
+            raise ValueError("width mismatch")
+    return FID(_bitops.or_many([f.bits for f in items]), width)
 
 
 def should_forward(fid: FID, lid: FID) -> bool:

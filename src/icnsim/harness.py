@@ -112,18 +112,51 @@ def load_scenario(ref: str) -> dict:
             return json.load(fh)
     except (FileNotFoundError, IsADirectoryError):
         raise ConfigError([f"scenario file not found: {ref}"]) from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(
+            [f"cannot read scenario file {ref}: {exc.strerror}"]) from None
+    except ValueError as exc:  # not JSON, or not even text
         raise ConfigError([f"scenario file is not valid JSON: {exc}"]) from None
+
+
+def _part(parent: dict, key: str, where: str, errors: list, kind=dict):
+    """parent[key] when it is a kind (dict or list), an empty one when it
+    is absent or null; any other value is one more error."""
+    value = parent.get(key)
+    if value is not None and not isinstance(value, kind):
+        errors.append(f"{where}: must be an object" if kind is dict
+                      else f"{where}: must be a list")
+        value = None
+    return kind() if value is None else value
+
+
+def _entries(parent: dict, key: str, where: str, errors: list) -> list:
+    """The (index, object) pairs of the list parent[key]; each item that
+    is not an object is one more error."""
+    items = list(enumerate(_part(parent, key, where, errors, list)))
+    errors += [f"{where}[{i}]: must be an object" for i, item in items
+               if not isinstance(item, dict)]
+    return [(i, item) for i, item in items if isinstance(item, dict)]
+
+
+def _is_name(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def _known(v, names) -> bool:
+    """v is a str in names; a list, say, cannot even be looked up."""
+    return isinstance(v, str) and v in names
 
 
 def validate_config(raw: dict) -> dict:
     """Merge defaults and check everything; raises ConfigError listing
     every problem rather than stopping at the first."""
+    if not isinstance(raw, dict):
+        raise ConfigError(["scenario: must be a JSON object"])
     errors = []
     cfg = copy.deepcopy(raw)
 
-    name = cfg.get("name")
-    if not isinstance(name, str) or not name:
+    if not _is_name(cfg.get("name")):
         errors.append("name: required non-empty string")
     duration = cfg.get("duration_ms")
     if not _is_num(duration) or duration <= 0:
@@ -131,7 +164,7 @@ def validate_config(raw: dict) -> dict:
         duration = 1
 
     params = dict(DEFAULT_PARAMS)
-    for key, value in (cfg.get("params") or {}).items():
+    for key, value in _part(cfg, "params", "params", errors).items():
         if key not in DEFAULT_PARAMS:
             errors.append(f"params.{key}: unknown parameter")
             continue
@@ -140,7 +173,7 @@ def validate_config(raw: dict) -> dict:
     cfg["params"] = params
 
     fid = dict(DEFAULT_FID)
-    fid.update(cfg.get("fid") or {})
+    fid.update(_part(cfg, "fid", "fid", errors))
     cfg["fid"] = fid
 
     nodes, links = _check_topology(cfg, errors)
@@ -158,14 +191,13 @@ def validate_config(raw: dict) -> dict:
     if fid.get("mode") not in ("exact", "bloom"):
         errors.append(f"fid.mode: must be 'exact' or 'bloom', got {fid.get('mode')!r}")
 
-    apps = cfg.get("apps") or {}
-    cfg["apps"] = apps
+    events = _entries(cfg, "events", "events", errors)
+    cfg["events"] = [ev for _, ev in events]
+    cfg["apps"] = _part(cfg, "apps", "apps", errors)
     server_names, stb_names, channel_names = _check_apps(
         cfg, nodes, duration, errors)
 
-    events = cfg.get("events") or []
-    cfg["events"] = events
-    for i, ev in enumerate(events):
+    for i, ev in events:
         where = f"events[{i}]"
         kind = ev.get("kind")
         if kind not in EVENT_KINDS:
@@ -174,15 +206,16 @@ def validate_config(raw: dict) -> dict:
         at = ev.get("at_ms")
         if not _is_num(at) or not 0 < at < duration:
             errors.append(f"{where}.at_ms: must lie inside (0, duration_ms)")
-        if kind in ("link_down", "link_up") and ev.get("link") not in links:
+        if kind in ("link_down", "link_up") and not _known(ev.get("link"), links):
             errors.append(f"{where}.link: unknown link {ev.get('link')!r}")
         if kind in ("server_down", "server_up", "surrogate_on",
-                    "surrogate_off") and ev.get("server") not in server_names:
+                    "surrogate_off") and not _known(ev.get("server"),
+                                                    server_names):
             errors.append(f"{where}.server: unknown server {ev.get('server')!r}")
         if kind == "zap":
-            if ev.get("stb") not in stb_names:
+            if not _known(ev.get("stb"), stb_names):
                 errors.append(f"{where}.stb: unknown set-top box {ev.get('stb')!r}")
-            if ev.get("channel") not in channel_names:
+            if not _known(ev.get("channel"), channel_names):
                 errors.append(f"{where}.channel: unknown channel {ev.get('channel')!r}")
 
     if errors:
@@ -218,11 +251,11 @@ def _check_params(params: dict, errors: list) -> None:
 
 
 def _check_topology(cfg: dict, errors: list):
-    topo_cfg = cfg.get("topology") or {}
+    topo_cfg = _part(cfg, "topology", "topology", errors)
     nodes = {}
-    for i, n in enumerate(topo_cfg.get("nodes") or []):
+    for i, n in _entries(topo_cfg, "nodes", "topology.nodes", errors):
         nname, role = n.get("name"), n.get("role")
-        if not nname:
+        if not _is_name(nname):
             errors.append(f"topology.nodes[{i}]: missing name")
             continue
         if nname in nodes:
@@ -235,15 +268,15 @@ def _check_topology(cfg: dict, errors: list):
         errors.append("topology.nodes: at least one node required")
     links = {}
     linked = set()
-    for i, l in enumerate(topo_cfg.get("links") or []):
+    for i, l in _entries(topo_cfg, "links", "topology.links", errors):
         lname = l.get("name")
-        if not lname:
+        if not _is_name(lname):
             errors.append(f"topology.links[{i}]: missing name")
             continue
         if lname in links:
             errors.append(f"topology.links[{i}]: duplicate link {lname!r}")
         a, b = l.get("a"), l.get("b")
-        if a not in nodes or b not in nodes:
+        if not (_known(a, nodes) and _known(b, nodes)):
             errors.append(f"topology.links[{i}]: endpoints must be known nodes")
         elif a == b:
             errors.append(f"topology.links[{i}]: self-loop on {a!r}")
@@ -266,46 +299,49 @@ def _check_topology(cfg: dict, errors: list):
 
 def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
     apps = cfg["apps"]
+    naps = {name for name, role in nodes.items() if role == ROLE_NAP}
     server_names, stb_names, channel_names = set(), set(), set()
     hls = apps.get("hls")
-    if hls is not None:
+    if hls is not None and not isinstance(hls, dict):
+        errors.append("apps.hls: must be an object")
+    elif hls is not None:
         merged = dict(HLS_DEFAULTS)
         merged.update(hls)
         apps["hls"] = hls = merged
-        if not hls.get("host"):
+        if not _is_name(hls.get("host")):
             errors.append("apps.hls.host: required")
-        rates = hls.get("bitrates_mbps") or []
-        if (not rates or sorted(set(rates)) != rates
-                or any(not _is_num(r) or r <= 0 for r in rates)):
+        rates = hls.get("bitrates_mbps")
+        if (not isinstance(rates, list) or not rates
+                or any(not _is_num(r) or r <= 0 for r in rates)
+                or sorted(set(rates)) != rates):
             errors.append("apps.hls.bitrates_mbps: strictly increasing "
                           "positive integers required")
         if not _is_num(hls.get("chunk_duration_ms")) or hls["chunk_duration_ms"] <= 0:
             errors.append("apps.hls.chunk_duration_ms: positive integer required")
         if not _is_num(hls.get("playlist_window")) or hls["playlist_window"] <= 0:
             errors.append("apps.hls.playlist_window: positive integer required")
-        servers = hls.get("servers") or []
-        if not servers:
+        servers = _entries(hls, "servers", "apps.hls.servers", errors)
+        if not hls.get("servers"):
             errors.append("apps.hls.servers: at least one server required")
-        for i, s in enumerate(servers):
-            if not s.get("name"):
+        for i, s in servers:
+            if not _is_name(s.get("name")):
                 errors.append(f"apps.hls.servers[{i}]: missing name")
             elif s["name"] in server_names:
                 errors.append(f"apps.hls.servers[{i}]: duplicate name {s['name']!r}")
             else:
                 server_names.add(s["name"])
-            if nodes.get(s.get("nap")) != ROLE_NAP:
+            if not _known(s.get("nap"), naps):
                 errors.append(f"apps.hls.servers[{i}].nap: must be a nap node")
             s.setdefault("registered", True)
-        registered = any(s.get("registered") for s in servers)
-        turns_on = any(e.get("kind") == "surrogate_on"
-                       for e in cfg.get("events") or [])
+        registered = any(s.get("registered") for _, s in servers)
+        turns_on = any(e.get("kind") == "surrogate_on" for e in cfg["events"])
         if servers and not registered and not turns_on:
             errors.append("apps.hls.servers: no server starts registered and "
                           "no surrogate_on event ever registers one")
-        for i, c in enumerate(hls.get("clients") or []):
-            if not c.get("name"):
+        for i, c in _entries(hls, "clients", "apps.hls.clients", errors):
+            if not _is_name(c.get("name")):
                 errors.append(f"apps.hls.clients[{i}]: missing name")
-            if nodes.get(c.get("nap")) != ROLE_NAP:
+            if not _known(c.get("nap"), naps):
                 errors.append(f"apps.hls.clients[{i}].nap: must be a nap node")
             if not _is_num(c.get("start_ms")) or not 0 <= c["start_ms"] < duration:
                 errors.append(f"apps.hls.clients[{i}].start_ms: must lie in "
@@ -313,19 +349,21 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
             if not _is_num(c.get("chunks")) or c["chunks"] < 1:
                 errors.append(f"apps.hls.clients[{i}].chunks: positive integer required")
     iptv = apps.get("iptv")
-    if iptv is not None:
+    if iptv is not None and not isinstance(iptv, dict):
+        errors.append("apps.iptv: must be an object")
+    elif iptv is not None:
         mtu = cfg["params"]["mtu"]
-        channels = iptv.get("channels") or []
-        if not channels:
+        channels = _entries(iptv, "channels", "apps.iptv.channels", errors)
+        if not iptv.get("channels"):
             errors.append("apps.iptv.channels: at least one channel required")
-        for i, ch in enumerate(channels):
-            if not ch.get("name"):
+        for i, ch in channels:
+            if not _is_name(ch.get("name")):
                 errors.append(f"apps.iptv.channels[{i}]: missing name")
             elif ch["name"] in channel_names:
                 errors.append(f"apps.iptv.channels[{i}]: duplicate name {ch['name']!r}")
             else:
                 channel_names.add(ch["name"])
-            if nodes.get(ch.get("nap")) != ROLE_NAP:
+            if not _known(ch.get("nap"), naps):
                 errors.append(f"apps.iptv.channels[{i}].nap: must be a nap node")
             rate = ch.get("bitrate_mbps")
             if not _is_num(rate) or rate <= 0:
@@ -341,16 +379,16 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
                     or not 0 <= start < stop <= duration):
                 errors.append(f"apps.iptv.channels[{i}]: need "
                               "0 <= start_ms < stop_ms <= duration_ms")
-        for i, s in enumerate(iptv.get("stbs") or []):
-            if not s.get("name"):
+        for i, s in _entries(iptv, "stbs", "apps.iptv.stbs", errors):
+            if not _is_name(s.get("name")):
                 errors.append(f"apps.iptv.stbs[{i}]: missing name")
             elif s["name"] in stb_names:
                 errors.append(f"apps.iptv.stbs[{i}]: duplicate name {s['name']!r}")
             else:
                 stb_names.add(s["name"])
-            if nodes.get(s.get("nap")) != ROLE_NAP:
+            if not _known(s.get("nap"), naps):
                 errors.append(f"apps.iptv.stbs[{i}].nap: must be a nap node")
-            if s.get("channel") not in channel_names:
+            if not _known(s.get("channel"), channel_names):
                 errors.append(f"apps.iptv.stbs[{i}].channel: unknown channel "
                               f"{s.get('channel')!r}")
             if not _is_num(s.get("join_ms")) or not 0 <= s["join_ms"] < duration:
@@ -360,8 +398,9 @@ def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
                 if not _is_num(s["active_until_ms"]) or s["active_until_ms"] < 0:
                     errors.append(f"apps.iptv.stbs[{i}].active_until_ms: "
                                   "non-negative integer required")
-            elif s.get("channel") in channel_names:
-                stops = {c["name"]: c.get("stop_ms") for c in channels}
+            elif _known(s.get("channel"), channel_names):
+                stops = {c["name"]: c.get("stop_ms") for _, c in channels
+                         if _is_name(c.get("name"))}
                 s["active_until_ms"] = stops.get(s["channel"], duration)
     return server_names, stb_names, channel_names
 
@@ -410,7 +449,7 @@ def build_world(effective: dict, mode: str, seed: int,
                 telemetry_enabled: bool = True) -> World:
     params = effective["params"]
     w = World()
-    w.engine = Engine(seed)
+    w.engine = Engine()
     w.log = EventLog()
     w.telemetry = Telemetry(telemetry_enabled)
     w.topo = _build_topology(effective)
@@ -645,7 +684,25 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         meta["events_hash"] = w.log.hash()
     else:
         telemetry.export(artifacts, out)
+    _release(w)
     return artifacts
+
+
+def _release(w: World) -> None:
+    """Break a finished world's reference cycles, so reference counting
+    frees it, and its log with the artifacts; the PCE's counters stay."""
+    w.engine._heap.clear()
+    w.fabric.handlers.clear()
+    w.fabric.topology_listeners.clear()
+    if w.pce is not None:
+        w.pce.naps.clear()
+    if w.stp is not None:
+        w.stp.switches.clear()
+    # a gateway or transport holds the clients and boxes it still serves
+    for client in w.clients.values():
+        client.transport = None
+    for stb in w.stbs.values():
+        stb.adapter = None
 
 
 def _check_invariants(w: World, effective: dict, mode: str) -> list:
@@ -713,14 +770,15 @@ def compare_artifacts(a: RunArtifacts, b: RunArtifacts) -> dict:
         "acquisitions": {"a": sa.get("acquisitions", []),
                          "b": sb.get("acquisitions", [])},
     }
-    la, lb = sa["link_bytes"], sb["link_bytes"]
-    for phys in sorted({k.split(":", 1)[0] for k in la["total"]}
-                       | {k.split(":", 1)[0] for k in lb["total"]}):
-        ta = sum(v for k, v in la["total"].items() if k.split(":", 1)[0] == phys)
-        tb = sum(v for k, v in lb["total"].items() if k.split(":", 1)[0] == phys)
-        row = {"a_bytes": ta, "b_bytes": tb, "delta": tb - ta}
-        row["ratio"] = (tb / ta) if ta else None
-        out["links"][phys] = row
+    # both directions of a physical link, summed per side in one pass
+    totals: dict[str, list[int]] = {}
+    for side, summary in enumerate((sa, sb)):
+        for key, n in summary["link_bytes"]["total"].items():
+            totals.setdefault(key.split(":", 1)[0], [0, 0])[side] += n
+    for phys in sorted(totals):
+        ta, tb = totals[phys]
+        out["links"][phys] = {"a_bytes": ta, "b_bytes": tb, "delta": tb - ta,
+                              "ratio": (tb / ta) if ta else None}
     return out
 
 

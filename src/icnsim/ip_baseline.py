@@ -16,7 +16,7 @@ from collections import namedtuple
 from .fabric import Fabric, Packet, segment_sizes
 from .simkernel import Engine
 from .telemetry import EventLog
-from .topology import Link, TopologyEvent, TopologyGraph, ROLE_PCE
+from .topology import Link, TopologyEvent, TopologyGraph
 
 HOST_PORT = "host"
 
@@ -35,13 +35,14 @@ class StpController:
     blocked; access links keep forwarding.
     """
 
+    name = "stp"
+
     def __init__(self, engine: Engine, topo: TopologyGraph, log: EventLog,
-                 reconvergence_us: int = 30_000_000, name: str = "stp"):
+                 reconvergence_us: int):
         self.engine = engine
         self.topo = topo
         self.log = log
         self.reconvergence_us = reconvergence_us
-        self.name = name
         self.switches: dict[str, IpSwitch] = {}
         self.active: dict[str, bool] = {}
         self._pending = 0
@@ -62,7 +63,7 @@ class StpController:
 
     def _recompute(self) -> None:
         """Breadth-first tree over up links from the root switch."""
-        nodes = [n for n in self.topo.node_list() if n.role != ROLE_PCE]
+        nodes = self.topo.node_list()
         self.active = {}
         if not nodes:
             return
@@ -119,8 +120,7 @@ class IpSwitch:
     """
 
     def __init__(self, name: str, engine: Engine, topo: TopologyGraph,
-                 stp: StpController, log: EventLog,
-                 access_latency_us: int = 1_000):
+                 stp: StpController, log: EventLog, access_latency_us: int):
         self.name = name
         self.engine = engine
         self.topo = topo
@@ -247,7 +247,7 @@ class DnsDirectory:
 
 class IpEndpointParams(namedtuple(
         "IpEndpointParams", "access_latency_us mtu request_bytes igmp_bytes "
-        "attempts_per_address", defaults=(1_000, 1400, 400, 64, 2))):
+        "attempts_per_address")):
     __slots__ = ()
 
 

@@ -45,8 +45,7 @@ def scope_key(name: str) -> str:
 
 class NapParams(namedtuple(
         "NapParams",
-        "coalesce_window_us access_latency_us control_latency_us mtu",
-        defaults=(100_000, 1_000, 1_000, 1400))):
+        "coalesce_window_us access_latency_us control_latency_us mtu")):
     __slots__ = ()
 
 
@@ -77,13 +76,13 @@ class Nap:
     """One gateway; client-side and server-side behaviour in one element."""
 
     def __init__(self, name: str, engine: Engine, fabric: Fabric, pce,
-                 log: EventLog, params: NapParams = None):
+                 log: EventLog, params: NapParams):
         self.name = name
         self.engine = engine
         self.fabric = fabric
         self.pce = pce
         self.log = log
-        self.params = params or NapParams()
+        self.params = params
         self.fid_table: dict[str, tuple[FID, int]] = {}
         self._pending: dict[str, _Pending] = {}
         self._members: dict[str, dict] = {}
@@ -146,7 +145,7 @@ class Nap:
     # -- client side: IGMP --------------------------------------------------
 
     def handle_igmp(self, stb_name: str, action: str, channel: str,
-                    handle=None) -> None:
+                    handle) -> None:
         """Membership update from an attached set-top box; the gateway
         aggregates it into one channel subscription."""
         name = channel_name(channel)
@@ -185,8 +184,7 @@ class Nap:
             members = self._members.get(packet.name, {})
             t_host = t + self.params.access_latency_us
             for handle in members.values():
-                if handle is not None:
-                    handle.on_stream_packet(packet.name, t_host, packet.size)
+                handle.on_stream_packet(packet.name, t_host, packet.size)
             return len(members)
         pending = self._pending.get(packet.name)
         if pending is None:

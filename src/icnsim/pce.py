@@ -31,24 +31,24 @@ class PathResult(namedtuple("PathResult", "links fid cost")):
 
 
 class PceParams(namedtuple("PceParams",
-                           "control_latency_us processing_delay_us",
-                           defaults=(1_000, 5_000))):
+                           "control_latency_us processing_delay_us")):
     __slots__ = ()
 
 
 class Pce:
     """Rendezvous + topology manager, co-located as one control element."""
 
+    name = "pce"
+
     def __init__(self, engine: Engine, topo: TopologyGraph,
                  link_ids: dict[str, FID], fid_config: FidConfig,
-                 log: EventLog, params: PceParams = None, name: str = "pce"):
+                 log: EventLog, params: PceParams):
         self.engine = engine
         self.topo = topo
         self.link_ids = link_ids
         self.fid_config = fid_config
         self.log = log
-        self.params = params or PceParams()
-        self.name = name
+        self.params = params
         self.naps: dict[str, object] = {}
         # scope -> insertion-ordered publisher gateways;
         # name -> subscriber gateway -> (kind, context)
@@ -184,8 +184,8 @@ class Pce:
                         name=scope, nap=nap)
         self._pubs.get(scope, {}).pop(nap, None)
 
-    def subscribe(self, name: str, subscriber: str, kind: str = "http",
-                  context=None) -> None:
+    def subscribe(self, name: str, subscriber: str, kind: str,
+                  context) -> None:
         """Register a subscription and, if a publisher exists, notify the
         selected publisher's gateway of the match."""
         self.log.append(self.engine.now, self.name, "ctrl", msg="subscribe",

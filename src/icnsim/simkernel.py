@@ -1,18 +1,17 @@
 """Deterministic discrete-event engine on an integer-microsecond clock.
 
 All simulation state advances through Engine.schedule / Engine.run_until.
-Two runs with the same callbacks, delays and master seed execute events
-in exactly the same order: ties on the virtual timestamp are broken by
-scheduling sequence number (FIFO), and every random draw comes from a
-named substream derived from the master seed, so adding draws on one
-label never perturbs another.
+Two runs with the same callbacks and delays execute events in exactly
+the same order: ties on the virtual timestamp are broken by scheduling
+sequence number (FIFO).  The engine draws no random numbers; a component
+that needs them seeds its own generator with substream_seed, so draws on
+one label never perturb another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import random
 from collections.abc import Callable
 
 US_PER_MS = 1_000
@@ -26,15 +25,13 @@ def substream_seed(master_seed: int, label: str) -> int:
 
 
 class Engine:
-    """Event scheduler with cancellation and named RNG substreams."""
+    """Event scheduler with cancellation."""
 
-    def __init__(self, master_seed: int = 0):
-        self.master_seed = master_seed
+    def __init__(self):
         self.now: int = 0
         self._heap: list = []
         self._seq: int = 0
         self._cancelled: set = set()
-        self._rngs: dict = {}
 
     def schedule(self, delay_us: int, action: Callable, *args) -> int:
         """Schedule action(*args) at now + delay_us; returns an event id."""
@@ -81,15 +78,3 @@ class Engine:
     def pending(self) -> int:
         """Number of events still queued (cancelled ones included)."""
         return len(self._heap)
-
-    def rng(self, label: str) -> random.Random:
-        """Named RNG substream; draws on one label never affect another."""
-        r = self._rngs.get(label)
-        if r is None:
-            r = random.Random(substream_seed(self.master_seed, label))
-            self._rngs[label] = r
-        return r
-
-    def rng_draw(self, label: str) -> float:
-        """One uniform [0, 1) draw from the labelled substream."""
-        return self.rng(label).random()

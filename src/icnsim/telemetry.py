@@ -41,7 +41,7 @@ import os
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, lt, mul
 
@@ -460,12 +460,6 @@ class EventLog:
         if before // _BATCH != len(self._seq) // _BATCH:
             self._pack()
 
-    @classmethod
-    def from_records(cls, records) -> "EventLog":
-        log = cls()
-        log.extend(records)
-        return log
-
     # -- what the reducers read
 
     def column(self, kind: str, name: str):
@@ -526,9 +520,6 @@ class EventLog:
                 list(self._values(a)) == list(other._values(b))
                 for a, b in zip(chain.from_iterable(self._cols),
                                 chain.from_iterable(other._cols)))
-        if isinstance(other, list):
-            return len(other) == len(self._seq) and all(
-                a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -536,15 +527,14 @@ class EventLog:
 
 
 class Telemetry:
-    """Optional metric sample stream (counters, gauges)."""
+    """Optional metric sample stream (counters, gauges).  Its one writer,
+    Fabric.flush_counters, records no sample while enabled is false."""
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool):
         self.enabled = enabled
         self.samples: list[dict] = []
 
     def record(self, t: int, element: str, metric: str, value) -> None:
-        if not self.enabled:
-            return
         self.samples.append({"t": t, "el": element, "metric": metric, "value": value})
 
     def hash(self) -> str:
@@ -552,23 +542,19 @@ class Telemetry:
 
 
 class RunArtifacts:
-    """Everything one simulation run produces.  events is an EventLog; a
-    list of record dicts given here is checked and stored as one."""
+    """Everything one simulation run produces: its effective config, mode
+    and seed, its EventLog, its metric samples and its meta dict."""
 
     __slots__ = ("config", "mode", "seed", "events", "samples", "meta")
 
-    def __init__(self, config: dict, mode: str, seed: int,
-                 events=None, samples: list = None, meta: dict = None):
-        if events is None:
-            events = EventLog()
-        elif not isinstance(events, EventLog):
-            events = EventLog.from_records(events)
+    def __init__(self, config: dict, mode: str, seed: int, events: EventLog,
+                 samples: list, meta: dict):
         self.config = config
         self.mode = mode
         self.seed = seed
         self.events = events
-        self.samples = [] if samples is None else samples
-        self.meta = {} if meta is None else meta
+        self.samples = samples
+        self.meta = meta
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +652,12 @@ def disruption_intervals(arrival_times, active_start: int, active_end: int,
 
     Gaps are measured between consecutive deliveries inside the active
     period; a sink with no deliveries at all counts one disruption
-    spanning its whole active period.  max_gap_us is one threshold for
-    every gap, or a list, tuple or array parallel to arrival_times that
-    gives the threshold of the gap ending at each arrival.  Arrivals are
-    taken in (time, threshold) order; times that strictly increase
-    already are in that order, so only other inputs are sorted as pairs.
+    spanning its whole active period.  max_gap_us is parallel to
+    arrival_times: the threshold of the gap ending at each arrival.
+    Arrivals are taken in (time, threshold) order; times that strictly
+    increase already are in that order, so only other inputs are sorted
+    as pairs.
     """
-    if not isinstance(max_gap_us, (list, tuple, array)):
-        max_gap_us = repeat(max_gap_us)
     arrivals = zip(arrival_times, max_gap_us)
     if not all(map(lt, arrival_times, islice(arrival_times, 1, None))):
         arrivals = sorted(arrivals)
@@ -908,9 +892,6 @@ def import_artifacts(outdir: str) -> RunArtifacts:
                         events=log, samples=samples, meta=meta)
 
 
-def events_hash(events) -> str:
-    """sha256 of the canonical JSONL encoding of an EventLog or a list of
-    record dicts."""
-    if not isinstance(events, EventLog):
-        events = EventLog.from_records(events)
+def events_hash(events: EventLog) -> str:
+    """sha256 of the canonical JSONL encoding of an EventLog."""
     return events.hash()

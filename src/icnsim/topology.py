@@ -16,8 +16,7 @@ from collections import namedtuple
 
 ROLE_FN = "fn"
 ROLE_NAP = "nap"
-ROLE_PCE = "pce"
-ROLES = (ROLE_FN, ROLE_NAP, ROLE_PCE)
+ROLES = (ROLE_FN, ROLE_NAP)
 
 
 class Node(namedtuple("Node", "name role index")):
@@ -28,9 +27,9 @@ class Link:
     """One direction of a physical link.
 
     reverse is the key of the opposite direction of the same physical
-    link; up_since is the time the link last came up (packets whose
-    transmission started before it are lost in flight); busy_until is
-    the serialization queue tail (absolute virtual time).
+    link.  A link starts up and idle; up_since is the time it last came
+    up (packets whose transmission started before it are lost in flight);
+    busy_until is the serialization queue tail (absolute virtual time).
     """
 
     __slots__ = ("key", "physical", "src", "dst", "capacity_bps",
@@ -39,8 +38,7 @@ class Link:
 
     def __init__(self, key: str, physical: str, src: str, dst: str,
                  capacity_bps: int, latency_us: int, index: int,
-                 reverse: str, up: bool = True, up_since: int = 0,
-                 busy_until: int = 0):
+                 reverse: str):
         self.key = key
         self.physical = physical
         self.src = src
@@ -49,13 +47,12 @@ class Link:
         self.latency_us = latency_us
         self.index = index
         self.reverse = reverse
-        self.up = up
-        self.up_since = up_since
-        self.busy_until = busy_until
+        self.up = True
+        self.up_since = 0
+        self.busy_until = 0
 
 
-class TopologyEvent(namedtuple("TopologyEvent", "physical up directed_keys",
-                               defaults=((),))):
+class TopologyEvent(namedtuple("TopologyEvent", "physical up directed_keys")):
     """State change of a physical link, as reported to control planes."""
 
     __slots__ = ()
@@ -107,7 +104,7 @@ class TopologyGraph:
         """Egress links of a node, in insertion order."""
         return self._egress[node]
 
-    def set_link_state(self, physical: str, up: bool, at_us: int = 0) -> TopologyEvent:
+    def set_link_state(self, physical: str, up: bool, at_us: int) -> TopologyEvent:
         """Flip both directions of a physical link; bumps the epoch."""
         keys = self.physical.get(physical)
         if keys is None:

@@ -38,6 +38,18 @@ def random_connected_topology(rng: random.Random, max_nodes: int = 30,
     return topo
 
 
+def chain_topology(directed_links: int) -> TopologyGraph:
+    """A path of directed_links // 2 physical links, which gives that
+    many directed links for an even count: a topology to label when only
+    the number of link identifiers matters."""
+    topo = TopologyGraph()
+    topo.add_node("n0", "fn")
+    for i in range(1, directed_links // 2 + 1):
+        topo.add_node(f"n{i}", "fn")
+        topo.add_link(f"l{i}", f"n{i - 1}", f"n{i}", 1_000_000_000, 100)
+    return topo
+
+
 def bfs_hops(topo: TopologyGraph, src: str, dst: str):
     """Brute-force hop count over up links; None when unreachable."""
     if src == dst:
@@ -56,6 +68,11 @@ def bfs_hops(topo: TopologyGraph, src: str, dst: str):
 @pytest.fixture
 def topo_factory():
     return random_connected_topology
+
+
+@pytest.fixture
+def chain_factory():
+    return chain_topology
 
 
 @pytest.fixture

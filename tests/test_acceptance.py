@@ -275,7 +275,7 @@ def _layered_tree(topo, rng, src, take=0.4):
     return links
 
 
-def test_c5_fid_encoding_algebra(topo_factory):
+def test_c5_fid_encoding_algebra(topo_factory, chain_factory):
     t0 = time.perf_counter()
     rng = random.Random(2024)
 
@@ -289,17 +289,20 @@ def test_c5_fid_encoding_algebra(topo_factory):
         t2_links = _layered_tree(topo, rng, src)
         fid1 = encode_path([lids[k] for k in sorted(t1_links)], cfg.m)
         fid2 = encode_path([lids[k] for k in sorted(t2_links)], cfg.m)
-        assert trace_delivery(topo, lids, fid1, src).links_used == t1_links
+        assert trace_delivery(topo, lids, fid1, src, ttl=64,
+                              sinks=set()).links_used == t1_links
         combined = combine_trees([fid1, fid2], cfg.m)
-        assert trace_delivery(topo, lids, combined, src).links_used \
+        assert trace_delivery(topo, lids, combined, src, ttl=64,
+                              sinks=set()).links_used \
             == t1_links | t2_links
 
     # probabilistic identifiers: no member ever dropped, false positives
     # within twice the analytic rate
     m, k, n = 64, 3, 10
     cfg = FidConfig(m=m, k=k, mode="bloom")
-    keys = [f"edge{i}" for i in range(2_000)]
-    lids = assign_link_ids(keys, cfg, seed=7)
+    edges = chain_factory(2_000)
+    keys = edges.sorted_link_keys()
+    lids = assign_link_ids(edges, cfg, seed=7)
     false_positives = 0
     probes = 0
     for round_no in range(100):
@@ -329,7 +332,7 @@ def test_c6_path_computation_optimality(topo_factory, bfs_oracle):
         names = [n.name for n in topo.node_list()]
         cfg = FidConfig(m=2 * len(topo.physical), mode="exact")
         lids = assign_link_ids(topo, cfg, 1)
-        pce = Pce(Engine(1), topo, lids, cfg, EventLog(), PceParams())
+        pce = Pce(Engine(), topo, lids, cfg, EventLog(), PceParams(1_000, 5_000))
 
         src, dst = rng.choice(names), rng.choice(names)
         expected = bfs_oracle(topo, src, dst)

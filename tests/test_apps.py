@@ -8,6 +8,11 @@ from icnsim.simkernel import Engine, US_PER_MS, US_PER_S
 from icnsim.telemetry import EventLog
 from icnsim.topology import TopologyGraph
 
+# one live stream: 2 s chunks at 2 or 8 Mb/s, a five-chunk playlist window
+CATALOG = HlsCatalog(host="video.test", path_prefix="/live",
+                     chunk_duration_us=2_000_000, bitrates_mbps=(2, 8),
+                     playlist_window=5, playlist_bytes=500)
+
 
 class ScriptedTransport:
     """Answers fetches from the catalog after a fixed delay; paths queued
@@ -42,17 +47,21 @@ class ScriptedTransport:
 
 
 def make_client(chunks=4, delay_us=100_000, start_us=2_500_000, **overrides):
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
-    catalog = HlsCatalog(host="video.test")
+    catalog = CATALOG
     transport = ScriptedTransport(engine, catalog, delay_us)
-    params = HlsClientParams(start_us=start_us, chunks=chunks, **overrides)
+    params = HlsClientParams(
+        start_us=start_us, chunks=chunks, timeout_us=4_000_000,
+        abr_safety=0.8, abr_upshift_chunks=3, ewma_weight=0.5,
+        startup_hold_us=750_000, chunk_offset_us=500_000,
+        max_attempts=6)._replace(**overrides)
     client = HlsClient("c1", transport, catalog, params, engine, log)
     return engine, log, catalog, transport, client
 
 
 def test_catalog_arithmetic():
-    cat = HlsCatalog(host="video.test")
+    cat = CATALOG
     assert cat.chunk_bytes(2) == 500_000
     assert cat.chunk_bytes(8) == 2_000_000
     assert cat.playlist_path() == "/live/playlist.m3u8"
@@ -69,11 +78,13 @@ def test_catalog_arithmetic():
 
 
 def run_server(path, now_us=12_000_000, up=True):
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
-    catalog = HlsCatalog(host="video.test")
+    catalog = CATALOG
     server = HlsServer("origin", "snap", catalog, engine, log,
-                       reply_delay_us=2_000, up=up)
+                       reply_delay_us=2_000)
+    if not up:
+        server.set_up(False)
     replies = []
     engine.schedule_at(now_us, server.handle_request, "GET", "video.test",
                        path, lambda *a: replies.append((engine.now, *a)))
@@ -219,7 +230,7 @@ class RecordingSender:
 
 
 def test_iptv_source_paces_and_stops():
-    engine = Engine(1)
+    engine = Engine()
     sender = RecordingSender(engine)
     source = IptvSource("ch1", sender, bitrate_mbps=2, pkt_bytes=1400,
                         start_us=500, stop_us=28_500, engine=engine)
@@ -240,7 +251,7 @@ class RecordingAdapter:
 
 
 def test_stb_joins_refreshes_and_expires():
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
     adapter = RecordingAdapter(engine)
     Stb("stb1", adapter, "ch1", join_us=1_000, active_until_us=20_000_000,
@@ -251,7 +262,7 @@ def test_stb_joins_refreshes_and_expires():
 
 
 def test_stb_zap_switches_membership_and_times_acquisition():
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
     adapter = RecordingAdapter(engine)
     stb = Stb("stb1", adapter, "ch1", join_us=1_000,
@@ -272,7 +283,7 @@ def test_stb_zap_switches_membership_and_times_acquisition():
 
 
 def test_surrogate_toggle_drives_publisher_registration():
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
     topo = TopologyGraph()
     topo.add_node("snap_a", "nap")
@@ -280,8 +291,8 @@ def test_surrogate_toggle_drives_publisher_registration():
     topo.add_link("l1", "snap_a", "snap_b", 10_000_000, 100)
     cfg = FidConfig(m=2, mode="exact")
     pce = Pce(engine, topo, assign_link_ids(topo, cfg, 1), cfg, log,
-              PceParams())
-    catalog = HlsCatalog(host="video.test")
+              PceParams(1_000, 5_000))
+    catalog = CATALOG
     server = HlsServer("surrogate", "snap_b", catalog, engine, log, 2_000)
     agent = SurrogateAgent(server, pce, "scope", engine, log,
                            control_latency_us=1_000, registered=False)
@@ -297,9 +308,9 @@ def test_surrogate_toggle_drives_publisher_registration():
 
 
 def test_surrogate_toggle_without_control_plane_is_inert():
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
-    catalog = HlsCatalog(host="video.test")
+    catalog = CATALOG
     server = HlsServer("origin", "snap", catalog, engine, log, 2_000)
     agent = SurrogateAgent(server, None, "scope", engine, log,
                            control_latency_us=1_000, registered=False)

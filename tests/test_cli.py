@@ -45,6 +45,71 @@ def test_invalid_scenario_file_lists_errors(tmp_path, capsys):
     assert "role must be 'fn' or 'nap'" in err
 
 
+# (where in trial_topology, the mistyped value it gets): each is a JSON
+# value of the wrong type for its place, and each is one more config error
+MISTYPED = {
+    "top_level_list": ((), [1]),
+    "params_list": (("params",), [1]),
+    "fid_list": (("fid",), [1]),
+    "apps_list": (("apps",), [1]),
+    "events_not_a_list": (("events",), 5),
+    "event_number": (("events",), [5]),
+    "topology_list": (("topology",), [1]),
+    "nodes_object": (("topology", "nodes"), {"a": 1}),
+    "node_number": (("topology", "nodes", 0), 7),
+    "node_name_list": (("topology", "nodes", 0, "name"), ["x"]),
+    "link_number": (("topology", "links", 0), 7),
+    "link_end_list": (("topology", "links", 0, "a"), ["x"]),
+    "hls_list": (("apps", "hls"), [1]),
+    "hls_host_list": (("apps", "hls", "host"), ["x"]),
+    "hls_bitrates_nested": (("apps", "hls", "bitrates_mbps"), [[2]]),
+    "hls_bitrates_number": (("apps", "hls", "bitrates_mbps"), 5),
+    "server_number": (("apps", "hls", "servers", 0), 7),
+    "server_nap_list": (("apps", "hls", "servers", 0, "nap"), ["x"]),
+    "client_number": (("apps", "hls", "clients", 0), 7),
+    "client_name_list": (("apps", "hls", "clients", 0, "name"), ["x"]),
+    "iptv_number": (("apps", "iptv"), 5),
+    "channel_number": (("apps", "iptv", "channels", 0), 7),
+    "channel_name_list": (("apps", "iptv", "channels", 0, "name"), ["x"]),
+    "stb_number": (("apps", "iptv", "stbs", 0), 7),
+    "stb_channel_list": (("apps", "iptv", "stbs", 0, "channel"), ["x"]),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_mistyped_scenario_structure_is_a_config_error(tmp_path, capsys,
+                                                       case, command):
+    """A scenario file that is valid JSON of the wrong shape exits 2 with
+    config errors, never with a traceback and exit 1, which the CLI keeps
+    for invariant violations."""
+    path, value = MISTYPED[case]
+    scenario = harness.load_scenario("trial_topology")
+    if path:
+        place = scenario
+        for key in path[:-1]:
+            place = place[key]
+        place[path[-1]] = value
+    else:
+        scenario = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    assert main([command, "--scenario", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_unreadable_scenario_file_is_a_config_error(tmp_path, capsys):
+    """An OSError other than a missing file, here a name too long for the
+    file system, is a config error too."""
+    assert main(["validate", "--scenario",
+                 str(tmp_path / ("x" * 300 + ".json"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read scenario file ")
+
+
 def test_run_single_mode_prints_summary_and_hash(capsys):
     assert main(["run", "--scenario", "trial_topology", "--mode", "icn"]) == 0
     out = capsys.readouterr().out

@@ -51,9 +51,10 @@ def chain_topology(capacity_bps=8_000_000, latency_us=500):
 
 
 def make_fabric(topo, **params):
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
-    fabric = Fabric(engine, topo, log, Telemetry(), FabricParams(**params))
+    params = FabricParams(10_000, None, 64)._replace(**params)
+    fabric = Fabric(engine, topo, log, Telemetry(True), params)
     return engine, log, fabric
 
 
@@ -294,16 +295,17 @@ def test_listeners_hear_link_events_after_detection_delay():
 def test_flush_counters_match_event_log():
     # 250 bytes take 250 us at 8 Mb/s, so a burst of four queues behind
     # itself; a 750-byte cap admits three; a later packet finds the link
-    # idle; a TTL-expired packet at b adds a drop at a second node
+    # idle; a packet with no egress at c adds a drop at a second node
     topo = chain_topology()
     engine, log, fabric = make_fabric(topo, queue_cap_bytes=750)
     sink = RecordingSink()
     fabric.add_handler("a", StaticForwarder(topo.egress("a")))
     fabric.add_handler("b", sink)
+    fabric.add_handler("c", StaticForwarder([]))
     for _ in range(4):
         fabric.inject("a", packet(fabric, size=250))
     engine.schedule_at(10_000, fabric.inject, "a", packet(fabric, size=250))
-    fabric.inject("b", packet(fabric), ttl=0)
+    fabric.inject("c", packet(fabric))
     engine.run_until(1_000_000)
     fabric.flush_counters()
     samples = {(s["el"], s["metric"]): s["value"]
@@ -322,18 +324,18 @@ def test_flush_counters_match_event_log():
     assert samples == expected == {
         ("ab:a->b", "tx_bytes"): 1000, ("ab:a->b", "tx_pkts"): 4,
         ("ab:a->b", "queue_peak_us"): 500,
-        ("a", "drops"): 1, ("b", "drops"): 1}
+        ("a", "drops"): 1, ("c", "drops"): 1}
 
 
 def test_trace_delivery_reports_dead_ends():
     topo = chain_topology()
     lids = assign_link_ids(topo, FidConfig(m=len(topo.links), mode="exact"), 1)
     fid = encode_path([lids["ab:a->b"], lids["bc:b->c"]], width=len(topo.links))
-    trace = trace_delivery(topo, lids, fid, "a", sinks={"c"})
+    trace = trace_delivery(topo, lids, fid, "a", ttl=64, sinks={"c"})
     assert trace.sink_nodes == {"c"}
     assert trace.dead_ends == set()
     # without c as a recognized sink the same walk is a dead end
-    trace2 = trace_delivery(topo, lids, fid, "a", sinks=set())
+    trace2 = trace_delivery(topo, lids, fid, "a", ttl=64, sinks=set())
     assert trace2.dead_ends == {"c"}
 
 
@@ -354,7 +356,7 @@ def test_fid_covering_a_link_and_its_reverse_never_bounces_back():
     assert [r for r in log if r["ev"] in ("pkt_drop", "pkt_branch")] == []
     assert sink.arrivals == [(3000, 0)]
     assert conservation_from_events(log)["balanced"]
-    trace = trace_delivery(topo, lids, fid, "a", sinks={"c"})
+    trace = trace_delivery(topo, lids, fid, "a", ttl=64, sinks={"c"})
     assert trace.links_used == {"ab:a->b", "bc:b->c"}
     assert trace.hops == 2
     assert trace.sink_nodes == {"c"} and trace.dead_ends == set()
@@ -403,8 +405,9 @@ def test_queued_copy_costs_one_flat_heap_entry():
     topo.add_node("a", "fn")
     topo.add_node("b", "fn")
     topo.add_link("ab", "a", "b", 1_000, 0)
-    engine = Engine(1)
-    fabric = Fabric(engine, topo, _NoLog(), Telemetry(), FabricParams())
+    engine = Engine()
+    fabric = Fabric(engine, topo, _NoLog(), Telemetry(True),
+                    FabricParams(10_000, None, 64))
     fabric.add_handler("a", StaticForwarder(topo.egress("a")))
     pkt = Packet(pid=0, kind="chunk", name="x", size=1400)
     fabric.inject("a", pkt)
@@ -436,7 +439,7 @@ def test_forwarding_decision_matches_the_reference_rule(topo_factory, mode):
                                rng.randrange(1 << 30))
         for physical in rng.sample(sorted(topo.physical),
                                    rng.randint(0, len(topo.physical) // 2)):
-            topo.set_link_state(physical, False)
+            topo.set_link_state(physical, False, 0)
         keys = topo.sorted_link_keys()
         fids = [zero_fid(m), FID(rng.randrange(1 << m), m)]
         fids += [encode_path([lids[k] for k in rng.sample(keys, n)], width=m)

@@ -67,11 +67,11 @@ def test_bit_primitives_at_width(width):
     with pytest.raises(ValueError):
         should_forward(zero, wider)
     with pytest.raises(ValueError):
-        encode_path([FID(1, width), wider])
+        encode_path([FID(1, width), wider], width)
     with pytest.raises(ValueError):
         encode_path([FID(1, width)], width=width + 1)
     with pytest.raises(ValueError):
-        combine_trees([zero, FID(0, width + 1)])
+        combine_trees([zero, FID(0, width + 1)], width)
     with pytest.raises(ValueError):
         combine_trees([zero], width=width + 1)
     with pytest.raises(ValueError):
@@ -95,10 +95,10 @@ def test_exact_assignment_unique_single_bits(topo_factory):
         seen.add(lid.bits)
 
 
-def test_exact_assignment_capacity_error():
-    keys = [f"k{i}" for i in range(10)]
+def test_exact_assignment_capacity_error(chain_factory):
     with pytest.raises(CapacityError):
-        assign_link_ids(keys, FidConfig(m=8, mode="exact"), seed=1)
+        assign_link_ids(chain_factory(10), FidConfig(m=8, mode="exact"),
+                        seed=1)
 
 
 def test_assignment_stable_across_runs(topo_factory):
@@ -112,48 +112,51 @@ def test_assignment_stable_across_runs(topo_factory):
     assert any(a[k].bits != c[k].bits for k in a)
 
 
-def test_bloom_assignment_sets_k_bits():
-    keys = [f"k{i}" for i in range(50)]
-    lids = assign_link_ids(keys, FidConfig(m=64, k=3, mode="bloom"), seed=2)
+def test_bloom_assignment_sets_k_bits(chain_factory):
+    lids = assign_link_ids(chain_factory(50),
+                           FidConfig(m=64, k=3, mode="bloom"), seed=2)
+    assert len(lids) == 50
     for lid in lids.values():
         assert lid.popcount() == 3
 
 
-def test_encode_path_is_or_of_members():
-    keys = ["a", "b", "c"]
-    lids = assign_link_ids(keys, FidConfig(m=16, mode="exact"), seed=0)
-    fid = encode_path([lids["a"], lids["c"]])
-    assert should_forward(fid, lids["a"])
-    assert should_forward(fid, lids["c"])
-    assert not should_forward(fid, lids["b"])
+def test_encode_path_is_or_of_members(chain_factory):
+    topo = chain_factory(4)
+    a, b, c, _ = topo.sorted_link_keys()
+    lids = assign_link_ids(topo, FidConfig(m=16, mode="exact"), seed=0)
+    fid = encode_path([lids[a], lids[c]], 16)
+    assert should_forward(fid, lids[a])
+    assert should_forward(fid, lids[c])
+    assert not should_forward(fid, lids[b])
     assert fid.popcount() == 2
 
 
 def test_encode_empty_path_forwards_nowhere():
-    with pytest.raises(ValueError):
-        encode_path([])
     fid = encode_path([], width=32)
     assert fid.popcount() == 0
 
 
-def test_encode_width_mismatch_rejected():
-    a = assign_link_ids(["x"], FidConfig(m=8, mode="exact"), seed=0)["x"]
-    b = assign_link_ids(["y"], FidConfig(m=16, mode="exact"), seed=0)["y"]
+def test_encode_width_mismatch_rejected(chain_factory):
+    topo = chain_factory(2)
+    key = topo.sorted_link_keys()[0]
+    a = assign_link_ids(topo, FidConfig(m=8, mode="exact"), seed=0)[key]
+    b = assign_link_ids(topo, FidConfig(m=16, mode="exact"), seed=0)[key]
     with pytest.raises(ValueError):
-        encode_path([a, b])
+        encode_path([a, b], 8)
     with pytest.raises(ValueError):
         should_forward(zero_fid(8), b)
 
 
-def test_combine_trees_idempotent_union():
-    keys = ["trunk", "left", "right"]
-    lids = assign_link_ids(keys, FidConfig(m=16, mode="exact"), seed=0)
-    to_left = encode_path([lids["trunk"], lids["left"]])
-    to_right = encode_path([lids["trunk"], lids["right"]])
-    tree = combine_trees([to_left, to_right])
+def test_combine_trees_idempotent_union(chain_factory):
+    topo = chain_factory(4)
+    trunk, left, right, _ = topo.sorted_link_keys()
+    lids = assign_link_ids(topo, FidConfig(m=16, mode="exact"), seed=0)
+    to_left = encode_path([lids[trunk], lids[left]], 16)
+    to_right = encode_path([lids[trunk], lids[right]], 16)
+    tree = combine_trees([to_left, to_right], 16)
     # the shared trunk contributes its bit once
     assert tree.popcount() == 3
-    for k in keys:
+    for k in (trunk, left, right):
         assert should_forward(tree, lids[k])
     assert combine_trees([], width=16).popcount() == 0
 
@@ -183,7 +186,7 @@ def test_exact_traversal_matches_encoded_set(topo_factory):
         root = f"n{rng.randrange(len(topo.nodes)):02d}"
         tree = _random_out_tree(rng, topo, root)
         fid = encode_path([lids[k] for k in tree], width=len(topo.links))
-        trace = trace_delivery(topo, lids, fid, root)
+        trace = trace_delivery(topo, lids, fid, root, ttl=64, sinks=set())
         assert trace.links_used == set(tree)
 
 
@@ -233,10 +236,12 @@ def test_exact_combination_traversal_is_union(topo_factory):
         t2 = _random_shortest_tree(rng, topo, root)
         f1 = encode_path([lids[k] for k in t1], width=m)
         f2 = encode_path([lids[k] for k in t2], width=m)
-        both = combine_trees([f1, f2])
-        trace = trace_delivery(topo, lids, both, root)
-        used1 = trace_delivery(topo, lids, f1, root).links_used
-        used2 = trace_delivery(topo, lids, f2, root).links_used
+        both = combine_trees([f1, f2], m)
+        trace = trace_delivery(topo, lids, both, root, ttl=64, sinks=set())
+        used1 = trace_delivery(topo, lids, f1, root, ttl=64,
+                               sinks=set()).links_used
+        used2 = trace_delivery(topo, lids, f2, root, ttl=64,
+                               sinks=set()).links_used
         assert trace.links_used == t1 | t2
         assert trace.links_used >= used1 | used2
 
@@ -252,13 +257,14 @@ def test_false_positive_rate_formula():
     assert rates == sorted(rates)
 
 
-def test_bloom_monte_carlo_matches_analytic():
+def test_bloom_monte_carlo_matches_analytic(chain_factory):
     """Empirical false-positive rate within 2x of the formula; members
     are always covered (no false negatives)."""
     m, k, n = 64, 3, 10
     rng = random.Random(31)
-    keys = [f"k{i}" for i in range(2000)]
-    lids = assign_link_ids(keys, FidConfig(m=m, k=k, mode="bloom"), seed=7)
+    topo = chain_factory(2000)
+    keys = topo.sorted_link_keys()
+    lids = assign_link_ids(topo, FidConfig(m=m, k=k, mode="bloom"), seed=7)
     hits = 0
     probes = 10_000
     per_round = 100

@@ -1,8 +1,10 @@
 """Scenario loading, validation, world running, run comparison."""
 
 import copy
+import gc
 import os
 import sys
+import weakref
 
 import pytest
 
@@ -63,6 +65,44 @@ def test_bloom_stream_trees_are_checked(m, k):
     violations = _check_invariants(w, effective, "icn")
     assert violations and all("receivers unreachable" in v
                               for v in violations)
+
+
+def log_outlives_artifacts(config: dict, mode: str) -> bool:
+    """Whether a run's log is still alive after `del` of its artifacts,
+    with the cycle collector off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        artifacts = run_scenario(config, mode)
+        log = weakref.ref(artifacts.events)
+        del artifacts
+        return log() is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["icn", "ip"])
+@pytest.mark.parametrize("name", list_scenarios())
+def test_finished_run_frees_its_log_without_the_cycle_collector(name, mode):
+    """run_scenario breaks its world's reference cycles, so a run's log
+    dies as soon as its artifacts are deleted."""
+    assert not log_outlives_artifacts(load_scenario(name), mode)
+
+
+def test_run_cut_mid_fetch_frees_its_log():
+    """At 3.5 s the trial's client has a fetch in flight in ip mode: its
+    transport holds the client, which holds the transport."""
+    cfg = load_scenario("trial_topology")
+    cfg["duration_ms"] = 3_500
+    cfg["events"] = []
+    for channel in cfg["apps"]["iptv"]["channels"]:
+        channel["stop_ms"] = 3_500
+    log = run_scenario(cfg, "ip").events
+    assert log.count("http_req") > (log.count("http_resp")
+                                    + log.count("http_timeout"))
+    del log
+    assert not log_outlives_artifacts(cfg, "ip")
 
 
 def test_unknown_scenario_name_lists_alternatives():

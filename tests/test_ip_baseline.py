@@ -9,6 +9,10 @@ from icnsim.simkernel import Engine
 from icnsim.telemetry import EventLog, Telemetry, drops_by_reason
 from icnsim.topology import TopologyGraph
 
+ENDPOINT = IpEndpointParams(access_latency_us=1_000, mtu=1400,
+                            request_bytes=400, igmp_bytes=64,
+                            attempts_per_address=2)
+
 
 class RecordingHost:
     """Attached device that records stream packets and unicast arrivals."""
@@ -45,14 +49,14 @@ class StubFetchHandle:
 
 
 def ip_world(topo, reconvergence_us=100_000):
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
-    fabric = Fabric(engine, topo, log, Telemetry(),
-                    FabricParams(detection_delay_us=10_000))
+    fabric = Fabric(engine, topo, log, Telemetry(True),
+                    FabricParams(10_000, None, 64))
     stp = StpController(engine, topo, log, reconvergence_us)
     switches = {}
     for node in topo.node_list():
-        switch = IpSwitch(node.name, engine, topo, stp, log)
+        switch = IpSwitch(node.name, engine, topo, stp, log, 1_000)
         switches[node.name] = switch
         fabric.add_handler(node.name, switch)
     fabric.add_topology_listener(stp.on_topology_event)
@@ -121,7 +125,7 @@ def test_snooped_group_reaches_only_members():
     engine, log, fabric, stp, switches = ip_world(topo)
     stb = RecordingHost("stb1")
     switches["swl"].attach_host("stb1", stb)
-    params = IpEndpointParams()
+    params = ENDPOINT
     adapter = IpIgmpAdapter("swl", fabric, engine, params)
     sender = IpStreamSender("src1", "swr", fabric)
     engine.schedule_at(1_000, adapter.act, stb, "join", "ch1")
@@ -144,7 +148,7 @@ def test_leave_prunes_single_receiver():
     stb1, stb2 = RecordingHost("stb1"), RecordingHost("stb2")
     switches["swl"].attach_host("stb1", stb1)
     switches["swx"].attach_host("stb2", stb2)
-    params = IpEndpointParams()
+    params = ENDPOINT
     adapter1 = IpIgmpAdapter("swl", fabric, engine, params)
     adapter2 = IpIgmpAdapter("swx", fabric, engine, params)
     sender = IpStreamSender("src1", "swr", fabric)
@@ -174,7 +178,7 @@ def test_stream_without_members_drops_at_ingress():
 def test_unicast_floods_until_reverse_path_learned():
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)
-    params = IpEndpointParams()
+    params = ENDPOINT
     dns = DnsDirectory()
     dns.add("video.test", ["s1"])
     server = StubServer(engine)
@@ -204,7 +208,7 @@ def test_segments_of_one_response_share_name_and_payload():
     carries the same two objects."""
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)
-    params = IpEndpointParams()
+    params = ENDPOINT
     endpoint = IpServerEndpoint(StubServer(engine, size=5000), "s1", "swr",
                                 fabric, engine, params)
     switches["swr"].attach_host("s1", endpoint)
@@ -227,7 +231,7 @@ def test_segments_of_one_response_share_name_and_payload():
 def test_dns_failover_is_sticky_and_budgeted():
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)
-    params = IpEndpointParams(attempts_per_address=2)
+    params = ENDPOINT
     dns = DnsDirectory()
     dns.add("video.test", ["primary", "surrogate"])
     transport = IpHttpTransport("c1", "swl", fabric, dns, engine, log, params)
@@ -270,7 +274,7 @@ def test_trunk_failure_needs_reconvergence_and_reannouncement():
     engine, log, fabric, stp, switches = ip_world(topo)
     stb = RecordingHost("stb1")
     switches["sw_b"].attach_host("stb1", stb)
-    params = IpEndpointParams()
+    params = ENDPOINT
     adapter = IpIgmpAdapter("sw_b", fabric, engine, params)
     sender = IpStreamSender("src1", "sw_a", fabric)
 
@@ -312,7 +316,7 @@ def test_switch_flush_counts_learned_state():
     engine, log, fabric, stp, switches = ip_world(topo)
     stb = RecordingHost("stb1")
     switches["swl"].attach_host("stb1", stb)
-    params = IpEndpointParams()
+    params = ENDPOINT
     adapter = IpIgmpAdapter("swl", fabric, engine, params)
     engine.schedule_at(1_000, adapter.act, stb, "join", "ch1")
     engine.run_until(100_000)

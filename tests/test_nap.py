@@ -48,7 +48,7 @@ class StubStb:
 
 def star_world(n_cnaps=3, window_ms=100):
     """One server gateway and n client gateways around a single core node."""
-    engine = Engine(1)
+    engine = Engine()
     log = EventLog()
     topo = TopologyGraph()
     topo.add_node("snap", "nap")
@@ -57,12 +57,13 @@ def star_world(n_cnaps=3, window_ms=100):
     for i in range(n_cnaps):
         topo.add_node(f"cnap{i}", "nap")
         topo.add_link(f"acc{i}", "sw", f"cnap{i}", 1_000_000_000, 100)
-    fabric = Fabric(engine, topo, log, Telemetry(), FabricParams())
+    fabric = Fabric(engine, topo, log, Telemetry(True),
+                    FabricParams(10_000, None, 64))
     cfg = FidConfig(m=len(topo.links), mode="exact")
     lids = assign_link_ids(topo, cfg, 1)
-    pce = Pce(engine, topo, lids, cfg, log, PceParams())
+    pce = Pce(engine, topo, lids, cfg, log, PceParams(1_000, 5_000))
     fabric.add_topology_listener(pce.on_topology_event)
-    params = NapParams(coalesce_window_us=window_ms * US_PER_MS)
+    params = NapParams(window_ms * US_PER_MS, 1_000, 1_000, 1400)
     naps = {}
     for node in topo.node_list():
         if node.role == "nap":
@@ -185,9 +186,9 @@ def test_segments_of_one_response_share_one_payload():
     sent = []
     inject = fabric.inject
 
-    def recording_inject(node, packet, ttl=None):
+    def recording_inject(node, packet):
         sent.append(packet)
-        inject(node, packet, ttl)
+        inject(node, packet)
 
     fabric.inject = recording_inject
     client = StubClient(engine)

@@ -13,11 +13,11 @@ from icnsim.topology import TopologyGraph
 
 
 def make_pce(topo, seed=1):
-    engine = Engine(seed)
+    engine = Engine()
     log = EventLog()
     cfg = FidConfig(m=max(2, len(topo.links)), mode="exact")
     lids = assign_link_ids(topo, cfg, seed)
-    pce = Pce(engine, topo, lids, cfg, log, PceParams())
+    pce = Pce(engine, topo, lids, cfg, log, PceParams(1_000, 5_000))
     return engine, log, lids, pce
 
 
@@ -209,8 +209,9 @@ def test_multicast_tree_shares_trunk_bits():
     engine, log, lids, pce = make_pce(topo)
     fid = pce.build_multicast_fid("src", ("r1", "r2"), "ch")
     assert fid.popcount() == 3  # trunk counted once, not twice
-    assert log == []  # every receiver reachable: no partial tree
-    trace = trace_delivery(topo, lids, fid, "src", sinks=("r1", "r2"))
+    assert len(log) == 0  # every receiver reachable: no partial tree
+    trace = trace_delivery(topo, lids, fid, "src", ttl=64,
+                           sinks=("r1", "r2"))
     assert trace.sink_nodes == {"r1", "r2"}
     assert trace.links_used == {"trunk:src->mid", "t1:mid->r1", "t2:mid->r2"}
 
@@ -223,7 +224,8 @@ def test_multicast_tree_carries_one_trunk_copy_in_fabric():
     topo.add_link("t1", "mid", "r1", 10_000_000, 100)
     topo.add_link("t2", "mid", "r2", 10_000_000, 100)
     engine, log, lids, pce = make_pce(topo)
-    fabric = Fabric(engine, topo, log, Telemetry(), FabricParams())
+    fabric = Fabric(engine, topo, log, Telemetry(True),
+                    FabricParams(10_000, None, 64))
     hits = []
     for node in topo.node_list():
         sink = (lambda n: lambda pkt, t: hits.append(n) or 1)(node.name) \
@@ -246,9 +248,10 @@ def test_unreachable_receiver_yields_partial_tree():
     topo.add_node("island", "fn")
     engine, log, lids, pce = make_pce(topo)
     fid = pce.build_multicast_fid("a", ("d", "island"), "ch")
-    assert log == [{"t": 0, "el": "pce", "ev": "ctrl", "msg": "partial_tree",
-                    "name": "ch", "failures": ["island"]}]
-    trace = trace_delivery(topo, lids, fid, "a", sinks=("d",))
+    assert list(log) == [{"t": 0, "el": "pce", "ev": "ctrl",
+                          "msg": "partial_tree", "name": "ch",
+                          "failures": ["island"]}]
+    trace = trace_delivery(topo, lids, fid, "a", ttl=64, sinks=("d",))
     assert trace.sink_nodes == {"d"}
 
 

@@ -10,6 +10,7 @@ from array import array
 import pytest
 
 from icnsim.apps import IptvSource
+from icnsim.fabric import Fabric, FabricParams
 from icnsim.harness import load_scenario, run_scenario
 from icnsim.simkernel import Engine
 from icnsim.telemetry import (_BATCH, _READ_BATCH, _SCHEMAS, EVENT_FIELDS,
@@ -21,6 +22,7 @@ from icnsim.telemetry import (_BATCH, _READ_BATCH, _SCHEMAS, EVENT_FIELDS,
                               link_bytes_from_events,
                               merge_ratios, render_summary,
                               stalls_from_events, summarize)
+from icnsim.topology import TopologyGraph
 
 
 # the meta fields import_artifacts requires, as every export writes them
@@ -29,6 +31,13 @@ META = {"mode": "icn", "seed": 1, "scenario": "tiny", "config_hash": "0" * 64}
 
 def ev(t, el, event, **fields):
     return {"t": t, "el": el, "ev": event, **fields}
+
+
+def log_of(records):
+    """An EventLog of record dicts, each checked as import checks it."""
+    log = EventLog()
+    log.extend(records)
+    return log
 
 
 def streamed(log):
@@ -59,7 +68,7 @@ def test_event_log_hash_is_order_sensitive():
     c.append(1, "x", "pkt_inject", **inject)
     c.append(2, "y", "pkt_deliver", **deliver)
     assert a.hash() == c.hash()
-    assert events_hash(list(a)) == a.hash()
+    assert events_hash(a) == a.hash()
 
 
 def test_encode_lines_matches_json_dumps_across_batches():
@@ -140,9 +149,19 @@ def test_hash_streams_the_encoding_and_keeps_none_of_it():
 
 
 def test_disabled_telemetry_records_nothing():
+    """The fabric's counter flush is the one writer of samples; with
+    telemetry off it records none, however much the log holds."""
+    topo = TopologyGraph()
+    topo.add_node("a", "fn")
+    topo.add_node("b", "fn")
+    topo.add_link("ab", "a", "b", 8_000_000, 500)
+    log = EventLog()
+    log.write("pkt_fwd", 0, "a", 1, "chunk", "ab:a->b", 1000, 0, 1500)
+    log.write(("pkt_drop", "no_egress"), 2, "b", 2, "chunk", 10)
     tel = Telemetry(enabled=False)
     empty = tel.hash()
-    tel.record(1, "sw", "tx_bytes", 100)
+    Fabric(Engine(), topo, log, tel, FabricParams(10_000, None, 64)
+           ).flush_counters()
     assert tel.samples == []
     assert tel.hash() == empty
 
@@ -156,12 +175,12 @@ def test_conservation_balances_branch_surplus():
         ev(2, "d", "pkt_deliver", pid=1, kind="chunk", size=1000,
            consumers=1, spurious=False),
     ]
-    cons = conservation_from_events(EventLog.from_records(events))
+    cons = conservation_from_events(log_of(events))
     assert cons["balanced"]
     assert cons["injected_bytes"] == 1000
     assert cons["branch_extra_bytes"] == 1000
     assert cons["delivered_bytes"] == 2000
-    lost = conservation_from_events(EventLog.from_records(events[:-1]))
+    lost = conservation_from_events(log_of(events[:-1]))
     assert not lost["balanced"]
     assert lost["in_flight_bytes"] == 1000
 
@@ -175,7 +194,7 @@ def test_link_bytes_split_by_class():
         ev(2, "b", "pkt_fwd", pid=1, kind="chunk", link="l2:b->c", size=70,
            start=2, arrive=9),
     ]
-    out = link_bytes_from_events(EventLog.from_records(events))
+    out = link_bytes_from_events(log_of(events))
     assert out["total"] == {"l1:a->b": 150, "l2:b->c": 70}
     assert out["by_class"]["l1:a->b"] == {"chunk": 100, "stream": 50}
 
@@ -186,7 +205,7 @@ def test_drops_grouped_by_reason():
         ev(1, "a", "pkt_drop", pid=2, kind="chunk", size=1, reason="queue_cap"),
         ev(2, "a", "pkt_drop", pid=3, kind="chunk", size=1, reason="zero_fid"),
     ]
-    assert drops_by_reason(EventLog.from_records(events)) == {
+    assert drops_by_reason(log_of(events)) == {
         "queue_cap": 2, "zero_fid": 1}
 
 
@@ -266,13 +285,13 @@ def test_merge_ratios_for_fetches_and_streams():
                          name="ch:ch1", size=1400))
     for _ in range(30):
         events.append(ev(3, "stb", "stb_rx", name="ch:ch1", size=1400))
-    ratios = merge_ratios(EventLog.from_records(events))
+    ratios = merge_ratios(log_of(events))
     assert ratios["chunk"] == {"server_tx": 2, "client_rx": 20, "ratio": 10.0}
     assert ratios["stream"] == {"server_tx": 3, "client_rx": 30, "ratio": 10.0}
 
 
 def test_merge_ratio_without_transmissions_is_undefined():
-    ratios = merge_ratios(EventLog.from_records([
+    ratios = merge_ratios(log_of([
         ev(0, "c", "http_resp", kind="chunk", path="/x", status=200, size=1,
            elapsed_us=1)]))
     assert ratios["chunk"]["ratio"] is None
@@ -280,27 +299,28 @@ def test_merge_ratio_without_transmissions_is_undefined():
 
 def test_disruption_intervals_report_large_gaps_only():
     times = [100, 200, 300, 1000, 1100]
-    assert disruption_intervals(times, 0, 2000, 500) == [(300, 1000)]
+    assert disruption_intervals(times, 0, 2000, [500] * 5) == [(300, 1000)]
     # any real threshold, not only an int
-    assert disruption_intervals(times, 0, 2000, 699.5) == [(300, 1000)]
-    assert disruption_intervals(times, 0, 2000, 700.0) == []
+    assert disruption_intervals(times, 0, 2000, [699.5] * 5) == [(300, 1000)]
+    assert disruption_intervals(times, 0, 2000, [700.0] * 5) == []
+    # each gap is judged by the threshold of the arrival that ends it
+    assert disruption_intervals(times, 0, 2000, [0, 0, 0, 700, 0]) == [
+        (100, 200), (200, 300), (1000, 1100)]
     # a gap exactly at the threshold is normal jitter
-    assert disruption_intervals([0, 500], 0, 1000, 500) == []
+    assert disruption_intervals([0, 500], 0, 1000, [500, 500]) == []
     # arrivals outside the active span are ignored
-    assert disruption_intervals([5, 700, 2500], 600, 800, 50) == []
+    assert disruption_intervals([5, 700, 2500], 600, 800, [50] * 3) == []
 
 
 def test_no_arrivals_count_as_whole_span_disruption():
-    assert disruption_intervals([], 10, 50, 5) == [(10, 50)]
-    assert disruption_intervals([], 10, 10, 5) == []
+    assert disruption_intervals([], 10, 50, []) == [(10, 50)]
+    assert disruption_intervals([], 10, 10, []) == []
 
 
 def sorted_disruption_intervals(arrival_times, active_start, active_end,
                                 max_gap_us):
     """The reference: every in-span arrival as a (time, gap) pair, sorted,
     then each consecutive pair judged by the later one's gap."""
-    if not isinstance(max_gap_us, (list, tuple)):
-        max_gap_us = [max_gap_us] * len(arrival_times)
     arrivals = sorted((t, gap) for t, gap in zip(arrival_times, max_gap_us)
                       if active_start <= t <= active_end)
     if not arrivals:
@@ -312,7 +332,7 @@ def sorted_disruption_intervals(arrival_times, active_start, active_end,
 
 
 def test_disruption_intervals_match_the_sorted_reference():
-    """In order, shuffled, with equal times, negative or per-arrival
+    """In order, shuffled, with equal times, negative, equal or varied
     thresholds, and arrivals outside the span: the same intervals as
     sorting every arrival as a (time, gap) pair."""
     rng = random.Random(3)
@@ -322,7 +342,7 @@ def test_disruption_intervals_match_the_sorted_reference():
                        for _ in range(n))
         if case % 2:
             rng.shuffle(times)
-        gaps = (rng.randrange(-3, 20) if case % 3 else
+        gaps = ([rng.randrange(-3, 20)] * n if case % 3 else
                 [rng.randrange(-3, 20) for _ in times])
         start, end = sorted(rng.randrange(-5, 70) for _ in range(2))
         assert disruption_intervals(times, start, end, gaps) == \
@@ -353,7 +373,7 @@ def test_stall_replay_matches_live_accounting():
         ev(5_800_000, "c1", "chunk_done", path="/live/2/2", size=1,
            ewma_bps=1, n=3),
     ]
-    out = stalls_from_events(EventLog.from_records(events),
+    out = stalls_from_events(log_of(events),
                              chunk_duration_us=2_000_000,
                              startup_hold_us=750_000)
     assert out == {"c1": {"total_us": 1_049_000, "events": 1}}
@@ -381,7 +401,8 @@ def test_disruption_threshold_follows_each_packets_channel():
                    for t in hd]
     events.sort(key=lambda r: r["t"])
     summary = summarize(RunArtifacts(config=config, mode="icn", seed=1,
-                                     events=events))
+                                     events=log_of(events), samples=[],
+                                     meta={}))
     assert summary["disruption_gap_threshold_us"] == {"hd": 2_800,
                                                       "sd": 11_200}
     late = [{"start": 64_600, "end": 68_600, "us": 4_000}]
@@ -392,7 +413,7 @@ def test_gap_threshold_is_twice_the_sources_packet_interval():
     """At 6 Mb/s and MTU 1400 the source sends every 1866 us (rounded
     down), so a 3732 us gap is on time and a 3733 us gap is not."""
     source = IptvSource("ch", None, bitrate_mbps=6, pkt_bytes=1400,
-                        start_us=0, stop_us=0, engine=Engine(1))
+                        start_us=0, stop_us=0, engine=Engine())
     assert source.interval_us == 1_866
     config = {"params": {"mtu": 1400},
               "apps": {"iptv": {"channels": [{"name": "ch",
@@ -401,7 +422,8 @@ def test_gap_threshold_is_twice_the_sources_packet_interval():
     events += [ev(t, "stb", "stb_rx", name="ch:ch", size=1400)
                for t in (0, 3_732, 7_465)]
     summary = summarize(RunArtifacts(config=config, mode="icn", seed=1,
-                                     events=events))
+                                     events=log_of(events), samples=[],
+                                     meta={}))
     assert summary["disruption_gap_threshold_us"] == {"ch": 3_732}
     assert summary["disruptions"] == {
         "stb": [{"start": 3_732, "end": 7_465, "us": 3_733}]}
@@ -415,8 +437,9 @@ def make_artifacts():
     ]
     samples = [{"t": 10, "el": "sw", "metric": "tx_bytes", "value": 1000}]
     config = {"scenario": "tiny", "params": {"seed": 1}}
-    meta = {**META, "events_hash": events_hash(events)}
-    return RunArtifacts(config=config, mode="icn", seed=1, events=events,
+    log = log_of(events)
+    meta = {**META, "events_hash": events_hash(log)}
+    return RunArtifacts(config=config, mode="icn", seed=1, events=log,
                         samples=samples, meta=meta)
 
 
@@ -447,7 +470,7 @@ def test_import_across_batches_skips_blank_lines(tmp_path):
     samples = [{"t": i, "el": "sw", "metric": "tx_bytes", "value": i}
                for i in range(100)]
     artifacts = RunArtifacts(config={"name": "big"}, mode="icn", seed=1,
-                             events=events, samples=samples,
+                             events=log_of(events), samples=samples,
                              meta=dict(META))
     export(artifacts, str(tmp_path))
     path = tmp_path / "events.jsonl"
@@ -463,9 +486,9 @@ def test_import_across_batches_skips_blank_lines(tmp_path):
     data = data[:mid] + b"\n  \n" + data[mid:] + b"\n\n"
     path.write_bytes(data)
     back = import_artifacts(str(tmp_path))
-    assert back.events == events
+    assert list(back.events) == events
     assert back.samples == samples
-    assert events_hash(back.events) == events_hash(events)
+    assert events_hash(back.events) == artifacts.meta["events_hash"]
 
 
 def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
@@ -475,7 +498,8 @@ def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
                consumers=1, spurious=False)
     digest = log.hash()
     artifacts = RunArtifacts(config={"name": "t"}, mode="icn", seed=1,
-                             events=log, meta={"events_hash": digest})
+                             events=log, samples=[],
+                             meta={"events_hash": digest})
     export(artifacts, str(tmp_path / "all"))
     with open(tmp_path / "all" / "events.jsonl", "rb") as fh:
         hashed = fh.read()
@@ -486,14 +510,15 @@ def test_export_writes_the_hashed_bytes_of_the_same_events_only(tmp_path):
     # bytes, and meta.json carries the hash of what was written
     kept = [r for r in log if r["ev"] == "pkt_inject"]
     replaced = RunArtifacts(config=artifacts.config, mode=artifacts.mode,
-                            seed=artifacts.seed, events=kept,
+                            seed=artifacts.seed, events=log_of(kept),
                             samples=artifacts.samples,
                             meta=dict(artifacts.meta))
     export(replaced, str(tmp_path / "kept"))
     with open(tmp_path / "kept" / "events.jsonl", "rb") as fh:
         assert fh.read() == encode_lines(kept)
     with open(tmp_path / "kept" / "meta.json") as fh:
-        assert json.load(fh)["events_hash"] == events_hash(kept) != digest
+        assert json.load(fh)["events_hash"] == events_hash(
+            log_of(kept)) != digest
     # and a log that grew after hashing is encoded again
     log.append(3, "y", "stb_rx", name="ch:a", size=10)
     assert streamed(log) == encode_lines(list(log)) != hashed
@@ -587,7 +612,7 @@ def test_compiled_encoder_matches_json_dumps_for_every_schema():
             assert line == (json.dumps(rec, sort_keys=True,
                                        separators=(",", ":")) + "\n").encode()
         assert streamed(log) == encode_lines(records)
-        assert log.hash() == events_hash(records)
+        assert log.hash() == events_hash(log_of(records))
 
 
 def test_random_log_round_trips_through_export_and_import(tmp_path):
@@ -626,17 +651,13 @@ def test_log_reads_as_a_sequence_of_record_dicts():
         ev(9, "x", "stb_active", until=50),
     ]
     assert len(log) == 4
-    assert log == records and records == log
-    assert log != records[:3] and log != records[::-1]
     assert list(log) == records
     assert tuple(list(log)[2]) == ("t", "el", "ev") + EVENT_FIELDS[
         "pkt_drop"]["link_down"]
     # the dicts are built on access: changing one leaves the log alone
     next(iter(log))["size"] = 0
     assert list(log) == records
-    assert log == EventLog.from_records(records)
-    assert RunArtifacts(config={}, mode="icn", seed=1,
-                        events=records).events == log
+    assert log == log_of(records)
 
 
 def stored_values(rec):
@@ -658,7 +679,7 @@ def test_write_is_checked_and_atomic():
         written.write(key, *values)
     assert written == appended and written.hash() == appended.hash()
     assert list(written) == records
-    before = EventLog.from_records(records)
+    before = log_of(records)
     key, values = stored_values(records[-1])
     bad = [(TypeError, key, values[:-1]), (TypeError, key, values + [1]),
            (TypeError, "stb_rx", [0, "x", "ch:a"]),
@@ -705,16 +726,16 @@ def test_log_reads_its_records_in_log_order():
         log.write(key, *values)
     records += mix
     assert len(log) == len(records)
-    assert list(log) == records and log == records
+    assert list(log) == records
     # the same records make an equal log, however they are appended
-    again = EventLog.from_records(records)
+    again = log_of(records)
     assert again == log and again.hash() == log.hash()
     swapped = records[:]
     swapped[0], swapped[-1] = swapped[-1], swapped[0]
-    assert EventLog.from_records(swapped) != log
-    assert EventLog.from_records(records[:-1]) != log
+    assert log_of(swapped) != log
+    assert log_of(records[:-1]) != log
     changed = records[:-1] + [{**records[-1], "size": -1}]
-    assert EventLog.from_records(changed) != log
+    assert log_of(changed) != log
 
 
 def test_export_then_import_returns_an_equal_log(tmp_path):
@@ -722,7 +743,7 @@ def test_export_then_import_returns_an_equal_log(tmp_path):
     # a parsed NaN is not equal to itself: keep the records JSON keeps
     records = [r for r in records + drop_mix()
                if json.loads(canonical_json(r)) == r]
-    log = EventLog.from_records(records)
+    log = log_of(records)
     (tmp_path / "effective_config.json").write_text("{}")
     (tmp_path / "meta.json").write_text(json.dumps(META))
     with open(tmp_path / "events.jsonl", "wb") as fh:
@@ -882,7 +903,7 @@ def test_codes_widen_with_the_number_of_distinct_strings(strs, typecode):
     # "sw1" and "chunk" take the first two codes
     records = [fwd(i, link=f"l{i}") for i in range(strs - 2)]
     records += [fwd(i, link=f"l{i % 7}") for i in range(_BATCH)]
-    log = EventLog.from_records(records)
+    log = log_of(records)
     assert len(log._table.strs) == strs
     assert stored_column(log, "pkt_fwd", "link").typecode == typecode
     assert stored_column(log, "pkt_fwd", "kind").typecode == "B"
@@ -912,8 +933,8 @@ def test_logs_of_the_same_records_are_equal_whatever_the_write_splits():
     assert len({log.hash() for log in logs}) == 1
     changed = records[:]
     changed[_BATCH + 1] = {**changed[_BATCH + 1], "el": "other"}
-    assert EventLog.from_records(changed) != logs[0]
-    assert logs[1] != EventLog.from_records(changed)
+    assert log_of(changed) != logs[0]
+    assert logs[1] != log_of(changed)
 
 
 def test_an_imported_log_shares_one_str_per_distinct_value(tmp_path):
@@ -1019,7 +1040,7 @@ def test_reads_between_writes_across_pack_boundaries_see_the_whole_log():
                 key, values = stored_values(rec)
                 log.write(key, *values)
         done = stop
-        whole = EventLog.from_records(records[:stop])
+        whole = log_of(records[:stop])
         # each kind of read, == included, comes first after some writes,
         # while values written since the last pack are still buffered
         first = [*READS, "=="][k % (len(READS) + 1)]
@@ -1029,7 +1050,7 @@ def test_reads_between_writes_across_pack_boundaries_see_the_whole_log():
             assert READS[name](log) == READS[name](whole), name
         assert log == whole and whole == log
         assert len(log) == len(whole) == stop
-        assert log != EventLog.from_records(records[:stop - 1])
+        assert log != log_of(records[:stop - 1])
 
 
 UNDECLARED = [
@@ -1072,9 +1093,10 @@ def test_import_rejects_undeclared_records(kind, fields, message, tmp_path):
     (tmp_path / "events.jsonl").write_text(good + "\n" + bad + "\n")
     with pytest.raises(ValueError, match=message):
         import_artifacts(str(tmp_path))
+    log = EventLog()
     with pytest.raises(ValueError, match=message):
-        RunArtifacts(config={}, mode="icn", seed=1,
-                     events=[json.loads(good), json.loads(bad)])
+        log.extend([json.loads(good), json.loads(bad)])
+    assert len(log) == 0
 
 
 @pytest.mark.parametrize("bad, message", [
