@@ -25,7 +25,7 @@ class CapacityError(ValueError):
 class FidConfig(namedtuple("FidConfig", "m k mode")):
     __slots__ = ()
 
-    def __new__(cls, m: int = 256, k: int = 5, mode: str = "exact"):
+    def __new__(cls, m: int, k: int, mode: str):
         if mode not in ("exact", "bloom"):
             raise ValueError(f"unknown fid mode {mode!r}")
         if m < 1:

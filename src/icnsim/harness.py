@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 
 from . import telemetry
@@ -31,45 +32,63 @@ from .topology import ROLE_FN, ROLE_NAP, TopologyGraph
 
 MODES = ("icn", "ip")
 
-EVENT_KINDS = ("link_down", "link_up", "server_down", "server_up",
-               "surrogate_on", "surrogate_off", "zap")
+# every scripted event kind, with the fields that name what it acts on
+# and the namespace each of those names must be in
+EVENT_REFS = {
+    "link_down": {"link": "link"},
+    "link_up": {"link": "link"},
+    "server_down": {"server": "server"},
+    "server_up": {"server": "server"},
+    "surrogate_on": {"server": "server"},
+    "surrogate_off": {"server": "server"},
+    "zap": {"stb": "set-top box", "channel": "channel"},
+}
+EVENT_KINDS = tuple(EVENT_REFS)
+
+# the namespace each kind of named object's name is unique in: servers,
+# HLS clients and set-top boxes are all hosts on some gateway
+NAMESPACE = {"node": "node", "link": "link", "channel": "channel",
+             "server": "host", "client": "host", "set-top box": "host"}
 
 DEFAULT_FID = {"m": 256, "k": 5, "mode": "exact"}
 
-DEFAULT_PARAMS = {
-    "seed": 1,
-    "mtu": 1400,
-    "ttl": 64,
-    "queue_cap_bytes": None,
-    "coalesce_window_ms": 100,
-    "client_timeout_ms": 4000,
-    "detection_delay_ms": 10,
-    "pce_processing_ms": 5,
-    "control_latency_ms": 1,
-    "access_latency_ms": 1,
-    "server_latency_ms": 2,
-    "stp_reconvergence_ms": 30000,
-    "igmp_query_ms": 5000,
-    "dns_attempts_per_address": 2,
-    "abr_safety": 0.8,
-    "abr_upshift_chunks": 3,
-    "ewma_weight": 0.5,
-    "startup_hold_ms": 750,
-    "chunk_offset_ms": 500,
-    "request_bytes": 400,
-    "playlist_bytes": 500,
-    "igmp_bytes": 64,
-    "max_attempts_per_fetch": 6,
+# number rules (lo, hi, types, what): a number v of types with
+# lo < v <= hi, which an error describes as "must <what>"
+POSITIVE = (0, math.inf, int, "be a positive integer")
+NON_NEGATIVE = (-1, math.inf, int, "be a non-negative integer")
+FRACTION = (0, 1, (int, float), "lie in (0, 1]")
+
+# every parameter, with its default and its number rule
+PARAMS = {
+    "seed": (1, (-math.inf, math.inf, int, "be an integer")),
+    "mtu": (1400, POSITIVE),
+    "ttl": (64, POSITIVE),
+    "queue_cap_bytes": (None, (0, math.inf, int,
+                               "be null or a positive integer")),
+    "coalesce_window_ms": (100, NON_NEGATIVE),
+    "client_timeout_ms": (4000, POSITIVE),
+    "detection_delay_ms": (10, NON_NEGATIVE),
+    "pce_processing_ms": (5, NON_NEGATIVE),
+    "control_latency_ms": (1, NON_NEGATIVE),
+    "access_latency_ms": (1, NON_NEGATIVE),
+    "server_latency_ms": (2, NON_NEGATIVE),
+    "stp_reconvergence_ms": (30000, NON_NEGATIVE),
+    "igmp_query_ms": (5000, POSITIVE),
+    "dns_attempts_per_address": (2, POSITIVE),
+    "abr_safety": (0.8, FRACTION),
+    "abr_upshift_chunks": (3, POSITIVE),
+    "ewma_weight": (0.5, FRACTION),
+    "startup_hold_ms": (750, NON_NEGATIVE),
+    "chunk_offset_ms": (500, NON_NEGATIVE),
+    "request_bytes": (400, POSITIVE),
+    "playlist_bytes": (500, POSITIVE),
+    "igmp_bytes": (64, POSITIVE),
+    "max_attempts_per_fetch": (6, POSITIVE),
 }
+DEFAULT_PARAMS = {key: default for key, (default, _) in PARAMS.items()}
 
 HLS_DEFAULTS = {"path_prefix": "/live", "chunk_duration_ms": 2000,
                 "bitrates_mbps": [2, 8], "playlist_window": 5}
-
-
-def _is_num(v, types=int) -> bool:
-    """v is a config value of types (int, or int and float); JSON true and
-    false are bools, never numbers."""
-    return isinstance(v, types) and not isinstance(v, bool)
 
 
 class ConfigError(ValueError):
@@ -119,6 +138,14 @@ def load_scenario(ref: str) -> dict:
         raise ConfigError([f"scenario file is not valid JSON: {exc}"]) from None
 
 
+# The rules below each check one value and report it as one more error,
+# named by its place: `where` is the path of the object that holds it
+# ("" for the scenario itself).
+
+def _label(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def _part(parent: dict, key: str, where: str, errors: list, kind=dict):
     """parent[key] when it is a kind (dict or list), an empty one when it
     is absent or null; any other value is one more error."""
@@ -131,21 +158,80 @@ def _part(parent: dict, key: str, where: str, errors: list, kind=dict):
 
 
 def _entries(parent: dict, key: str, where: str, errors: list) -> list:
-    """The (index, object) pairs of the list parent[key]; each item that
-    is not an object is one more error."""
-    items = list(enumerate(_part(parent, key, where, errors, list)))
-    errors += [f"{where}[{i}]: must be an object" for i, item in items
+    """The (where[i], object) pairs of the list parent[key]; each item
+    that is not an object is one more error."""
+    items = [(f"{where}[{i}]", item) for i, item
+             in enumerate(_part(parent, key, where, errors, list))]
+    errors += [f"{at}: must be an object" for at, item in items
                if not isinstance(item, dict)]
-    return [(i, item) for i, item in items if isinstance(item, dict)]
+    return [(at, item) for at, item in items if isinstance(item, dict)]
 
 
-def _is_name(v) -> bool:
-    return isinstance(v, str) and v != ""
+def _named(parent: dict, key: str, where: str, errors: list, ns: dict,
+           noun: str, required: bool = False) -> list:
+    """The objects of the list parent[key], as _entries gives them.  Each
+    needs a name that is unique in its namespace (NAMESPACE[noun]); a
+    named one joins it, and ns[noun] maps the name to the object."""
+    items = _entries(parent, key, where, errors)
+    if required and not items:
+        errors.append(f"{where}: at least one {noun} required")
+    space = NAMESPACE[noun]
+    for at, item in items:
+        if not _text(item, "name", at, errors):
+            continue
+        name = item["name"]
+        if name in ns[space]:
+            errors.append(f"{at}.name: duplicate {space} {name!r}")
+        else:
+            ns[space][name] = ns[noun][name] = item
+    return items
 
 
-def _known(v, names) -> bool:
-    """v is a str in names; a list, say, cannot even be looked up."""
-    return isinstance(v, str) and v in names
+def _text(obj: dict, key: str, where: str, errors: list,
+          empty: bool = False) -> bool:
+    """obj[key] is a str, and not "" unless empty is allowed."""
+    value = obj.get(key)
+    if isinstance(value, str) and (empty or value):
+        return True
+    errors.append(f"{_label(where, key)}: must be a "
+                  f"{'string' if empty else 'non-empty string'}")
+    return False
+
+
+def _known(value, names) -> bool:
+    """value is a str in names; a list, say, cannot even be looked up."""
+    return isinstance(value, str) and value in names
+
+
+def _ref(obj: dict, key: str, where: str, errors: list, names,
+         noun: str) -> bool:
+    """obj[key] is the name of one of names, of kind noun."""
+    if _known(obj.get(key), names):
+        return True
+    errors.append(f"{_label(where, key)}: unknown {noun} {obj.get(key)!r}")
+    return False
+
+
+def _number(value, lo=0, hi=math.inf, types=int) -> bool:
+    """value is a number of types with lo < value <= hi; JSON true and
+    false are bools, never numbers, and infinity is in no range."""
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and lo < value <= hi and value != math.inf)
+
+
+def _check(obj: dict, key: str, where: str, errors: list, rule):
+    """obj[key] when it keeps the number rule (lo, hi, types, what), else
+    None."""
+    lo, hi, types, what = rule
+    if _number(obj.get(key), lo, hi, types):
+        return obj[key]
+    errors.append(f"{_label(where, key)}: must {what}")
+    return None
+
+
+def _starts(duration: int) -> tuple:
+    """The number rule of a time at which something starts in the run."""
+    return (-1, duration - 1, int, "lie in [0, duration_ms)")
 
 
 def validate_config(raw: dict) -> dict:
@@ -155,254 +241,137 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(["scenario: must be a JSON object"])
     errors = []
     cfg = copy.deepcopy(raw)
-
-    if not _is_name(cfg.get("name")):
-        errors.append("name: required non-empty string")
-    duration = cfg.get("duration_ms")
-    if not _is_num(duration) or duration <= 0:
-        errors.append("duration_ms: required positive integer")
-        duration = 1
+    _text(cfg, "name", "", errors)
+    duration = _check(cfg, "duration_ms", "", errors, POSITIVE) or 1
 
     params = dict(DEFAULT_PARAMS)
     for key, value in _part(cfg, "params", "params", errors).items():
-        if key not in DEFAULT_PARAMS:
+        if key in PARAMS:
+            params[key] = value
+        else:
             errors.append(f"params.{key}: unknown parameter")
-            continue
-        params[key] = value
-    _check_params(params, errors)
+    for key, (_, rule) in PARAMS.items():
+        if params[key] is not None or key != "queue_cap_bytes":
+            _check(params, key, "params", errors, rule)
     cfg["params"] = params
 
-    fid = dict(DEFAULT_FID)
-    fid.update(_part(cfg, "fid", "fid", errors))
-    cfg["fid"] = fid
-
-    nodes, links = _check_topology(cfg, errors)
-    m, k = fid.get("m"), fid.get("k")
-    if not _is_num(m) or m < 1:
-        errors.append("fid.m: positive integer required")
-    elif fid.get("mode") == "exact":
-        if 2 * len(links) > m:
-            errors.append(
-                f"fid.m: {m} bits cannot give unique identifiers to "
-                f"{2 * len(links)} directed links")
-    elif fid.get("mode") == "bloom":
-        if not (_is_num(k) and 1 <= k < m):
-            errors.append("fid.k: bloom mode requires an integer 1 <= k < m")
-    if fid.get("mode") not in ("exact", "bloom"):
-        errors.append(f"fid.mode: must be 'exact' or 'bloom', got {fid.get('mode')!r}")
+    ns = {noun: {} for noun in ("host", *NAMESPACE)}
+    topo = _part(cfg, "topology", "topology", errors)
+    _check_topology(topo, ns, errors)
+    fid = cfg["fid"] = {**DEFAULT_FID, **_part(cfg, "fid", "fid", errors)}
+    m = _check(fid, "m", "fid", errors, POSITIVE)
+    if fid["mode"] not in ("exact", "bloom"):
+        errors.append("fid.mode: must be 'exact' or 'bloom', "
+                      f"got {fid['mode']!r}")
+    elif m and fid["mode"] == "bloom":
+        _check(fid, "k", "fid", errors, (0, m - 1, int, "lie in [1, fid.m)"))
+    elif m and 2 * len(ns["link"]) > m:
+        errors.append(f"fid.m: {m} bits cannot give unique identifiers to "
+                      f"{2 * len(ns['link'])} directed links")
 
     events = _entries(cfg, "events", "events", errors)
     cfg["events"] = [ev for _, ev in events]
-    cfg["apps"] = _part(cfg, "apps", "apps", errors)
-    server_names, stb_names, channel_names = _check_apps(
-        cfg, nodes, duration, errors)
+    apps = cfg["apps"] = _part(cfg, "apps", "apps", errors)
+    naps = {name for name, node in ns["node"].items()
+            if node.get("role") == ROLE_NAP}
+    for key, check in (("hls", _check_hls), ("iptv", _check_iptv)):
+        if isinstance(apps.get(key), dict):
+            check(cfg, ns, naps, duration, errors)
+        else:  # absent, null, or one more error
+            _part(apps, key, f"apps.{key}", errors)
 
-    for i, ev in events:
-        where = f"events[{i}]"
-        kind = ev.get("kind")
-        if kind not in EVENT_KINDS:
-            errors.append(f"{where}.kind: unknown kind {kind!r}")
-            continue
-        at = ev.get("at_ms")
-        if not _is_num(at) or not 0 < at < duration:
-            errors.append(f"{where}.at_ms: must lie inside (0, duration_ms)")
-        if kind in ("link_down", "link_up") and not _known(ev.get("link"), links):
-            errors.append(f"{where}.link: unknown link {ev.get('link')!r}")
-        if kind in ("server_down", "server_up", "surrogate_on",
-                    "surrogate_off") and not _known(ev.get("server"),
-                                                    server_names):
-            errors.append(f"{where}.server: unknown server {ev.get('server')!r}")
-        if kind == "zap":
-            if not _known(ev.get("stb"), stb_names):
-                errors.append(f"{where}.stb: unknown set-top box {ev.get('stb')!r}")
-            if not _known(ev.get("channel"), channel_names):
-                errors.append(f"{where}.channel: unknown channel {ev.get('channel')!r}")
+    for at, ev in events:
+        _check(ev, "at_ms", at, errors,
+               (0, duration - 1, int, "lie in (0, duration_ms)"))
+        if _ref(ev, "kind", at, errors, EVENT_REFS, "kind"):
+            for key, noun in EVENT_REFS[ev["kind"]].items():
+                _ref(ev, key, at, errors, ns[noun], noun)
 
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _check_params(params: dict, errors: list) -> None:
-    non_negative = ("coalesce_window_ms", "detection_delay_ms",
-                    "pce_processing_ms", "control_latency_ms",
-                    "access_latency_ms", "server_latency_ms",
-                    "stp_reconvergence_ms", "chunk_offset_ms",
-                    "startup_hold_ms")
-    positive = ("mtu", "ttl", "client_timeout_ms", "igmp_query_ms",
-                "dns_attempts_per_address", "abr_upshift_chunks",
-                "request_bytes", "playlist_bytes", "igmp_bytes",
-                "max_attempts_per_fetch")
-    for key in non_negative:
-        if not _is_num(params[key]) or params[key] < 0:
-            errors.append(f"params.{key}: must be a non-negative integer")
-    for key in positive:
-        if not _is_num(params[key]) or params[key] <= 0:
-            errors.append(f"params.{key}: must be a positive integer")
-    for key in ("abr_safety", "ewma_weight"):
-        v = params[key]
-        if not _is_num(v, (int, float)) or not 0 < v <= 1:
-            errors.append(f"params.{key}: must lie in (0, 1]")
-    cap = params["queue_cap_bytes"]
-    if cap is not None and (not _is_num(cap) or cap <= 0):
-        errors.append("params.queue_cap_bytes: must be null or a positive integer")
-    if not _is_num(params["seed"]):
-        errors.append("params.seed: must be an integer")
-
-
-def _check_topology(cfg: dict, errors: list):
-    topo_cfg = _part(cfg, "topology", "topology", errors)
-    nodes = {}
-    for i, n in _entries(topo_cfg, "nodes", "topology.nodes", errors):
-        nname, role = n.get("name"), n.get("role")
-        if not _is_name(nname):
-            errors.append(f"topology.nodes[{i}]: missing name")
-            continue
-        if nname in nodes:
-            errors.append(f"topology.nodes[{i}]: duplicate node {nname!r}")
-        if role not in (ROLE_FN, ROLE_NAP):
-            errors.append(f"topology.nodes[{i}]: role must be 'fn' or 'nap' "
-                          f"(the control element is implicit), got {role!r}")
-        nodes[nname] = role
-    if not nodes:
-        errors.append("topology.nodes: at least one node required")
-    links = {}
+def _check_topology(topo: dict, ns: dict, errors: list) -> None:
+    for at, node in _named(topo, "nodes", "topology.nodes", errors, ns,
+                           "node", required=True):
+        if node.get("role") not in (ROLE_FN, ROLE_NAP):
+            errors.append(f"{at}: role must be 'fn' or 'nap' (the control "
+                          f"element is implicit), got {node.get('role')!r}")
+    links = _named(topo, "links", "topology.links", errors, ns, "link")
+    # an absent or null link list is an empty one, in the run too
+    topo["links"] = [link for _, link in links]
     linked = set()
-    for i, l in _entries(topo_cfg, "links", "topology.links", errors):
-        lname = l.get("name")
-        if not _is_name(lname):
-            errors.append(f"topology.links[{i}]: missing name")
-            continue
-        if lname in links:
-            errors.append(f"topology.links[{i}]: duplicate link {lname!r}")
-        a, b = l.get("a"), l.get("b")
-        if not (_known(a, nodes) and _known(b, nodes)):
-            errors.append(f"topology.links[{i}]: endpoints must be known nodes")
+    for at, link in links:
+        a, b = link.get("a"), link.get("b")
+        if not (_known(a, ns["node"]) and _known(b, ns["node"])):
+            errors.append(f"{at}: endpoints must be known nodes")
         elif a == b:
-            errors.append(f"topology.links[{i}]: self-loop on {a!r}")
+            errors.append(f"{at}: self-loop on {a!r}")
         else:
-            linked.add(a)
-            linked.add(b)
-        cap = l.get("capacity_mbps")
-        if not _is_num(cap, (int, float)) or cap <= 0:
-            errors.append(f"topology.links[{i}]: capacity_mbps must be positive")
-        lat = l.get("latency_us")
-        if not _is_num(lat) or lat < 0:
-            errors.append(f"topology.links[{i}]: latency_us must be a "
-                          "non-negative integer")
-        links[lname] = l
-    for nname in nodes:
-        if nname not in linked and links:
-            errors.append(f"topology: node {nname!r} has no links")
-    return nodes, links
+            linked.update((a, b))
+        _check(link, "capacity_mbps", at, errors,
+               (0, math.inf, (int, float), "be a positive number"))
+        _check(link, "latency_us", at, errors, NON_NEGATIVE)
+    for name in ns["node"]:
+        if links and name not in linked:
+            errors.append(f"topology: node {name!r} has no links")
 
 
-def _check_apps(cfg: dict, nodes: dict, duration: int, errors: list):
-    apps = cfg["apps"]
-    naps = {name for name, role in nodes.items() if role == ROLE_NAP}
-    server_names, stb_names, channel_names = set(), set(), set()
-    hls = apps.get("hls")
-    if hls is not None and not isinstance(hls, dict):
-        errors.append("apps.hls: must be an object")
-    elif hls is not None:
-        merged = dict(HLS_DEFAULTS)
-        merged.update(hls)
-        apps["hls"] = hls = merged
-        if not _is_name(hls.get("host")):
-            errors.append("apps.hls.host: required")
-        rates = hls.get("bitrates_mbps")
-        if (not isinstance(rates, list) or not rates
-                or any(not _is_num(r) or r <= 0 for r in rates)
-                or sorted(set(rates)) != rates):
-            errors.append("apps.hls.bitrates_mbps: strictly increasing "
-                          "positive integers required")
-        if not _is_num(hls.get("chunk_duration_ms")) or hls["chunk_duration_ms"] <= 0:
-            errors.append("apps.hls.chunk_duration_ms: positive integer required")
-        if not _is_num(hls.get("playlist_window")) or hls["playlist_window"] <= 0:
-            errors.append("apps.hls.playlist_window: positive integer required")
-        servers = _entries(hls, "servers", "apps.hls.servers", errors)
-        if not hls.get("servers"):
-            errors.append("apps.hls.servers: at least one server required")
-        for i, s in servers:
-            if not _is_name(s.get("name")):
-                errors.append(f"apps.hls.servers[{i}]: missing name")
-            elif s["name"] in server_names:
-                errors.append(f"apps.hls.servers[{i}]: duplicate name {s['name']!r}")
-            else:
-                server_names.add(s["name"])
-            if not _known(s.get("nap"), naps):
-                errors.append(f"apps.hls.servers[{i}].nap: must be a nap node")
-            s.setdefault("registered", True)
-        registered = any(s.get("registered") for _, s in servers)
-        turns_on = any(e.get("kind") == "surrogate_on" for e in cfg["events"])
-        if servers and not registered and not turns_on:
-            errors.append("apps.hls.servers: no server starts registered and "
-                          "no surrogate_on event ever registers one")
-        for i, c in _entries(hls, "clients", "apps.hls.clients", errors):
-            if not _is_name(c.get("name")):
-                errors.append(f"apps.hls.clients[{i}]: missing name")
-            if not _known(c.get("nap"), naps):
-                errors.append(f"apps.hls.clients[{i}].nap: must be a nap node")
-            if not _is_num(c.get("start_ms")) or not 0 <= c["start_ms"] < duration:
-                errors.append(f"apps.hls.clients[{i}].start_ms: must lie in "
-                              "[0, duration_ms)")
-            if not _is_num(c.get("chunks")) or c["chunks"] < 1:
-                errors.append(f"apps.hls.clients[{i}].chunks: positive integer required")
-    iptv = apps.get("iptv")
-    if iptv is not None and not isinstance(iptv, dict):
-        errors.append("apps.iptv: must be an object")
-    elif iptv is not None:
-        mtu = cfg["params"]["mtu"]
-        channels = _entries(iptv, "channels", "apps.iptv.channels", errors)
-        if not iptv.get("channels"):
-            errors.append("apps.iptv.channels: at least one channel required")
-        for i, ch in channels:
-            if not _is_name(ch.get("name")):
-                errors.append(f"apps.iptv.channels[{i}]: missing name")
-            elif ch["name"] in channel_names:
-                errors.append(f"apps.iptv.channels[{i}]: duplicate name {ch['name']!r}")
-            else:
-                channel_names.add(ch["name"])
-            if not _known(ch.get("nap"), naps):
-                errors.append(f"apps.iptv.channels[{i}].nap: must be a nap node")
-            rate = ch.get("bitrate_mbps")
-            if not _is_num(rate) or rate <= 0:
-                errors.append(f"apps.iptv.channels[{i}].bitrate_mbps: positive "
-                              "integer required")
-            elif (_is_num(mtu) and mtu > 0
-                  and packet_interval_us(mtu, rate) < 1):
-                errors.append(f"apps.iptv.channels[{i}].bitrate_mbps: at most "
-                              f"{8 * mtu} (8 * params.mtu), so that packets "
-                              "are at least 1 us apart")
-            start, stop = ch.get("start_ms"), ch.get("stop_ms")
-            if (not _is_num(start) or not _is_num(stop)
-                    or not 0 <= start < stop <= duration):
-                errors.append(f"apps.iptv.channels[{i}]: need "
-                              "0 <= start_ms < stop_ms <= duration_ms")
-        for i, s in _entries(iptv, "stbs", "apps.iptv.stbs", errors):
-            if not _is_name(s.get("name")):
-                errors.append(f"apps.iptv.stbs[{i}]: missing name")
-            elif s["name"] in stb_names:
-                errors.append(f"apps.iptv.stbs[{i}]: duplicate name {s['name']!r}")
-            else:
-                stb_names.add(s["name"])
-            if not _known(s.get("nap"), naps):
-                errors.append(f"apps.iptv.stbs[{i}].nap: must be a nap node")
-            if not _known(s.get("channel"), channel_names):
-                errors.append(f"apps.iptv.stbs[{i}].channel: unknown channel "
-                              f"{s.get('channel')!r}")
-            if not _is_num(s.get("join_ms")) or not 0 <= s["join_ms"] < duration:
-                errors.append(f"apps.iptv.stbs[{i}].join_ms: must lie in "
-                              "[0, duration_ms)")
-            if "active_until_ms" in s:
-                if not _is_num(s["active_until_ms"]) or s["active_until_ms"] < 0:
-                    errors.append(f"apps.iptv.stbs[{i}].active_until_ms: "
-                                  "non-negative integer required")
-            elif _known(s.get("channel"), channel_names):
-                stops = {c["name"]: c.get("stop_ms") for _, c in channels
-                         if _is_name(c.get("name"))}
-                s["active_until_ms"] = stops.get(s["channel"], duration)
-    return server_names, stb_names, channel_names
+def _check_hls(cfg: dict, ns: dict, naps: set, duration: int,
+               errors: list) -> None:
+    hls = cfg["apps"]["hls"] = {**HLS_DEFAULTS, **cfg["apps"]["hls"]}
+    _text(hls, "host", "apps.hls", errors)
+    _text(hls, "path_prefix", "apps.hls", errors, empty=True)
+    rates = hls["bitrates_mbps"]
+    # each rate a positive integer above the one before it
+    if not (isinstance(rates, list) and rates and all(
+            _number(rate, lo) for lo, rate in zip([0] + rates, rates))):
+        errors.append("apps.hls.bitrates_mbps: must be strictly increasing "
+                      "positive integers")
+    _check(hls, "chunk_duration_ms", "apps.hls", errors, POSITIVE)
+    _check(hls, "playlist_window", "apps.hls", errors, POSITIVE)
+    servers = _named(hls, "servers", "apps.hls.servers", errors, ns,
+                     "server", required=True)
+    for at, server in servers:
+        _ref(server, "nap", at, errors, naps, "gateway")
+        server.setdefault("registered", True)
+    if servers and not any(s["registered"] for _, s in servers) and not any(
+            ev.get("kind") == "surrogate_on" for ev in cfg["events"]):
+        errors.append("apps.hls.servers: no server starts registered and "
+                      "no surrogate_on event ever registers one")
+    for at, client in _named(hls, "clients", "apps.hls.clients", errors, ns,
+                             "client"):
+        _ref(client, "nap", at, errors, naps, "gateway")
+        _check(client, "start_ms", at, errors, _starts(duration))
+        _check(client, "chunks", at, errors, POSITIVE)
+
+
+def _check_iptv(cfg: dict, ns: dict, naps: set, duration: int,
+                errors: list) -> None:
+    iptv, mtu = cfg["apps"]["iptv"], cfg["params"]["mtu"]
+    for at, ch in _named(iptv, "channels", "apps.iptv.channels", errors, ns,
+                         "channel", required=True):
+        _ref(ch, "nap", at, errors, naps, "gateway")
+        rate = _check(ch, "bitrate_mbps", at, errors, POSITIVE)
+        if rate and _number(mtu) and packet_interval_us(mtu, rate) < 1:
+            errors.append(f"{at}.bitrate_mbps: at most {8 * mtu} (8 * "
+                          "params.mtu), so that packets are at least 1 us "
+                          "apart")
+        start = _check(ch, "start_ms", at, errors, _starts(duration))
+        _check(ch, "stop_ms", at, errors,
+               (start or 0, duration, int, "lie in (start_ms, duration_ms]"))
+    for at, stb in _named(iptv, "stbs", "apps.iptv.stbs", errors, ns,
+                          "set-top box"):
+        _ref(stb, "nap", at, errors, naps, "gateway")
+        _check(stb, "join_ms", at, errors, _starts(duration))
+        known = _ref(stb, "channel", at, errors, ns["channel"], "channel")
+        if "active_until_ms" in stb:
+            _check(stb, "active_until_ms", at, errors, NON_NEGATIVE)
+        elif known:
+            # a set-top box stays active until its channel stops
+            channel = ns["channel"][stb["channel"]]
+            stb["active_until_ms"] = channel.get("stop_ms")
 
 
 def config_hash(effective: dict) -> str:
@@ -748,6 +717,12 @@ def _check_invariants(w: World, effective: dict, mode: str) -> list:
 def compare_artifacts(a: RunArtifacts, b: RunArtifacts) -> dict:
     """Paired comparison of two runs of the same scenario and seed."""
     from .telemetry import summarize
+    # the summaries read each run's config: it must be the one it ran
+    for run in (a, b):
+        if config_hash(run.config) != run.meta["config_hash"]:
+            raise ConfigError(
+                [f"refusing to compare runs: the {run.mode} run's "
+                 "effective config does not hash to its config_hash"])
     if a.meta["config_hash"] != b.meta["config_hash"]:
         raise ConfigError(
             ["refusing to compare runs of different configurations: "

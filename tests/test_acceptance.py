@@ -282,7 +282,7 @@ def test_c5_fid_encoding_algebra(topo_factory, chain_factory):
     # exact identifiers over a thousand random topologies
     for _ in range(1_000):
         topo = topo_factory(rng, max_nodes=30)
-        cfg = FidConfig(m=2 * len(topo.physical), mode="exact")
+        cfg = FidConfig(m=2 * len(topo.physical), k=5, mode="exact")
         lids = assign_link_ids(topo, cfg, 1)
         src = rng.choice([n.name for n in topo.node_list()])
         t1_links = _layered_tree(topo, rng, src)
@@ -330,7 +330,7 @@ def test_c6_path_computation_optimality(topo_factory, bfs_oracle):
     for _ in range(1_000):
         topo = topo_factory(rng, max_nodes=30)
         names = [n.name for n in topo.node_list()]
-        cfg = FidConfig(m=2 * len(topo.physical), mode="exact")
+        cfg = FidConfig(m=2 * len(topo.physical), k=5, mode="exact")
         lids = assign_link_ids(topo, cfg, 1)
         pce = Pce(Engine(), topo, lids, cfg, EventLog(), PceParams(1_000, 5_000))
 

@@ -289,7 +289,7 @@ def test_surrogate_toggle_drives_publisher_registration():
     topo.add_node("snap_a", "nap")
     topo.add_node("snap_b", "nap")
     topo.add_link("l1", "snap_a", "snap_b", 10_000_000, 100)
-    cfg = FidConfig(m=2, mode="exact")
+    cfg = FidConfig(m=2, k=5, mode="exact")
     pce = Pce(engine, topo, assign_link_ids(topo, cfg, 1), cfg, log,
               PceParams(1_000, 5_000))
     catalog = CATALOG

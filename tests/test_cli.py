@@ -301,6 +301,47 @@ def test_compare_refuses_a_directory_it_cannot_import(damage, exported,
     assert err[0].startswith(f"config error: cannot import {root / 'ip'}: ")
 
 
+def without_params(config):
+    del config["params"]
+
+
+def one_more_ms(config):
+    config["duration_ms"] += 1
+
+
+@pytest.fixture(scope="module")
+def exported_failover(tmp_path_factory):
+    root = tmp_path_factory.mktemp("failover")
+    assert main(["run", "--scenario", "iptv_failover", "--out",
+                 str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("edit", [without_params, one_more_ms])
+def test_compare_refuses_a_config_edited_after_export(
+        edit, exported_failover, tmp_path, capsys):
+    """The summaries read each run's effective_config.json, so one that
+    no longer hashes to its meta.json config_hash is refused with one
+    config error, not summarized (a config without params once raised
+    KeyError: 'mtu')."""
+    root = tmp_path / "runs"
+    shutil.copytree(exported_failover, root)
+    capsys.readouterr()
+    assert main(["compare", str(root / "icn"), str(root / "ip")]) == 0
+    intact = capsys.readouterr().out
+    path = root / "ip" / "effective_config.json"
+    config = json.loads(path.read_text())
+    edit(config)
+    path.write_text(json.dumps(config))
+    assert main(["compare", str(root / "icn"), str(root / "ip")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: refusing to compare runs: the ip run's effective "
+        "config does not hash to its config_hash"]
+    assert intact.startswith("scenario: iptv_failover\n")
+
+
 def _hash_in_subprocess(hashseed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed

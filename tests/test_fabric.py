@@ -59,7 +59,8 @@ def make_fabric(topo, **params):
 
 
 def wire_exact(topo, fabric, sink_node=None, sink=None):
-    lids = assign_link_ids(topo, FidConfig(m=len(topo.links), mode="exact"), 1)
+    lids = assign_link_ids(
+        topo, FidConfig(m=len(topo.links), k=5, mode="exact"), 1)
     for name in topo.nodes:
         cb = sink if name == sink_node else None
         fabric.add_handler(name, FidNode(name, topo.egress(name), lids, sink=cb))
@@ -215,7 +216,8 @@ def test_branch_surplus_accounts_every_copy():
     topo.add_link("l2", "root", "right", 1_000_000_000, 10)
     engine, log, fabric = make_fabric(topo)
     left, right = RecordingSink(), RecordingSink()
-    lids = assign_link_ids(topo, FidConfig(m=len(topo.links), mode="exact"), 1)
+    lids = assign_link_ids(
+        topo, FidConfig(m=len(topo.links), k=5, mode="exact"), 1)
     fabric.add_handler("root", FidNode("root", topo.egress("root"), lids))
     fabric.add_handler("left", FidNode("left", topo.egress("left"), lids,
                                        sink=left.consume))
@@ -238,7 +240,8 @@ def test_local_tap_plus_forwarding_counts_both_copies():
     topo = chain_topology()
     engine, log, fabric = make_fabric(topo)
     tap, end = RecordingSink(), RecordingSink()
-    lids = assign_link_ids(topo, FidConfig(m=len(topo.links), mode="exact"), 1)
+    lids = assign_link_ids(
+        topo, FidConfig(m=len(topo.links), k=5, mode="exact"), 1)
     fabric.add_handler("a", FidNode("a", topo.egress("a"), lids))
     fabric.add_handler("b", FidNode("b", topo.egress("b"), lids,
                                     sink=tap.consume))
@@ -329,7 +332,8 @@ def test_flush_counters_match_event_log():
 
 def test_trace_delivery_reports_dead_ends():
     topo = chain_topology()
-    lids = assign_link_ids(topo, FidConfig(m=len(topo.links), mode="exact"), 1)
+    lids = assign_link_ids(
+        topo, FidConfig(m=len(topo.links), k=5, mode="exact"), 1)
     fid = encode_path([lids["ab:a->b"], lids["bc:b->c"]], width=len(topo.links))
     trace = trace_delivery(topo, lids, fid, "a", ttl=64, sinks={"c"})
     assert trace.sink_nodes == {"c"}

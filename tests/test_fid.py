@@ -13,12 +13,12 @@ from icnsim.fid import (CapacityError, FID, FidConfig, assign_link_ids,
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FidConfig(mode="hash")
+        FidConfig(m=256, k=5, mode="hash")
     with pytest.raises(ValueError):
-        FidConfig(m=0)
+        FidConfig(m=0, k=5, mode="exact")
     with pytest.raises(ValueError):
         FidConfig(m=8, k=8, mode="bloom")
-    assert FidConfig(m=20).width_bytes == 3
+    assert FidConfig(m=20, k=5, mode="exact").width_bytes == 3
 
 
 def test_fid_width_checked():
@@ -86,7 +86,7 @@ def test_exact_assignment_unique_single_bits(topo_factory):
     rng = random.Random(11)
     topo = topo_factory(rng)
     m = len(topo.links)
-    lids = assign_link_ids(topo, FidConfig(m=m, mode="exact"), seed=1)
+    lids = assign_link_ids(topo, FidConfig(m=m, k=5, mode="exact"), seed=1)
     assert len(lids) == len(topo.links)
     seen = set()
     for lid in lids.values():
@@ -97,7 +97,7 @@ def test_exact_assignment_unique_single_bits(topo_factory):
 
 def test_exact_assignment_capacity_error(chain_factory):
     with pytest.raises(CapacityError):
-        assign_link_ids(chain_factory(10), FidConfig(m=8, mode="exact"),
+        assign_link_ids(chain_factory(10), FidConfig(m=8, k=5, mode="exact"),
                         seed=1)
 
 
@@ -123,7 +123,7 @@ def test_bloom_assignment_sets_k_bits(chain_factory):
 def test_encode_path_is_or_of_members(chain_factory):
     topo = chain_factory(4)
     a, b, c, _ = topo.sorted_link_keys()
-    lids = assign_link_ids(topo, FidConfig(m=16, mode="exact"), seed=0)
+    lids = assign_link_ids(topo, FidConfig(m=16, k=5, mode="exact"), seed=0)
     fid = encode_path([lids[a], lids[c]], 16)
     assert should_forward(fid, lids[a])
     assert should_forward(fid, lids[c])
@@ -139,8 +139,8 @@ def test_encode_empty_path_forwards_nowhere():
 def test_encode_width_mismatch_rejected(chain_factory):
     topo = chain_factory(2)
     key = topo.sorted_link_keys()[0]
-    a = assign_link_ids(topo, FidConfig(m=8, mode="exact"), seed=0)[key]
-    b = assign_link_ids(topo, FidConfig(m=16, mode="exact"), seed=0)[key]
+    a = assign_link_ids(topo, FidConfig(m=8, k=5, mode="exact"), seed=0)[key]
+    b = assign_link_ids(topo, FidConfig(m=16, k=5, mode="exact"), seed=0)[key]
     with pytest.raises(ValueError):
         encode_path([a, b], 8)
     with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_encode_width_mismatch_rejected(chain_factory):
 def test_combine_trees_idempotent_union(chain_factory):
     topo = chain_factory(4)
     trunk, left, right, _ = topo.sorted_link_keys()
-    lids = assign_link_ids(topo, FidConfig(m=16, mode="exact"), seed=0)
+    lids = assign_link_ids(topo, FidConfig(m=16, k=5, mode="exact"), seed=0)
     to_left = encode_path([lids[trunk], lids[left]], 16)
     to_right = encode_path([lids[trunk], lids[right]], 16)
     tree = combine_trees([to_left, to_right], 16)
@@ -181,8 +181,8 @@ def test_exact_traversal_matches_encoded_set(topo_factory):
     rng = random.Random(21)
     for _ in range(50):
         topo = topo_factory(rng)
-        lids = assign_link_ids(topo, FidConfig(m=len(topo.links), mode="exact"),
-                               seed=3)
+        lids = assign_link_ids(
+            topo, FidConfig(m=len(topo.links), k=5, mode="exact"), seed=3)
         root = f"n{rng.randrange(len(topo.nodes)):02d}"
         tree = _random_out_tree(rng, topo, root)
         fid = encode_path([lids[k] for k in tree], width=len(topo.links))
@@ -230,7 +230,7 @@ def test_exact_combination_traversal_is_union(topo_factory):
     for _ in range(50):
         topo = topo_factory(rng)
         m = len(topo.links)
-        lids = assign_link_ids(topo, FidConfig(m=m, mode="exact"), seed=4)
+        lids = assign_link_ids(topo, FidConfig(m=m, k=5, mode="exact"), seed=4)
         root = f"n{rng.randrange(len(topo.nodes)):02d}"
         t1 = _random_shortest_tree(rng, topo, root)
         t2 = _random_shortest_tree(rng, topo, root)

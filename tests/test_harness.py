@@ -243,6 +243,80 @@ def test_validation_rejects_true_mtu_and_ttl():
         "params.abr_safety: must lie in (0, 1]"]
 
 
+@pytest.mark.parametrize("prefix", [5, None, ["/live"]])
+def test_validation_rejects_a_path_prefix_that_is_not_a_string(prefix):
+    """Once accepted: every chunk request then missed the catalog and
+    got a 404, with no violation reported."""
+    cfg = copy.deepcopy(FULL)
+    cfg["apps"]["hls"]["path_prefix"] = prefix
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.errors == ["apps.hls.path_prefix: must be a string"]
+    for prefix in ("/tv", ""):
+        cfg["apps"]["hls"]["path_prefix"] = prefix
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("capacity", [float("inf"), float("nan")])
+def test_validation_rejects_a_capacity_that_is_not_finite(capacity):
+    """json reads Infinity and NaN; either once failed the run when the
+    link's bit rate was made an int."""
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["topology"]["links"][0]["capacity_mbps"] = capacity
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.errors == [
+        "topology.links[0].capacity_mbps: must be a positive number"]
+
+
+# (list, index, name): each gives one host the name another host on the
+# same or another gateway already has; a duplicated client is one too
+HOST_CLASHES = {
+    "client_twice": ("clients", None, "c1"),
+    "client_named_like_server": ("clients", 0, "srv"),
+    "box_named_like_client": ("stbs", 0, "c1"),
+    "box_named_like_server": ("stbs", 0, "srv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOST_CLASHES))
+def test_host_names_are_unique_across_servers_clients_and_boxes(case):
+    """Servers, HLS clients and set-top boxes are all hosts, named in
+    one namespace; a clash once crashed the ip run (duplicate host on
+    one gateway, or a reply delivered to the wrong kind of host)."""
+    key, index, name = HOST_CLASHES[case]
+    cfg = copy.deepcopy(FULL)
+    hosts = cfg["apps"]["iptv" if key == "stbs" else "hls"][key]
+    if index is None:
+        hosts.append(copy.deepcopy(hosts[0]))
+    else:
+        hosts[index]["name"] = name
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.errors == [
+        f"apps.{'iptv' if key == 'stbs' else 'hls'}.{key}"
+        f"[{len(hosts) - 1 if index is None else index}].name: "
+        f"duplicate host {name!r}"]
+
+
+@pytest.mark.parametrize("links", ["absent", None])
+def test_an_absent_or_null_link_list_is_an_empty_one(links):
+    """A one-node scenario needs no links: without the list (once a
+    KeyError in the run) it runs like one with an empty list."""
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["topology"] = {"nodes": [{"name": "snap", "role": "nap"}]}
+    cfg["apps"]["iptv"]["stbs"][0]["nap"] = "snap"
+    empty = copy.deepcopy(cfg)
+    empty["topology"]["links"] = []
+    if links is None:
+        cfg["topology"]["links"] = None
+    assert validate_config(cfg) == validate_config(empty)
+    for mode in ("icn", "ip"):
+        art = run_scenario(cfg, mode)
+        assert art.meta["violations"] == []
+        assert art.meta["config_hash"] == config_hash(validate_config(empty))
+
+
 @pytest.mark.parametrize("mode", ["icn", "ip"])
 def test_traffic_on_the_wire_at_the_horizon_is_undrained_not_lost(
         mode, tmp_path):

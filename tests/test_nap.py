@@ -59,7 +59,7 @@ def star_world(n_cnaps=3, window_ms=100):
         topo.add_link(f"acc{i}", "sw", f"cnap{i}", 1_000_000_000, 100)
     fabric = Fabric(engine, topo, log, Telemetry(True),
                     FabricParams(10_000, None, 64))
-    cfg = FidConfig(m=len(topo.links), mode="exact")
+    cfg = FidConfig(m=len(topo.links), k=5, mode="exact")
     lids = assign_link_ids(topo, cfg, 1)
     pce = Pce(engine, topo, lids, cfg, log, PceParams(1_000, 5_000))
     fabric.add_topology_listener(pce.on_topology_event)

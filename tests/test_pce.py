@@ -15,7 +15,7 @@ from icnsim.topology import TopologyGraph
 def make_pce(topo, seed=1):
     engine = Engine()
     log = EventLog()
-    cfg = FidConfig(m=max(2, len(topo.links)), mode="exact")
+    cfg = FidConfig(m=max(2, len(topo.links)), k=5, mode="exact")
     lids = assign_link_ids(topo, cfg, seed)
     pce = Pce(engine, topo, lids, cfg, log, PceParams(1_000, 5_000))
     return engine, log, lids, pce

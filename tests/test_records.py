@@ -32,7 +32,7 @@ def test_cli_and_harness_import_without_dataclasses_or_inspect():
 @pytest.mark.parametrize("value, field", [
     (Packet(pid=1, kind="chunk", name="x", size=10), "size"),
     (FID(5, 8), "bits"),
-    (FidConfig(m=16), "m"),
+    (FidConfig(m=16, k=5, mode="exact"), "m"),
     (PathResult(("a->b",), FID(1, 8), 1), "cost"),
 ])
 def test_immutable_records_refuse_assignment(value, field):
