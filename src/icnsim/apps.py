@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .simkernel import Engine, US_PER_MS
+from .simkernel import Engine
 from .telemetry import EventLog
 
 
@@ -63,7 +63,9 @@ class HlsServer:
         self.up = up
         self.log.append(self.engine.now, self.name, "server_state", up=up)
 
-    def handle_request(self, method: str, host: str, path: str, reply) -> None:
+    def handle_request(self, path: str, reply) -> None:
+        """Answer after the reply delay with reply(status, size, kind,
+        meta); kind, the response's traffic class, is decided only here."""
         if not self.up:
             self.log.append(self.engine.now, self.name, "server_noreply",
                             path=path)
@@ -71,7 +73,8 @@ class HlsServer:
         status, size, kind, meta = self._resolve(path)
         self.log.append(self.engine.now, self.name, "server_resp", kind=kind,
                         path=path, status=status, size=size)
-        self.engine.schedule(self.reply_delay_us, reply, status, size, meta)
+        self.engine.schedule(self.reply_delay_us, reply, status, size, kind,
+                             meta)
 
     def _resolve(self, path: str):
         cat = self.catalog
@@ -122,7 +125,6 @@ class HlsClient:
         self.bitrate_idx = 0
         self.chunks_done = 0
         self.last_index = -1
-        self.total_stall_us = 0
         self._fetch_seq = 0
         self._fetch = None  # (fetch_id, kind, path, t_req, attempts, timeout_ev)
         self._play_start = None
@@ -156,7 +158,7 @@ class HlsClient:
         self._fetch = (fetch_id, kind, path, t, attempts, timeout_ev)
         self.log.append(t, self.name, "http_req", kind=kind, path=path,
                         attempt=attempts)
-        self.transport.fetch(self, fetch_id, "GET", self.catalog.host, path, kind)
+        self.transport.fetch(self, fetch_id, self.catalog.host, path)
 
     # -- transport callbacks --------------------------------------------------
 
@@ -216,7 +218,7 @@ class HlsClient:
         t = self.engine.now
         self.log.append(t, self.name, "http_timeout", kind=kind, path=path,
                         attempt=attempts)
-        self.transport.cancel(self, fetch_id, "GET", self.catalog.host, path)
+        self.transport.cancel(self, fetch_id, self.catalog.host, path)
         # a timeout is a throughput collapse: fall to the lowest tier now
         if self.bitrate_idx != 0:
             self._switch_bitrate(0)
@@ -265,7 +267,6 @@ class HlsClient:
         due = self._play_start + self.catalog.chunk_duration_us
         if t > due:
             stall = t - due
-            self.total_stall_us += stall
             self.log.append(t, self.name, "stall", start=due, dur_us=stall)
         self._play_start = max(due, t)
 

@@ -27,7 +27,8 @@ class Packet(namedtuple("Packet", "pid kind name size fid src dst payload",
     """Immutable packet description; per-copy state (TTL) travels separately.
 
     kind is the traffic class used by the reducers ("chunk", "playlist",
-    "request", "stream", "igmp"); name identifies the content or group.
+    "error", "request", "stream", "igmp"); name identifies the content or
+    group.
     ICN packets carry fid; IP packets carry src and dst (dst may be a
     multicast group name).
     """

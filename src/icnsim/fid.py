@@ -34,10 +34,6 @@ class FidConfig(namedtuple("FidConfig", "m k mode")):
             raise ValueError("bloom mode requires 1 <= k < m")
         return super().__new__(cls, m, k, mode)
 
-    @property
-    def width_bytes(self) -> int:
-        return (self.m + 7) // 8
-
 
 class FID(namedtuple("FID", "bits width")):
     """OR-combination of link identifiers; all-zeros forwards nowhere.

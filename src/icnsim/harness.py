@@ -32,18 +32,25 @@ from .topology import ROLE_FN, ROLE_NAP, TopologyGraph
 
 MODES = ("icn", "ip")
 
-# every scripted event kind, with the fields that name what it acts on
-# and the namespace each of those names must be in
-EVENT_REFS = {
-    "link_down": {"link": "link"},
-    "link_up": {"link": "link"},
-    "server_down": {"server": "server"},
-    "server_up": {"server": "server"},
-    "surrogate_on": {"server": "server"},
-    "surrogate_off": {"server": "server"},
-    "zap": {"stb": "set-top box", "channel": "channel"},
+# every scripted event kind: the fields that name what it acts on, with
+# the namespace each of those names must be in, and the call it schedules
+# on a built world, as (action, *args)
+EVENTS = {
+    "link_down": ({"link": "link"},
+                  lambda w, ev: (w.fabric.set_link_state, ev["link"], False)),
+    "link_up": ({"link": "link"},
+                lambda w, ev: (w.fabric.set_link_state, ev["link"], True)),
+    "server_down": ({"server": "server"},
+                    lambda w, ev: (w.servers[ev["server"]].set_up, False)),
+    "server_up": ({"server": "server"},
+                  lambda w, ev: (w.servers[ev["server"]].set_up, True)),
+    "surrogate_on": ({"server": "server"},
+                     lambda w, ev: (w.agents[ev["server"]].toggle, True)),
+    "surrogate_off": ({"server": "server"},
+                      lambda w, ev: (w.agents[ev["server"]].toggle, False)),
+    "zap": ({"stb": "set-top box", "channel": "channel"},
+            lambda w, ev: (w.stbs[ev["stb"]].zap, ev["channel"])),
 }
-EVENT_KINDS = tuple(EVENT_REFS)
 
 # the namespace each kind of named object's name is unique in: servers,
 # HLS clients and set-top boxes are all hosts on some gateway
@@ -283,8 +290,8 @@ def validate_config(raw: dict) -> dict:
     for at, ev in events:
         _check(ev, "at_ms", at, errors,
                (0, duration - 1, int, "lie in (0, duration_ms)"))
-        if _ref(ev, "kind", at, errors, EVENT_REFS, "kind"):
-            for key, noun in EVENT_REFS[ev["kind"]].items():
+        if _ref(ev, "kind", at, errors, EVENTS, "kind"):
+            for key, noun in EVENTS[ev["kind"]][0].items():
                 _ref(ev, key, at, errors, ns[noun], noun)
 
     if errors:
@@ -411,7 +418,6 @@ class World:
         self.agents = {}
         self.clients = {}
         self.stbs = {}
-        self.sources = {}
 
 
 def build_world(effective: dict, mode: str, seed: int,
@@ -546,9 +552,10 @@ def _wire_apps(w: World, effective: dict, mode: str) -> None:
                 w.pce.register_publisher(channel_name(ch["name"]), ch["nap"])
             else:
                 sender = IpStreamSender(f"{ch['name']}_src", ch["nap"], w.fabric)
-            w.sources[ch["name"]] = IptvSource(
-                ch["name"], sender, ch["bitrate_mbps"], params["mtu"],
-                ch["start_ms"] * US_PER_MS, ch["stop_ms"] * US_PER_MS, w.engine)
+            # the engine holds the source through its scheduled emissions
+            IptvSource(ch["name"], sender, ch["bitrate_mbps"], params["mtu"],
+                       ch["start_ms"] * US_PER_MS, ch["stop_ms"] * US_PER_MS,
+                       w.engine)
         for s in iptv.get("stbs") or []:
             if mode == "icn":
                 adapter = IcnIgmpAdapter(w.engine, w.naps[s["nap"]])
@@ -567,23 +574,10 @@ def _schedule_events(w: World, effective: dict, mode: str) -> None:
     link_events = []
     for ev in effective["events"]:
         at = ev["at_ms"] * US_PER_MS
-        kind = ev["kind"]
-        if kind == "link_down":
-            w.engine.schedule_at(at, w.fabric.set_link_state, ev["link"], False)
+        refs, call = EVENTS[ev["kind"]]
+        w.engine.schedule_at(at, *call(w, ev))
+        if "link" in refs:
             link_events.append(at)
-        elif kind == "link_up":
-            w.engine.schedule_at(at, w.fabric.set_link_state, ev["link"], True)
-            link_events.append(at)
-        elif kind == "server_down":
-            w.engine.schedule_at(at, w.servers[ev["server"]].set_up, False)
-        elif kind == "server_up":
-            w.engine.schedule_at(at, w.servers[ev["server"]].set_up, True)
-        elif kind == "surrogate_on":
-            w.engine.schedule_at(at, w.agents[ev["server"]].toggle, True)
-        elif kind == "surrogate_off":
-            w.engine.schedule_at(at, w.agents[ev["server"]].toggle, False)
-        elif kind == "zap":
-            w.engine.schedule_at(at, w.stbs[ev["stb"]].zap, ev["channel"])
     if mode == "icn" and link_events:
         _schedule_digest_probes(w, effective, link_events)
 

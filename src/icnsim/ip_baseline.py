@@ -88,10 +88,6 @@ class StpController:
             return False
         return True
 
-    @property
-    def reconverging(self) -> bool:
-        return self._pending > 0
-
     def on_topology_event(self, event: TopologyEvent) -> None:
         self.log.append(self.engine.now, self.name, "stp_reconverge",
                         physical=event.physical, up=event.up,
@@ -172,13 +168,12 @@ class IpSwitch:
         return out
 
     def _process_igmp(self, packet: Packet, in_link, port_in):
-        action, device = packet.payload
         ports = self.snoop.setdefault(packet.dst, {})
         members = ports.setdefault(port_in, {})
-        if action == "join":
-            members[device] = True
+        if packet.payload == "join":
+            members[packet.src] = True
         else:
-            members.pop(device, None)
+            members.pop(packet.src, None)
             if not members:
                 del ports[port_in]
             if not ports:
@@ -279,28 +274,23 @@ class IpHttpTransport:
         idx = min(self._addr_idx.get(host, 0), len(addresses) - 1)
         return addresses[idx]
 
-    def fetch(self, handle, fetch_id: int, method: str, host: str, path: str,
-              kind: str) -> None:
+    def fetch(self, handle, fetch_id: int, host: str, path: str) -> None:
         self._rid += 1
         rid = self._rid
         self._pending[rid] = [handle, fetch_id, 0, host]
         addr = self._address(host)
         self.engine.schedule(self.params.access_latency_us, self._send, rid,
-                             method, host, path, kind, addr)
+                             host, path, addr)
 
-    def _send(self, rid: int, method: str, host: str, path: str, kind: str,
-              addr: str) -> None:
+    def _send(self, rid: int, host: str, path: str, addr: str) -> None:
         if rid not in self._pending:
             return
         pkt = Packet(pid=self.fabric.next_pid(), kind="request",
                      name=f"{host}{path}", size=self.params.request_bytes,
-                     src=self.client_id, dst=addr,
-                     payload=("req", method, host, path, kind, rid,
-                              self.client_id))
+                     src=self.client_id, dst=addr, payload=(rid, path))
         self.fabric.inject(self.node, pkt)
 
-    def cancel(self, handle, fetch_id: int, method: str, host: str,
-               path: str) -> None:
+    def cancel(self, handle, fetch_id: int, host: str, path: str) -> None:
         for rid in list(self._pending):
             ph, pf = self._pending[rid][0], self._pending[rid][1]
             if ph is handle and pf == fetch_id:
@@ -322,7 +312,7 @@ class IpHttpTransport:
         self._addr_idx[host] = idx
 
     def on_packet(self, packet: Packet, t: int) -> None:
-        tag, rid, total, status, meta, kind = packet.payload
+        rid, total, status, meta = packet.payload
         entry = self._pending.get(rid)
         if entry is None:
             return
@@ -349,22 +339,21 @@ class IpServerEndpoint:
         self.params = params
 
     def on_packet(self, packet: Packet, t: int) -> None:
-        tag, method, host, path, kind, rid, requester = packet.payload
+        rid, path = packet.payload
         self.engine.schedule(
-            self.params.access_latency_us, self.server.handle_request, method,
-            host, path, lambda status, size, meta:
-                self._reply(rid, requester, kind, host, path, status, size, meta))
+            self.params.access_latency_us, self.server.handle_request, path,
+            lambda status, size, kind, meta:
+                self._reply(packet, rid, status, size, kind, meta))
 
-    def _reply(self, rid: int, requester: str, kind: str, host: str,
-               path: str, status: int, size: int, meta) -> None:
-        pkt_kind = kind if status == 200 else "error"
-        # every segment of the response shares one name and one payload
-        name = f"{host}{path}"
-        payload = ("resp", rid, size, status, meta, kind)
+    def _reply(self, request: Packet, rid: int, status: int, size: int,
+               kind: str, meta) -> None:
+        # every segment of the response shares the request's name and one
+        # payload
+        payload = (rid, size, status, meta)
         for seg in segment_sizes(size, self.params.mtu):
-            pkt = Packet(pid=self.fabric.next_pid(), kind=pkt_kind,
-                         name=name, size=seg,
-                         src=self.host_id, dst=requester,
+            pkt = Packet(pid=self.fabric.next_pid(), kind=kind,
+                         name=request.name, size=seg,
+                         src=self.host_id, dst=request.src,
                          payload=payload)
             self.fabric.inject(self.node, pkt)
 
@@ -387,7 +376,7 @@ class IpIgmpAdapter:
         group = group_address(channel)
         pkt = Packet(pid=self.fabric.next_pid(), kind="igmp", name=group,
                      size=self.params.igmp_bytes, src=stb_name, dst=group,
-                     payload=(action, stb_name))
+                     payload=action)
         self.fabric.inject(self.node, pkt)
 
 

@@ -62,13 +62,11 @@ class _Pending:
 class _Group:
     """Coalescing group: identical requests within one window."""
 
-    __slots__ = ("name", "fingerprint", "kind", "members")
+    __slots__ = ("name", "fingerprint", "members")
 
-    def __init__(self, name: str, fingerprint: tuple, kind: str,
-                 members: dict):
+    def __init__(self, name: str, fingerprint: tuple, members: dict):
         self.name = name
         self.fingerprint = fingerprint
-        self.kind = kind
         self.members = members
 
 
@@ -110,8 +108,8 @@ class Nap:
 
     # -- client side: HTTP -------------------------------------------------
 
-    def handle_http(self, handle, fetch_id: int, method: str, host: str,
-                    path: str, kind: str) -> None:
+    def handle_http(self, handle, fetch_id: int, host: str,
+                    path: str) -> None:
         """Request from an attached client; merges with an in-flight
         fetch of the same name, otherwise subscribes at the control
         plane."""
@@ -126,9 +124,10 @@ class Nap:
         self._pending[name] = pending
         self.engine.schedule(self.params.control_latency_us,
                              self.pce.subscribe, name, self.name, "http",
-                             (method, host, path, kind))
+                             (host, path))
 
-    def cancel_fetch(self, host: str, path: str, handle, fetch_id: int) -> None:
+    def cancel_fetch(self, handle, fetch_id: int, host: str,
+                     path: str) -> None:
         """Client timed out; drop its pending record (and the
         subscription if nobody else is waiting)."""
         name = http_name(host, path)
@@ -144,10 +143,10 @@ class Nap:
 
     # -- client side: IGMP --------------------------------------------------
 
-    def handle_igmp(self, stb_name: str, action: str, channel: str,
-                    handle) -> None:
+    def handle_igmp(self, handle, action: str, channel: str) -> None:
         """Membership update from an attached set-top box; the gateway
         aggregates it into one channel subscription."""
+        stb_name = handle.name
         name = channel_name(channel)
         members = self._members.setdefault(name, {})
         t = self.engine.now
@@ -189,7 +188,7 @@ class Nap:
         pending = self._pending.get(packet.name)
         if pending is None:
             return 0
-        tag, rid, total, status, meta = packet.payload
+        rid, total, status, meta = packet.payload
         got = pending.received.get(rid, 0) + packet.size
         pending.received[rid] = got
         if got >= total:
@@ -211,19 +210,18 @@ class Nap:
 
     def on_match(self, name: str, subscriber: str, context) -> None:
         """Control-plane match notification: join an open coalescing
-        group or open a new one anchored at this request."""
-        method, host, path, kind = context
-        fingerprint = (method, host, path)
-        group = self._groups.get(fingerprint)
+        group or open a new one anchored at this request.  context is the
+        (host, path) that handle_http subscribed with."""
+        group = self._groups.get(context)
         t = self.engine.now
         if group is not None:
             group.members[subscriber] = True
             self.log.append(t, self.name, "group_join", name=name,
                             members=len(group.members))
             return
-        group = _Group(name=name, fingerprint=fingerprint, kind=kind,
+        group = _Group(name=name, fingerprint=context,
                        members={subscriber: True})
-        self._groups[fingerprint] = group
+        self._groups[context] = group
         self.log.append(t, self.name, "group_open", name=name,
                         window_us=self.params.coalesce_window_us)
         if self.params.coalesce_window_us == 0:
@@ -234,7 +232,7 @@ class Nap:
 
     def _close_group(self, group: _Group) -> None:
         del self._groups[group.fingerprint]
-        method, host, path = group.fingerprint
+        host, path = group.fingerprint
         self.log.append(self.engine.now, self.name, "group_close",
                         name=group.name, members=len(group.members))
         server = self._servers.get(host)
@@ -242,12 +240,12 @@ class Nap:
             self.log.append(self.engine.now, self.name, "no_server", host=host)
             return
         self.engine.schedule(
-            self.params.access_latency_us, server.handle_request, method,
-            host, path, lambda status, size, meta:
-                self.on_server_response(group, status, size, meta))
+            self.params.access_latency_us, server.handle_request, path,
+            lambda status, size, kind, meta:
+                self.on_server_response(group, status, size, kind, meta))
 
     def on_server_response(self, group: _Group, status: int, size: int,
-                           meta) -> None:
+                           kind: str, meta) -> None:
         """One upstream response fans out to every member gateway over a
         single multicast tree requested from the control plane."""
         self._rid += 1
@@ -257,18 +255,19 @@ class Nap:
             self.params.control_latency_us, self.pce.request_tree,
             group.name, self.name, receivers,
             lambda name, fid, epoch:
-                self._respond(group, rid, status, size, meta, fid, epoch))
+                self._respond(group, rid, status, size, kind, meta, fid,
+                              epoch))
 
     def _respond(self, group: _Group, rid: int, status: int, size: int,
-                 meta, fid: FID, epoch: int) -> None:
+                 kind: str, meta, fid: FID, epoch: int) -> None:
         self.update_fid(group.name, fid, epoch)
         segments = segment_sizes(size, self.params.mtu)
         self.log.append(self.engine.now, self.name, "snap_respond",
                         name=group.name, rid=rid, size=size,
                         segments=len(segments), members=len(group.members))
-        payload = ("resp", rid, size, status, meta)
+        payload = (rid, size, status, meta)
         for seg in segments:
-            pkt = Packet(pid=self.fabric.next_pid(), kind=group.kind,
+            pkt = Packet(pid=self.fabric.next_pid(), kind=kind,
                          name=group.name, size=seg, fid=fid,
                          payload=payload)
             self.fabric.inject(self.name, pkt)
@@ -292,17 +291,15 @@ class IcnHttpTransport:
         self.engine = engine
         self.nap = nap
 
-    def fetch(self, handle, fetch_id: int, method: str, host: str, path: str,
-              kind: str) -> None:
+    def fetch(self, handle, fetch_id: int, host: str, path: str) -> None:
         self.engine.schedule(self.nap.params.access_latency_us,
-                             self.nap.handle_http, handle, fetch_id, method,
-                             host, path, kind)
+                             self.nap.handle_http, handle, fetch_id, host,
+                             path)
 
-    def cancel(self, handle, fetch_id: int, method: str, host: str,
-               path: str) -> None:
+    def cancel(self, handle, fetch_id: int, host: str, path: str) -> None:
         self.engine.schedule(self.nap.params.access_latency_us,
-                             self.nap.cancel_fetch, host, path, handle,
-                             fetch_id)
+                             self.nap.cancel_fetch, handle, fetch_id, host,
+                             path)
 
 
 class IcnIgmpAdapter:
@@ -314,8 +311,7 @@ class IcnIgmpAdapter:
 
     def act(self, stb, action: str, channel: str) -> None:
         self.engine.schedule(self.nap.params.access_latency_us,
-                             self.nap.handle_igmp, stb.name, action, channel,
-                             stb)
+                             self.nap.handle_igmp, stb, action, channel)
 
 
 class IcnStreamSender:

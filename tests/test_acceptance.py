@@ -31,17 +31,18 @@ import time
 
 import pytest
 
+from icnsim import cli
 from icnsim.fabric import trace_delivery
 from icnsim.fid import (FidConfig, assign_link_ids, combine_trees,
                         encode_path, false_positive_rate, should_forward)
 from icnsim.harness import load_scenario, run_scenario
 from icnsim.pce import Pce, PceParams, UnreachableError
 from icnsim.simkernel import Engine
-from icnsim.telemetry import (EVENT_FIELDS, EVENTS_FILE, VARIANT_FIELD,
-                              EventLog, conservation_from_events,
-                              encode_lines, events_hash, export,
-                              import_artifacts, link_bytes_from_events,
-                              summarize)
+from icnsim.telemetry import (EVENT_FIELDS, EVENTS_FILE, SUMMARY_FILE,
+                              VARIANT_FIELD, EventLog,
+                              conservation_from_events, encode_lines,
+                              events_hash, export, import_artifacts,
+                              link_bytes_from_events, summarize)
 
 SCENARIOS = ("coincidental_multicast", "hls_failover", "iptv_failover",
              "trial_topology")
@@ -87,6 +88,38 @@ PINNED_SAMPLES_HASH = {
         "994b6556a3358c42e5f6142585895b4e149b869fa7aab0d949f1d3fc63bf180d",
     ("trial_topology", "ip"):
         "7deda4e2d5cb473cf4415418e3efb4580a0b8c9aa329ccaea82b7d9851c2bfed",
+}
+
+# sha256 of every shipped run's exported summary.txt, and of the stdout of
+# `icnsim compare <icn dir> <ip dir>` for every shipped scenario: the
+# report bytes a reader sees, pinned as the hashes above pin the log.
+PINNED_SUMMARY_SHA256 = {
+    ("coincidental_multicast", "icn"):
+        "d1e2b984146916f062c90a0c5db60b4d2ca95b01e8c9a7176d75824b1579ea58",
+    ("coincidental_multicast", "ip"):
+        "cfaaa54fe18a755915f3934631f0c66799b2a7df6baedf84394e05bea24cd7ae",
+    ("hls_failover", "icn"):
+        "a68569fdc466fccf39ac02872c1bf542832af807300807525214b0fdfefbf00e",
+    ("hls_failover", "ip"):
+        "388ac0deb746555493d3a0b0b435ef68ef3a16af9e09805c482b910b5eb9f27f",
+    ("iptv_failover", "icn"):
+        "47593196c51ed2c8af744bebf36f1d7172ef7203d1ee0bb53198d2134f6a1473",
+    ("iptv_failover", "ip"):
+        "a2f6385e44f946e979c8769d0fae8516933b3c1fa0b5686fc3065523c4c56f36",
+    ("trial_topology", "icn"):
+        "24b0d5f5b4fcc5e416973399a072f8cf9187870be9796176efa959989260142e",
+    ("trial_topology", "ip"):
+        "2034d90bfdc816d25449a248c3538029d61f7f21b1c11662ffcc6ab259d03031",
+}
+PINNED_COMPARE_SHA256 = {
+    "coincidental_multicast":
+        "88384ccb1de4255030ac5baec2d9e6256447f0b5e1d3604304d3e50c50220e44",
+    "hls_failover":
+        "7934a82982cf72cc2ab1682c63f2bd26ca9f0a251927ff8040d970ac35b2cbca",
+    "iptv_failover":
+        "e2004c27f98d5106e64c5dca44048e692000d9747e51e1384eaac0e8b4f4df1c",
+    "trial_topology":
+        "a85c7b0998884f2cadadcfa611fe9f1e64cb0ac6e550b14412a0a5ecfccf63fa",
 }
 
 
@@ -421,6 +454,26 @@ def test_pinned_samples_hashes(suite):
             == PINNED_SAMPLES_HASH[(name, mode)], (name, mode)
         metrics.update(s["metric"] for s in artifacts.samples)
     assert metrics == {"tx_bytes", "tx_pkts", "queue_peak_us", "drops"}
+
+
+def test_pinned_report_bytes(suite, tmp_path, capsys):
+    """Every shipped run's summary.txt and every shipped scenario's
+    `icnsim compare` report keep their pinned sha256."""
+    assert set(suite["runs"]) == set(PINNED_SUMMARY_SHA256)
+    for name in SCENARIOS:
+        outdirs = []
+        for mode in MODES:
+            outdir = tmp_path / f"{name}_{mode}"
+            export(suite["runs"][(name, mode)], str(outdir))
+            summary = (outdir / SUMMARY_FILE).read_bytes()
+            assert hashlib.sha256(summary).hexdigest() \
+                == PINNED_SUMMARY_SHA256[(name, mode)], (name, mode)
+            outdirs.append(str(outdir))
+        capsys.readouterr()
+        assert cli.main(["compare", *outdirs]) == 0
+        report = capsys.readouterr().out.encode()
+        assert hashlib.sha256(report).hexdigest() \
+            == PINNED_COMPARE_SHA256[name], name
 
 
 def test_every_record_matches_declared_vocabulary(suite):

@@ -1,8 +1,11 @@
 """Application models: live HLS catalog, adaptive client, IPTV endpoints."""
 
+import pytest
+
 from icnsim.apps import (HlsCatalog, HlsClient, HlsClientParams, HlsServer,
                          IptvSource, Stb, SurrogateAgent)
 from icnsim.fid import FidConfig, assign_link_ids
+from icnsim.harness import MODES, build_world, load_scenario, validate_config
 from icnsim.pce import Pce, PceParams
 from icnsim.simkernel import Engine, US_PER_MS, US_PER_S
 from icnsim.telemetry import EventLog
@@ -26,12 +29,12 @@ class ScriptedTransport:
         self.cancels = []
         self.mute = 0
 
-    def fetch(self, handle, fetch_id, method, host, path, kind):
-        self.requests.append((self.engine.now, kind, path))
+    def fetch(self, handle, fetch_id, host, path):
+        self.requests.append((self.engine.now, path))
         if self.mute > 0:
             self.mute -= 1
             return
-        if kind == "playlist":
+        if path == self.catalog.playlist_path():
             def answer():
                 handle.on_response(fetch_id, 200, self.catalog.playlist_bytes,
                                    self.catalog.edge_index(self.engine.now))
@@ -42,7 +45,7 @@ class ScriptedTransport:
             self.engine.schedule(self.delay_us, handle.on_response, fetch_id,
                                  200, size, None)
 
-    def cancel(self, handle, fetch_id, method, host, path):
+    def cancel(self, handle, fetch_id, host, path):
         self.cancels.append((self.engine.now, path))
 
 
@@ -58,6 +61,11 @@ def make_client(chunks=4, delay_us=100_000, start_us=2_500_000, **overrides):
         max_attempts=6)._replace(**overrides)
     client = HlsClient("c1", transport, catalog, params, engine, log)
     return engine, log, catalog, transport, client
+
+
+def stall_us(log):
+    """A client's total stall time: the sum of its stall records."""
+    return sum(r["dur_us"] for r in log if r["ev"] == "stall")
 
 
 def test_catalog_arithmetic():
@@ -86,26 +94,26 @@ def run_server(path, now_us=12_000_000, up=True):
     if not up:
         server.set_up(False)
     replies = []
-    engine.schedule_at(now_us, server.handle_request, "GET", "video.test",
-                       path, lambda *a: replies.append((engine.now, *a)))
+    engine.schedule_at(now_us, server.handle_request, path,
+                       lambda *a: replies.append((engine.now, *a)))
     engine.run_until(now_us + US_PER_S)
     return log, replies
 
 
 def test_server_serves_playlist_with_edge():
     log, replies = run_server("/live/playlist.m3u8")
-    assert replies == [(12_002_000, 200, 500, 5)]
+    assert replies == [(12_002_000, 200, 500, "playlist", 5)]
 
 
 def test_server_serves_available_chunk():
     log, replies = run_server("/live/8/4")
-    assert replies == [(12_002_000, 200, 2_000_000, None)]
+    assert replies == [(12_002_000, 200, 2_000_000, "chunk", None)]
 
 
 def test_server_rejects_stale_future_and_bad_paths():
     for path in ("/live/8/0", "/live/8/6", "/live/4/4", "/live/8/x", "/nope"):
         log, replies = run_server(path)
-        assert replies[0][1:] == (404, 64, None), path
+        assert replies[0][1:] == (404, 64, "error", None), path
         resp = [r for r in log if r["ev"] == "server_resp"]
         assert resp[0]["kind"] == "error", path
 
@@ -121,7 +129,7 @@ def test_client_steady_playback_without_stalls():
     engine.run_until(20 * US_PER_S)
     assert client.done
     assert client.chunks_done == 4
-    assert client.total_stall_us == 0
+    assert stall_us(log) == 0
     assert not any(r["ev"] == "stall" for r in log)
     # each period fetches the playlist, then the newest chunk
     kinds = [r["kind"] for r in log if r["ev"] == "http_req"]
@@ -152,7 +160,7 @@ def test_slow_chunks_never_upshift():
     engine.run_until(30 * US_PER_S)
     assert client.chunks_done == 3
     assert not any(r["ev"] == "bitrate_switch" for r in log)
-    assert client.total_stall_us > 0
+    assert stall_us(log) > 0
 
 
 def test_timeout_downshifts_cancels_and_refetches_playlist():
@@ -172,7 +180,7 @@ def test_timeout_downshifts_cancels_and_refetches_playlist():
              and r["t"] == t_timeout]
     assert retry[0]["kind"] == "playlist" and retry[0]["attempt"] == 1
     assert client.done
-    assert client.total_stall_us > 0
+    assert stall_us(log) > 0
 
 
 def test_fetch_abandoned_after_max_attempts():
@@ -193,9 +201,9 @@ def test_stall_clock_arithmetic():
     client._record_arrival(1_000)
     assert client._play_start == 751_000
     client._record_arrival(2_751_000)  # exactly on time
-    assert client.total_stall_us == 0
+    assert stall_us(log) == 0
     client._record_arrival(5_800_000)  # due at 4_751_000
-    assert client.total_stall_us == 1_049_000
+    assert stall_us(log) == 1_049_000
     stalls = [r for r in log if r["ev"] == "stall"]
     assert stalls == [{"t": 5_800_000, "el": "c1", "ev": "stall",
                        "start": 4_751_000, "dur_us": 1_049_000}]
@@ -318,3 +326,29 @@ def test_surrogate_toggle_without_control_plane_is_inert():
     agent.toggle(False)
     assert [r["on"] for r in log if r["ev"] == "surrogate_toggle"] \
         == [True, False]
+
+
+class RecordingHandle:
+    def __init__(self):
+        self.responses = []
+
+    def on_response(self, fetch_id, status, size, meta):
+        self.responses.append((fetch_id, status, size))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_both_planes_ship_a_catalog_miss_as_error(mode):
+    """The server alone classes a response, so a catalog miss crosses
+    either plane as "error"."""
+    w = build_world(validate_config(load_scenario("hls_failover")), mode, 1)
+    client = w.clients["client1"]
+    cat = client.catalog
+    handle = RecordingHandle()
+    # a chunk far past the live edge; every client starts at 2 s
+    w.engine.schedule_at(1_000, client.transport.fetch, handle, 1, cat.host,
+                         cat.chunk_path(cat.bitrates_mbps[0], 10**6))
+    w.engine.run_until(US_PER_S)
+    assert handle.responses == [(1, 404, 64)]
+    for ev in ("pkt_inject", "pkt_fwd"):
+        kinds = {r["kind"] for r in w.log if r["ev"] == ev}
+        assert kinds - {"request"} == {"error"}, ev

@@ -18,7 +18,6 @@ def test_config_validation():
         FidConfig(m=0, k=5, mode="exact")
     with pytest.raises(ValueError):
         FidConfig(m=8, k=8, mode="bloom")
-    assert FidConfig(m=20, k=5, mode="exact").width_bytes == 3
 
 
 def test_fid_width_checked():

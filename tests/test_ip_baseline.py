@@ -35,9 +35,9 @@ class StubServer:
         self.size = size
         self.calls = []
 
-    def handle_request(self, method, host, path, reply):
+    def handle_request(self, path, reply):
         self.calls.append((self.engine.now, path))
-        self.engine.schedule(2_000, reply, 200, self.size, None)
+        self.engine.schedule(2_000, reply, 200, self.size, "chunk", None)
 
 
 class StubFetchHandle:
@@ -92,14 +92,20 @@ def test_tree_prefers_earlier_inserted_trunk():
     assert not stp.link_allowed(topo.links["tb:sw_a->sw_b"])
 
 
+def stp_windows(log):
+    """Opened and completed reconvergence windows, in log order."""
+    return [r["ev"] for r in log
+            if r["ev"] in ("stp_reconverge", "stp_converged")]
+
+
 def test_tree_recomputes_after_reconvergence_window():
     topo = redundant_pair()
     engine, log, fabric, stp, switches = ip_world(topo)
     stp.on_topology_event(topo.set_link_state("tp", False, 0))
-    assert stp.reconverging
+    assert stp_windows(log) == ["stp_reconverge"]  # window open
     assert sorted(stp.active) == ["tp"]  # old tree until the window closes
     engine.run_until(200_000)
-    assert not stp.reconverging
+    assert stp_windows(log) == ["stp_reconverge", "stp_converged"]
     assert sorted(stp.active) == ["tb"]
     assert stp.link_allowed(topo.links["tb:sw_a->sw_b"])
 
@@ -187,8 +193,8 @@ def test_unicast_floods_until_reverse_path_learned():
     transport = IpHttpTransport("c1", "swl", fabric, dns, engine, log, params)
     switches["swl"].attach_host("c1", transport)
     handle = StubFetchHandle()
-    engine.schedule_at(1_000, transport.fetch, handle, 1, "GET", "video.test",
-                       "/x", "chunk")
+    engine.schedule_at(1_000, transport.fetch, handle, 1, "video.test",
+                       "/x")
     engine.run_until(1_000_000)
     assert handle.responses == [(1, 200, 3000)]
     # the request floods both remote legs; only one copy finds the server
@@ -214,10 +220,9 @@ def test_segments_of_one_response_share_name_and_payload():
     switches["swr"].attach_host("s1", endpoint)
     client = RecordingHost("c1")
     switches["swl"].attach_host("c1", client)
-    request = Packet(pid=fabric.next_pid(), kind="request", name="video.test",
-                     size=params.request_bytes, src="c1", dst="s1",
-                     payload=("req", "GET", "video.test", "/x", "chunk", 1,
-                              "c1"))
+    request = Packet(pid=fabric.next_pid(), kind="request",
+                     name="video.test/x", size=params.request_bytes,
+                     src="c1", dst="s1", payload=(1, "/x"))
     engine.schedule_at(1_000, endpoint.on_packet, request, 1_000)
     engine.run_until(1_000_000)
     segments = [p for _, p in client.packets]
@@ -238,29 +243,29 @@ def test_dns_failover_is_sticky_and_budgeted():
     handle = StubFetchHandle()
     assert transport._address("video.test") == "primary"
     # one timeout stays on the primary; the second advances
-    transport.fetch(handle, 1, "GET", "video.test", "/x", "chunk")
-    transport.cancel(handle, 1, "GET", "video.test", "/x")
+    transport.fetch(handle, 1, "video.test", "/x")
+    transport.cancel(handle, 1, "video.test", "/x")
     assert transport._address("video.test") == "primary"
-    transport.fetch(handle, 2, "GET", "video.test", "/x", "chunk")
-    transport.cancel(handle, 2, "GET", "video.test", "/x")
+    transport.fetch(handle, 2, "video.test", "/x")
+    transport.cancel(handle, 2, "video.test", "/x")
     assert transport._address("video.test") == "surrogate"
     failovers = [r for r in log if r["ev"] == "dns_failover"]
     assert len(failovers) == 1 and failovers[0]["addr"] == "surrogate"
     # success resets the failure budget but never fails back
-    transport.fetch(handle, 3, "GET", "video.test", "/x", "chunk")
+    transport.fetch(handle, 3, "video.test", "/x")
     rid = max(transport._pending)
     transport.on_packet(Packet(pid=1, kind="chunk", name="video.test/x",
                                size=500, src="surrogate",
                                dst="c1",
-                               payload=("resp", rid, 500, 200, None, "chunk")),
+                               payload=(rid, 500, 200, None)),
                         engine.now)
     assert transport._failures["video.test"] == 0
     assert transport._address("video.test") == "surrogate"
     # two more timeouts wrap the rotation back to the first address
-    transport.fetch(handle, 4, "GET", "video.test", "/x", "chunk")
-    transport.cancel(handle, 4, "GET", "video.test", "/x")
-    transport.fetch(handle, 5, "GET", "video.test", "/x", "chunk")
-    transport.cancel(handle, 5, "GET", "video.test", "/x")
+    transport.fetch(handle, 4, "video.test", "/x")
+    transport.cancel(handle, 4, "video.test", "/x")
+    transport.fetch(handle, 5, "video.test", "/x")
+    transport.cancel(handle, 5, "video.test", "/x")
     assert [r["ev"] for r in log
             if r["ev"] in ("dns_failover", "dns_exhausted")] \
         == ["dns_failover", "dns_exhausted"]

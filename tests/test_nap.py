@@ -21,9 +21,10 @@ class StubServer:
         self.delay_us = delay_us
         self.calls = []
 
-    def handle_request(self, method, host, path, reply):
-        self.calls.append((self.engine.now, method, host, path))
-        self.engine.schedule(self.delay_us, reply, 200, self.size, None)
+    def handle_request(self, path, reply):
+        self.calls.append((self.engine.now, path))
+        self.engine.schedule(self.delay_us, reply, 200, self.size, "chunk",
+                             None)
 
 
 class StubClient:
@@ -89,7 +90,7 @@ def test_requests_within_window_coalesce_to_one_fetch():
         client = StubClient(engine)
         clients.append(client)
         engine.schedule_at(1_000 + i * 900, naps[f"cnap{i}"].handle_http,
-                           client, 1, "GET", HOST, "/live/2/0", "chunk")
+                           client, 1, HOST, "/live/2/0")
     engine.run_until(5_000_000)
     assert len(server.calls) == 1
     for client in clients:
@@ -111,11 +112,11 @@ def test_request_after_window_opens_new_group():
     naps["snap"].attach_server(HOST, server)
     pce.register_publisher(http_scope(HOST), "snap")
     c0, c1 = StubClient(engine), StubClient(engine)
-    engine.schedule_at(1_000, naps["cnap0"].handle_http, c0, 1, "GET", HOST,
-                       "/live/2/0", "chunk")
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, c0, 1, HOST,
+                       "/live/2/0")
     # well past the 100 ms window of the first group
-    engine.schedule_at(400_000, naps["cnap1"].handle_http, c1, 1, "GET", HOST,
-                       "/live/2/0", "chunk")
+    engine.schedule_at(400_000, naps["cnap1"].handle_http, c1, 1, HOST,
+                       "/live/2/0")
     engine.run_until(5_000_000)
     assert len(server.calls) == 2
     opens = [r for r in log if r["ev"] == "group_open"]
@@ -131,8 +132,8 @@ def test_zero_window_serves_immediately():
     naps["snap"].attach_server(HOST, server)
     pce.register_publisher(http_scope(HOST), "snap")
     client = StubClient(engine)
-    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, "GET",
-                       HOST, "/x", "chunk")
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, HOST,
+                       "/x")
     engine.run_until(1_000_000)
     assert len(server.calls) == 1
     assert len(client.responses) == 1
@@ -145,10 +146,8 @@ def test_same_gateway_requests_merge_locally():
     naps["snap"].attach_server(HOST, server)
     pce.register_publisher(http_scope(HOST), "snap")
     a, b = StubClient(engine), StubClient(engine)
-    engine.schedule_at(1_000, naps["cnap0"].handle_http, a, 1, "GET", HOST,
-                       "/x", "chunk")
-    engine.schedule_at(1_500, naps["cnap0"].handle_http, b, 2, "GET", HOST,
-                       "/x", "chunk")
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, a, 1, HOST, "/x")
+    engine.schedule_at(1_500, naps["cnap0"].handle_http, b, 2, HOST, "/x")
     engine.run_until(5_000_000)
     merges = [r for r in log if r["ev"] == "cnap_merge"]
     assert len(merges) == 1
@@ -168,8 +167,8 @@ def test_segmented_response_reassembled():
     naps["snap"].attach_server(HOST, server)
     pce.register_publisher(http_scope(HOST), "snap")
     client = StubClient(engine)
-    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, "GET",
-                       HOST, "/x", "chunk")
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, HOST,
+                       "/x")
     engine.run_until(5_000_000)
     segments = [r for r in log if r["ev"] == "pkt_inject"]
     assert len(segments) == 8  # ceil(10000 / 1400)
@@ -192,10 +191,10 @@ def test_segments_of_one_response_share_one_payload():
 
     fabric.inject = recording_inject
     client = StubClient(engine)
-    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, "GET",
-                       HOST, "/x", "chunk")
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 1, HOST,
+                       "/x")
     engine.run_until(5_000_000)
-    segments = [p for p in sent if p.payload and p.payload[0] == "resp"]
+    segments = [p for p in sent if p.kind == "chunk"]
     assert [p.size for p in segments] == [1400, 1400, 1400, 800]
     assert len({id(p.payload) for p in segments}) == 1
     assert len({id(p.name) for p in segments}) == 1
@@ -206,10 +205,10 @@ def test_cancel_releases_pending_and_unsubscribes():
     engine, log, topo, fabric, pce, naps = star_world(n_cnaps=1)
     client = StubClient(engine)
     # no publisher registered: the fetch stays pending until cancelled
-    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 7, "GET",
-                       HOST, "/x", "chunk")
-    engine.schedule_at(50_000, naps["cnap0"].cancel_fetch, HOST, "/x",
-                       client, 7)
+    engine.schedule_at(1_000, naps["cnap0"].handle_http, client, 7, HOST,
+                       "/x")
+    engine.schedule_at(50_000, naps["cnap0"].cancel_fetch, client, 7,
+                       HOST, "/x")
     engine.run_until(1_000_000)
     name = http_name(HOST, "/x")
     assert name not in naps["cnap0"]._pending
@@ -224,10 +223,10 @@ def test_igmp_membership_aggregates_per_gateway():
     engine, log, topo, fabric, pce, naps = star_world(n_cnaps=1)
     nap = naps["cnap0"]
     s1, s2 = StubStb("stb1"), StubStb("stb2")
-    engine.schedule_at(1_000, nap.handle_igmp, "stb1", "join", "ch1", s1)
-    engine.schedule_at(2_000, nap.handle_igmp, "stb2", "join", "ch1", s2)
-    engine.schedule_at(3_000, nap.handle_igmp, "stb1", "join", "ch1", s1)
-    engine.schedule_at(4_000, nap.handle_igmp, "stb1", "leave", "ch1", s1)
+    engine.schedule_at(1_000, nap.handle_igmp, s1, "join", "ch1")
+    engine.schedule_at(2_000, nap.handle_igmp, s2, "join", "ch1")
+    engine.schedule_at(3_000, nap.handle_igmp, s1, "join", "ch1")
+    engine.schedule_at(4_000, nap.handle_igmp, s1, "leave", "ch1")
     engine.run_until(1_000_000)
     ctrl = [(r["msg"], r["name"]) for r in log if r["ev"] == "ctrl"]
     name = channel_name("ch1")
@@ -236,7 +235,7 @@ def test_igmp_membership_aggregates_per_gateway():
     joins = [r for r in log if r["ev"] == "igmp" and r["action"] == "join"]
     assert [r["dup"] for r in joins] == [False, False, True]
 
-    engine.schedule_at(1_100_000, nap.handle_igmp, "stb2", "leave", "ch1", s2)
+    engine.schedule_at(1_100_000, nap.handle_igmp, s2, "leave", "ch1")
     engine.run_until(2_000_000)
     ctrl = [(r["msg"], r["name"]) for r in log if r["ev"] == "ctrl"]
     assert ctrl.count(("unsubscribe", name)) == 1
@@ -248,8 +247,8 @@ def test_stream_tree_reaches_every_member():
     pce.register_publisher(channel_name("ch1"), "snap")
     stbs = [StubStb(f"stb{i}") for i in range(3)]
     for i, stb in enumerate(stbs):
-        engine.schedule_at(1_000 + i, naps[f"cnap{i}"].handle_igmp, stb.name,
-                           "join", "ch1", stb)
+        engine.schedule_at(1_000 + i, naps[f"cnap{i}"].handle_igmp, stb,
+                           "join", "ch1")
     engine.schedule_at(100_000, naps["snap"].inject_stream, "ch1", 1400)
     engine.run_until(1_000_000)
     for stb in stbs:
@@ -276,8 +275,8 @@ def test_fid_table_written_only_by_control_updates():
     before = nap.routing_digest()
     pce.register_publisher(channel_name("ch1"), "snap")
     stb = StubStb("stb1")
-    engine.schedule_at(1_000, naps["cnap0"].handle_igmp, "stb1", "join",
-                       "ch1", stb)
+    engine.schedule_at(1_000, naps["cnap0"].handle_igmp, stb, "join",
+                       "ch1")
     engine.run_until(100_000)
     after = nap.routing_digest()
     assert before != after
