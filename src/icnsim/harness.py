@@ -619,6 +619,9 @@ def run_scenario(config: dict, mode: str, seed: int = None,
     if seed is None:
         seed = params["seed"]
     duration_us = effective["duration_ms"] * US_PER_MS
+    # hashed before the world and its log exist, so the config's text
+    # never stacks on top of a full log
+    digest = config_hash(effective)
 
     w = build_world(effective, mode, seed, telemetry_enabled)
     w.log.append(0, "run", "begin", scenario=effective["name"], mode=mode,
@@ -631,7 +634,7 @@ def run_scenario(config: dict, mode: str, seed: int = None,
         "scenario": effective["name"],
         "mode": mode,
         "seed": seed,
-        "config_hash": config_hash(effective),
+        "config_hash": digest,
         "samples_hash": w.telemetry.hash(),
         "telemetry_enabled": telemetry_enabled,
         "engine_events": executed,
@@ -724,7 +727,15 @@ def compare_artifacts(a: RunArtifacts, b: RunArtifacts) -> dict:
     if a.seed != b.seed:
         raise ConfigError(
             [f"refusing to compare runs with different seeds: {a.seed} != {b.seed}"])
-    sa, sb = summarize(a), summarize(b)
+    summaries = []
+    for run in (a, b):
+        try:
+            summaries.append(summarize(run))
+        except ValueError as exc:
+            # a log no run writes, such as arrivals that go back in time
+            raise ConfigError([f"refusing to compare runs: the {run.mode} "
+                               f"run's log does not reduce: {exc}"]) from None
+    sa, sb = summaries
     out = {
         "scenario": a.meta["scenario"],
         "config_hash": a.meta["config_hash"],

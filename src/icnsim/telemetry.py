@@ -11,8 +11,9 @@ which are constant per schema), plus one schema id byte per record in
 log order.  A column is as compact as its content allows, and its type
 follows from that content: an array of the narrowest signed typecode
 while every value in it is an int (never a bool), an unsigned array of
-codes into the log's one string table while every value is a str, else
-a list.  The hot data-plane kinds are written with log.write(key,
+codes into the log's one string table while every value is a str, a
+bytearray of one byte per value while every value is a bool, else a
+list.  The hot data-plane kinds are written with log.write(key,
 t, el, *values), which checks the number of values and extends the
 schema's flat buffer; the generic append() rejects any record dict the
 schema does not declare.  The buffered values are moved into the
@@ -39,11 +40,10 @@ import io
 import json
 import os
 from array import array
-from collections import Counter, defaultdict
-from functools import partial
-from itertools import chain, islice
+from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, lt, mul
+from operator import itemgetter, mul
 
 
 # One shared encoder: the same text as json.dumps(record, sort_keys=True,
@@ -285,27 +285,33 @@ def _fill(col: array, values: list):
             col = array(wider, col)
 
 
-_BOOLS = {True: "true", False: "false"}
+# A bool column's byte decoded, and rendered as JSON; a bool indexes
+# both as 0 or 1
+_BOOL = (False, True)
+_BOOL_TEXT = ("false", "true")
 
 
 def _render(values, texts: list):
     """One template field's values, as the template takes them: an int as
     itself, a str as its JSON text, any other value (bool, None, float,
-    list) through canonical_json.  An int array is taken as it is and a
+    list) through canonical_json.  An int array is taken as it is, a
     coded array is one index per value into texts, the JSON text of each
-    str of the log's table; a list's values of one type are rendered in a
-    single C-level pass."""
+    str of the log's table, and a bool column one index per byte into
+    _BOOL_TEXT; a list's values of one type are rendered in a single
+    C-level pass."""
     if values.__class__ is array:
         if values.typecode in _CODED:
             return map(texts.__getitem__, values)
         return values
+    if values.__class__ is bytearray:
+        return map(_BOOL_TEXT.__getitem__, values)
     types = set(map(type, values))
     if types == {int}:
         return values
     if types == {str}:
         return map(encode_basestring_ascii, values)
     if types == {bool}:
-        return map(_BOOLS.__getitem__, values)
+        return map(_BOOL_TEXT.__getitem__, values)
     return [x if x.__class__ is int else canonical_json(x) for x in values]
 
 
@@ -347,6 +353,9 @@ class EventLog:
     - a coded column, while every value in it is a str: an unsigned array
       (B -> H -> I, as the codes need) of codes into the log's one string
       table, which holds each distinct str once;
+    - a bool column, while every value in it is a bool: a bytearray of
+      one 0 or 1 byte per value, read back through (False, True); bools
+      stay out of the string table, whose keys 1 and True would collide;
     - otherwise a list of the values, which stays one.
     Written records go to the schema's flat buffer first, record after
     record, and _pack() moves them into the columns in bulk.  A bytearray
@@ -384,12 +393,14 @@ class EventLog:
 
     def _pack(self) -> None:
         """Move every buffered value into its column, a field at a time.
-        An int column takes a field's values when all of them are ints
-        (bool excluded), widened as fromlist needs; an empty column or a
-        coded one takes them as codes when all of them are strs.  A column
-        that meets any other value, or an int beyond 64 bits, turns into a
-        list of its values, so a bool, None, float or larger int keeps the
-        type it is encoded by."""
+        A column holds one type of value: an int column ints (bool
+        excluded), widened as fromlist needs, a coded column strs, as
+        codes, and a bool column bools, one byte each.  An empty column
+        takes the form of the type of its first value.  A column takes a
+        field's values when all of them are of its type; one that meets
+        any other value, or an int beyond 64 bits, turns into a list of
+        its values, so a None, float or larger int keeps the type it is
+        encoded by."""
         table = self._table
         for s, buf, cols in zip(_BY_SID, self._buf, self._cols):
             if not buf:
@@ -400,20 +411,32 @@ class EventLog:
                 if col.__class__ is list:
                     col += part
                     continue
-                coded = col.typecode in _CODED
                 kinds = list(map(type, part))
+                if not col:
+                    held = kinds[0]
+                elif col.__class__ is bytearray:
+                    held = bool
+                else:
+                    held = str if col.typecode in _CODED else int
                 packed = None
-                if not coded and kinds.count(int) == len(part):
-                    packed = _fill(col, part)
-                elif (coded or not col) and kinds.count(str) == len(part):
-                    packed = _fill(col if coded else array("B"),
-                                   list(map(table.__getitem__, part)))
+                if kinds.count(held) == len(part):
+                    if held is int:
+                        packed = _fill(col, part)
+                    elif held is str:
+                        packed = _fill(col if col else array("B"),
+                                       list(map(table.__getitem__, part)))
+                    elif held is bool:
+                        packed = col if col else bytearray()
+                        packed += bytes(part)
                 cols[j] = (packed if packed is not None
                            else [*self._values(col), *part])
             buf.clear()
 
     def _values(self, col):
-        """A column's values, a coded one decoded through the table."""
+        """A column's values, a coded one decoded through the table and a
+        bool one through _BOOL."""
+        if col.__class__ is bytearray:
+            return map(_BOOL.__getitem__, col)
         if col.__class__ is array and col.typecode in _CODED:
             return map(self._table.strs.__getitem__, col)
         return col
@@ -646,31 +669,67 @@ def merge_ratios(events: EventLog) -> dict:
     return out
 
 
-def disruption_intervals(arrival_times, active_start: int, active_end: int,
-                         max_gap_us) -> list:
-    """Maximal delivery gaps larger than their threshold.
+def disruption_intervals(arrivals, spans: dict) -> dict:
+    """Maximal delivery gaps larger than their threshold, per sink.
 
-    Gaps are measured between consecutive deliveries inside the active
-    period; a sink with no deliveries at all counts one disruption
-    spanning its whole active period.  max_gap_us is parallel to
-    arrival_times: the threshold of the gap ending at each arrival.
-    Arrivals are taken in (time, threshold) order; times that strictly
-    increase already are in that order, so only other inputs are sorted
-    as pairs.
+    arrivals are (sink, time, threshold) triples in log order, so in time
+    order for each sink; spans maps each sink to its active period
+    (start, end), and only sinks with a span are reported.  Gaps are
+    measured between consecutive deliveries inside the active period,
+    and each is judged by the threshold of the arrival that ends it.
+    Arrivals at one time are taken in threshold order, so a gap that ends
+    at a tie is judged by the tie's smallest threshold; thresholds are
+    not negative, so a tie is never a gap itself.  A sink with no
+    deliveries at all counts one disruption spanning its whole active
+    period.
+
+    One pass: per sink it keeps the time of its last arrival, the time
+    before it, the smallest threshold at the last time, and the
+    intervals found, never the arrivals.  Raises ValueError for an
+    arrival earlier than its sink's last one.
     """
-    arrivals = zip(arrival_times, max_gap_us)
-    if not all(map(lt, arrival_times, islice(arrival_times, 1, None))):
-        arrivals = sorted(arrivals)
-    out = []
-    prev = None
-    for t, gap in arrivals:
-        if active_start <= t <= active_end:
-            if prev is not None and t - prev > gap:
-                out.append((prev, t))
-            prev = t
-    if prev is None and active_end > active_start:
-        return [(active_start, active_end)]
+    out = {sink: [] for sink in spans}
+    # sink -> [time before last, last time, smallest threshold at last]
+    state: dict[str, list] = {}
+    for sink, t, gap in arrivals:
+        span = spans.get(sink)
+        if span is None or not span[0] <= t <= span[1]:
+            continue
+        s = state.get(sink)
+        if s is None:
+            state[sink] = [None, t, gap]
+        elif t > s[1]:
+            prev, last, least = s
+            if prev is not None and last - prev > least:
+                out[sink].append((prev, last))
+            s[0] = last
+            s[1] = t
+            s[2] = gap
+        elif t == s[1]:
+            if gap < s[2]:
+                s[2] = gap
+        else:
+            raise ValueError(f"{sink}: arrival at {t} after one at {s[1]}")
+    for sink, (prev, last, least) in state.items():
+        if prev is not None and last - prev > least:
+            out[sink].append((prev, last))
+    for sink, (start, end) in spans.items():
+        if sink not in state and end > start:
+            out[sink].append((start, end))
     return out
+
+
+class _Thresholds(dict):
+    """The disruption threshold of each stream name, looked up once per
+    name: stream names are "<plane prefix>:<channel>" in both modes."""
+
+    def __init__(self, by_channel: dict):
+        super().__init__()
+        self.by_channel = by_channel
+
+    def __missing__(self, stream: str) -> int:
+        gap = self[stream] = self.by_channel[stream.split(":", 1)[1]]
+        return gap
 
 
 def stalls_from_events(events: EventLog, chunk_duration_us: int,
@@ -703,7 +762,12 @@ def stalls_from_events(events: EventLog, chunk_duration_us: int,
 
 
 def summarize(artifacts: RunArtifacts) -> dict:
-    """Independent reduction of the event log into the run summary."""
+    """Independent reduction of the event log into the run summary.
+
+    It reads the log's columns in place and keeps state per element, not
+    per record: the disruptions are folded from one pass over the stb_rx
+    records, with the set-top boxes' active spans read first, so what it
+    adds on top of the log does not grow with the number of arrivals."""
     events = artifacts.events
     config = artifacts.config
     params = config.get("params", {})
@@ -737,39 +801,24 @@ def summarize(artifacts: RunArtifacts) -> dict:
         summary["acquisitions"] = acquisitions
 
     # per-sink stream disruption intervals; a gap is judged by the packet
-    # interval of the channel that ends it, so thresholds follow zaps
+    # interval of the channel that ends it, so thresholds follow zaps.
+    # The spans come first, so the arrivals are folded in one pass
     from .apps import packet_interval_us
     iptv = config.get("apps", {}).get("iptv") or {}
     max_gap = {ch["name"]: 2 * packet_interval_us(params["mtu"],
                                                   ch["bitrate_mbps"])
                for ch in iptv.get("channels") or []}
-    # each sink's arrival times and gap thresholds, in int arrays
-    stb_rx: dict[str, array] = defaultdict(partial(array, "q"))
-    stb_gap: dict[str, array] = defaultdict(partial(array, "q"))
-    stb_span: dict[str, list[int]] = {}
-    stream_gap: dict[str, int] = {}
-    for el, t, stream in zip(*(events.column("stb_rx", f)
-                               for f in ("el", "t", "name"))):
-        gap = stream_gap.get(stream)
-        if gap is None:
-            # stream names are "<plane prefix>:<channel>" in both modes
-            gap = stream_gap[stream] = max_gap[stream.split(":", 1)[1]]
-        stb_rx[el].append(t)
-        stb_gap[el].append(gap)
-    for el, t, until in zip(*(events.column("stb_active", f)
-                              for f in ("el", "t", "until"))):
-        stb_span[el] = [t, until]
-    if stb_rx or stb_span:
-        disruptions = {}
-        for stb in sorted(set(stb_rx) | set(stb_span)):
-            span = stb_span.get(stb)
-            if span is None:
-                continue
-            ivs = disruption_intervals(stb_rx.get(stb, []), span[0], span[1],
-                                       stb_gap.get(stb, []))
-            disruptions[stb] = [
-                {"start": s, "end": e, "us": e - s} for s, e in ivs]
-        summary["disruptions"] = disruptions
+    spans = {el: (t, until) for el, t, until in zip(
+        *(events.column("stb_active", f) for f in ("el", "t", "until")))}
+    if events.count("stb_rx") or spans:
+        arrivals = zip(events.column("stb_rx", "el"),
+                       events.column("stb_rx", "t"),
+                       map(_Thresholds(max_gap).__getitem__,
+                           events.column("stb_rx", "name")))
+        intervals = disruption_intervals(arrivals, spans)
+        summary["disruptions"] = {
+            stb: [{"start": s, "end": e, "us": e - s} for s, e in ivs]
+            for stb, ivs in sorted(intervals.items())}
         summary["disruption_gap_threshold_us"] = max_gap
     return summary
 
@@ -834,7 +883,9 @@ def export(artifacts: RunArtifacts, outdir: str) -> dict:
     EventLog.hash(fh), so the pass that writes the file is the one that
     hashes it and the file's sha256 is its events_hash, which is set in
     artifacts.meta and carried by meta.json.  The samples go to
-    metrics.csv only.
+    metrics.csv only.  effective_config.json is streamed into its file
+    by json.dump, the same bytes as json.dumps, so no text of the config
+    is held beside the log.
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {}
@@ -845,7 +896,10 @@ def export(artifacts: RunArtifacts, outdir: str) -> dict:
             fh.write(text)
         paths[name] = p
 
-    write(CONFIG_FILE, json.dumps(artifacts.config, sort_keys=True, indent=2) + "\n")
+    paths[CONFIG_FILE] = os.path.join(outdir, CONFIG_FILE)
+    with open(paths[CONFIG_FILE], "w") as fh:
+        json.dump(artifacts.config, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     paths[EVENTS_FILE] = os.path.join(outdir, EVENTS_FILE)
     with open(paths[EVENTS_FILE], "wb") as fh:
         artifacts.meta["events_hash"] = artifacts.events.hash(fh)

@@ -342,6 +342,29 @@ def test_compare_refuses_a_config_edited_after_export(
     assert intact.startswith("scenario: iptv_failover\n")
 
 
+def test_compare_refuses_a_log_whose_arrivals_go_back_in_time(
+        exported_failover, tmp_path, capsys):
+    """The disruption fold takes each box's arrivals in time order, as a
+    run logs them; a log edited to break that is refused with one config
+    error, not a traceback."""
+    root = tmp_path / "runs"
+    shutil.copytree(exported_failover, root)
+    path = root / "ip" / "events.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    last = json.loads(next(line for line in reversed(lines)
+                           if '"ev":"stb_rx"' in line))
+    late = {**last, "t": last["t"] - 1}
+    path.write_text("".join(lines) + telemetry.canonical_json(late) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(root / "icn"), str(root / "ip")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: refusing to compare runs: the ip run's log does not "
+        f"reduce: {last['el']}: arrival at {last['t'] - 1} after one at "
+        f"{last['t']}"]
+
+
 def _hash_in_subprocess(hashseed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed

@@ -2,12 +2,14 @@
 
 import copy
 import gc
+import json
 import os
 import sys
 import weakref
 
 import pytest
 
+from icnsim import harness, telemetry
 from icnsim.fid import FID
 from icnsim.harness import (ConfigError, _check_invariants, build_world,
                             compare_artifacts, config_hash, list_scenarios,
@@ -347,6 +349,44 @@ def test_config_hash_covers_defaults_and_overrides():
     tweaked = copy.deepcopy(MINIMAL)
     tweaked["params"] = {"mtu": 1200}
     assert config_hash(validate_config(tweaked)) != config_hash(a)
+
+
+@pytest.mark.parametrize("export_to", [None, "out"])
+def test_run_scenario_serializes_the_config_only_before_the_world(
+        export_to, tmp_path, monkeypatch):
+    """The effective config is encoded once, by config_hash, before
+    build_world, so no text of it is held beside the run's full log; the
+    export streams it into effective_config.json with json.dump, which
+    gives the bytes json.dumps would."""
+    calls, seen = [], {}
+    validate = harness.validate_config
+    monkeypatch.setattr(harness, "validate_config",
+                        lambda raw: seen.setdefault("config", validate(raw)))
+
+    def spy(owner, name, label=None, of_config=False):
+        fn = getattr(owner, name)
+
+        def hooked(*args, **kw):
+            if not of_config or args and args[0] is seen.get("config"):
+                calls.append(label or name)
+            return fn(*args, **kw)
+        monkeypatch.setattr(owner, name, hooked)
+
+    spy(harness, "config_hash")
+    spy(harness, "build_world")
+    for module in (harness, telemetry):
+        spy(module, "canonical_json", "encode(config)", of_config=True)
+    spy(json, "dumps", "json.dumps(config)", of_config=True)
+    spy(json, "dump", "json.dump(config)", of_config=True)
+    out = None if export_to is None else str(tmp_path / export_to)
+    art = run_scenario(load_scenario("trial_topology"), "icn", out=out)
+    assert calls == ["config_hash", "encode(config)", "build_world"] + (
+        [] if out is None else ["json.dump(config)"])
+    assert art.meta["config_hash"] == config_hash(art.config)
+    if out is not None:
+        with open(os.path.join(out, "effective_config.json")) as fh:
+            assert fh.read() == json.dumps(art.config, sort_keys=True,
+                                           indent=2) + "\n"
 
 
 def test_rejects_unknown_mode():

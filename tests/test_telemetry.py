@@ -6,6 +6,7 @@ import json
 import random
 import tracemalloc
 from array import array
+from itertools import repeat
 
 import pytest
 
@@ -297,24 +298,30 @@ def test_merge_ratio_without_transmissions_is_undefined():
     assert ratios["chunk"]["ratio"] is None
 
 
+def one_sink(times, start, end, gaps):
+    """disruption_intervals of one sink's arrivals and span."""
+    arrivals = zip(repeat("stb"), times, gaps)
+    return disruption_intervals(arrivals, {"stb": (start, end)})["stb"]
+
+
 def test_disruption_intervals_report_large_gaps_only():
     times = [100, 200, 300, 1000, 1100]
-    assert disruption_intervals(times, 0, 2000, [500] * 5) == [(300, 1000)]
+    assert one_sink(times, 0, 2000, [500] * 5) == [(300, 1000)]
     # any real threshold, not only an int
-    assert disruption_intervals(times, 0, 2000, [699.5] * 5) == [(300, 1000)]
-    assert disruption_intervals(times, 0, 2000, [700.0] * 5) == []
+    assert one_sink(times, 0, 2000, [699.5] * 5) == [(300, 1000)]
+    assert one_sink(times, 0, 2000, [700.0] * 5) == []
     # each gap is judged by the threshold of the arrival that ends it
-    assert disruption_intervals(times, 0, 2000, [0, 0, 0, 700, 0]) == [
+    assert one_sink(times, 0, 2000, [0, 0, 0, 700, 0]) == [
         (100, 200), (200, 300), (1000, 1100)]
     # a gap exactly at the threshold is normal jitter
-    assert disruption_intervals([0, 500], 0, 1000, [500, 500]) == []
+    assert one_sink([0, 500], 0, 1000, [500, 500]) == []
     # arrivals outside the active span are ignored
-    assert disruption_intervals([5, 700, 2500], 600, 800, [50] * 3) == []
+    assert one_sink([5, 700, 2500], 600, 800, [50] * 3) == []
 
 
 def test_no_arrivals_count_as_whole_span_disruption():
-    assert disruption_intervals([], 10, 50, []) == [(10, 50)]
-    assert disruption_intervals([], 10, 10, []) == []
+    assert one_sink([], 10, 50, []) == [(10, 50)]
+    assert one_sink([], 10, 10, []) == []
 
 
 def sorted_disruption_intervals(arrival_times, active_start, active_end,
@@ -331,38 +338,160 @@ def sorted_disruption_intervals(arrival_times, active_start, active_end,
             in zip(arrivals, arrivals[1:]) if nxt - prev > gap]
 
 
+def log_order_intervals(arrival_times, active_start, active_end,
+                        max_gap_us):
+    """The rule a fold that takes ties in log order would follow: a gap
+    ending at a tie judged by the threshold first logged at that time."""
+    firsts = {}
+    for t, gap in zip(arrival_times, max_gap_us):
+        if active_start <= t <= active_end:
+            firsts.setdefault(t, gap)
+    return sorted_disruption_intervals(list(firsts), active_start,
+                                       active_end, list(firsts.values()))
+
+
+# channel -> bitrate (Mb/s); at MTU 1400 each is judged by twice its
+# packet interval: 22,400, 11,200, 5,600 and 2,800 us
+CHANNELS = {"c1": 1, "c2": 2, "c4": 4, "c8": 8}
+THRESHOLD = {name: 2 * 1400 * 8 // mbps for name, mbps in CHANNELS.items()}
+
+
+def random_arrivals(rng):
+    """Set-top boxes interleaved in one log: (box, time, channel) in time
+    order, with ties at one time on different channels, zaps that change
+    a box's channel, and active spans that start after some arrivals,
+    end before others, are empty, or are missing."""
+    boxes = [f"stb{i}" for i in range(rng.randrange(1, 5))]
+    channel = {box: rng.choice(list(CHANNELS)) for box in boxes}
+    t, arrivals = 0, []
+    box = boxes[0]
+    for _ in range(rng.randrange(60)):
+        step = rng.choice((0, 0, 1_000, 2_800, 3_000, 5_600, 6_000, 11_200,
+                           12_000, 22_400, 25_000))
+        t += step
+        # a tie is most often the same box, across a zap
+        if step or rng.random() < 0.3:
+            box = rng.choice(boxes)
+        if rng.random() < (0.7 if step == 0 else 0.15):
+            channel[box] = rng.choice(list(CHANNELS))
+        arrivals.append((box, t, channel[box]))
+    spans = {}
+    for box in boxes:
+        pick = rng.randrange(6)
+        if pick == 0:
+            continue
+        if pick == 1:
+            start = rng.randrange(t + 1)
+            spans[box] = (start, start)
+        else:
+            spans[box] = tuple(sorted(rng.randrange(-5_000, t + 5_000)
+                                      for _ in range(2)))
+    return arrivals, spans
+
+
+def reference(arrivals, spans, rule=sorted_disruption_intervals):
+    """Each spanned box's intervals by rule, from its own arrivals."""
+    out = {}
+    for box, (start, end) in spans.items():
+        mine = [(t, THRESHOLD[ch]) for b, t, ch in arrivals if b == box]
+        out[box] = rule([t for t, _ in mine], start, end,
+                        [gap for _, gap in mine])
+    return out
+
+
 def test_disruption_intervals_match_the_sorted_reference():
-    """In order, shuffled, with equal times, negative, equal or varied
-    thresholds, and arrivals outside the span: the same intervals as
-    sorting every arrival as a (time, gap) pair."""
+    """Random interleaved boxes: the fold gives each box the intervals of
+    sorting its in-span arrivals as (time, threshold) pairs, so a gap
+    ending at a tie is judged by the tie's smallest threshold, and
+    summarize of a log of the same records reports the same intervals.
+    A fold that took ties in log order would fail: that rule differs on
+    some of these cases."""
     rng = random.Random(3)
-    for case in range(400):
-        n = rng.randrange(12)
-        times = sorted(rng.randrange(0, 60, rng.choice((1, 5)))
-                       for _ in range(n))
-        if case % 2:
-            rng.shuffle(times)
-        gaps = ([rng.randrange(-3, 20)] * n if case % 3 else
-                [rng.randrange(-3, 20) for _ in times])
-        start, end = sorted(rng.randrange(-5, 70) for _ in range(2))
-        assert disruption_intervals(times, start, end, gaps) == \
-            sorted_disruption_intervals(times, start, end, gaps)
+    config = {"params": {"mtu": 1400},
+              "apps": {"iptv": {"channels": [
+                  {"name": name, "bitrate_mbps": mbps}
+                  for name, mbps in CHANNELS.items()]}}}
+    differs = empty = silent = 0
+    for _ in range(400):
+        arrivals, spans = random_arrivals(rng)
+        want = reference(arrivals, spans)
+        got = disruption_intervals(
+            ((box, t, THRESHOLD[ch]) for box, t, ch in arrivals), spans)
+        assert got == want
+        differs += want != reference(arrivals, spans, log_order_intervals)
+        empty += any(start == end for start, end in spans.values())
+        silent += any(box not in {b for b, _, _ in arrivals}
+                      for box in spans)
+        records = [ev(start, box, "stb_active", until=end)
+                   for box, (start, end) in spans.items()]
+        records += [ev(t, box, "stb_rx", name=f"ch:{ch}", size=1400)
+                    for box, t, ch in arrivals]
+        records.sort(key=lambda r: r["t"])
+        summary = summarize(RunArtifacts(config=config, mode="icn", seed=1,
+                                         events=log_of(records), samples=[],
+                                         meta={}))
+        assert summary.get("disruptions", {}) == {
+            box: [{"start": s, "end": e, "us": e - s} for s, e in ivs]
+            for box, ivs in sorted(want.items())}
+    assert differs > 10 and empty > 10 and silent > 10
+
+
+def test_disruption_intervals_refuse_an_arrival_back_in_time():
+    """The fold keeps no arrival, so it takes each sink's arrivals in
+    time order, as a log holds them, and refuses one that goes back."""
+    with pytest.raises(ValueError, match="stb: arrival at 5 after one at 9"):
+        one_sink([1, 9, 5], 0, 10, [3, 3, 3])
+    # another sink's later arrival is no reason to refuse
+    assert disruption_intervals([("a", 9, 3), ("b", 5, 3)],
+                                {"a": (0, 10), "b": (0, 10)}) == {
+        "a": [], "b": []}
 
 
 def test_disruption_intervals_in_order_build_no_pair_per_arrival():
-    """Arrivals already in order are judged in place: 100,000 of them
-    allocate under 100 kB, where sorting them as pairs takes about 7 MB."""
+    """Arrivals are folded as they come: 100,000 of them allocate under
+    100 kB, where sorting them as pairs takes about 7 MB."""
     times = list(range(0, 10_000_000, 100))
     gaps = [150] * len(times)
     times[5000] += 60
     tracemalloc.start()
     try:
-        out = disruption_intervals(times, 0, times[-1], gaps)
+        out = one_sink(times, 0, times[-1], gaps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out == [(times[4999], times[5000])]
     assert peak < 100_000
+
+
+def test_summarize_adds_no_memory_per_arrival():
+    """summarize folds the disruptions from the log's columns in one
+    pass: on a log of two boxes and 50,000 stb_rx records it adds under
+    64 kB, where keeping each box's arrival times and thresholds in
+    int arrays added about 16 B per arrival."""
+    config = {"params": {"mtu": 1400},
+              "apps": {"iptv": {"channels": [{"name": "c2",
+                                              "bitrate_mbps": 2}]}}}
+    log = EventLog()
+    for box in ("stb1", "stb2"):
+        log.append(0, box, "stb_active", until=10**9)
+    n = 50_000
+    for i in range(n):
+        # every 997th arrival is late by more than the 11,200 us threshold
+        t = 5_600 * i + 20_000 * (i // 997)
+        log.write("stb_rx", t, f"stb{i % 2 + 1}", "ch:c2", 1400)
+    assert log.count("stb_rx") == n
+    art = RunArtifacts(config=config, mode="icn", seed=1, events=log,
+                       samples=[], meta={})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = summarize(art)
+        added = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(summary["disruptions"][box]) for box in ("stb1", "stb2")] \
+        == [50, 50]
+    assert added < 64 * 1024
 
 
 def test_stall_replay_matches_live_accounting():
@@ -989,6 +1118,91 @@ def test_an_int_column_that_meets_another_value_becomes_a_list(odd, route):
     # more ints after the list turned stay in the list
     log.write("pkt_fwd", 0, "sw1", 0, "chunk", "l:a->b", 9, 0, 0)
     assert stored_column(log, "pkt_fwd", "size")[-2:] == [1400, 9]
+
+
+def deliver(i, spurious):
+    return ev(i, "cnap", "pkt_deliver", pid=i, kind="stream", size=1400,
+              consumers=1, spurious=spurious)
+
+
+@pytest.mark.parametrize("route", ["write", "extend"])
+def test_a_bool_column_is_a_bytearray_that_reads_back_as_bools(route,
+                                                                tmp_path):
+    """A field whose values are all bools is stored one byte per value,
+    and every read gives the True and False objects back: column(),
+    iteration, ==, the encoding (true and false, never 1 and 0) and an
+    export and import."""
+    rng = random.Random(7)
+    records = [deliver(i, rng.random() < 0.3) for i in range(2 * _BATCH + 9)]
+    log = build(records, route)
+    col = stored_column(log, "pkt_deliver", "spurious")
+    assert col.__class__ is bytearray and set(col) == {0, 1}
+    assert stored_column(log, "pkt_deliver", "consumers").__class__ is array
+    values = list(log.column("pkt_deliver", "spurious"))
+    assert values == [r["spurious"] for r in records]
+    assert all(v is True or v is False for v in values)
+    assert list(log) == records
+    assert all(rec["spurious"] is r["spurious"]
+               for rec, r in zip(log, records))
+    assert log == log_of(records)
+    data = streamed(log)
+    assert data == encode_lines(records)
+    assert data.count(b'"spurious":true') == values.count(True)
+    assert data.count(b'"spurious":false') == values.count(False)
+    assert b'"spurious":1' not in data and b'"spurious":0' not in data
+    art = RunArtifacts(config={}, mode="icn", seed=1, events=log, samples=[],
+                       meta=dict(META))
+    export(art, str(tmp_path))
+    back = import_artifacts(str(tmp_path)).events
+    assert stored_column(back, "pkt_deliver", "spurious").__class__ \
+        is bytearray
+    assert back == log and back.hash() == art.meta["events_hash"]
+    assert all(v is r["spurious"]
+               for v, r in zip(back.column("pkt_deliver", "spurious"),
+                               records))
+
+
+@pytest.mark.parametrize("route", ["write", "extend"])
+@pytest.mark.parametrize("odd", [1, 0, None], ids=repr)
+def test_a_bool_column_that_meets_another_value_becomes_a_list(odd, route):
+    """An int (1 and 0 included) or None among the bools turns the column
+    into a list for good, each value keeping its type, and the log still
+    streams the bytes of its dicts."""
+    records = [deliver(i, i % 3 == 0) for i in range(_BATCH + 5)]
+    records.append(deliver(_BATCH + 5, odd))
+    records += [deliver(i, i % 2 == 0)
+                for i in range(_BATCH + 6, 2 * _BATCH + 9)]
+    log = build(records, route)
+    col = stored_column(log, "pkt_deliver", "spurious")
+    assert col.__class__ is list
+    assert [type(v) for v in col] == [type(r["spurious"]) for r in records]
+    assert [type(v) for v in log.column("pkt_deliver", "spurious")] == [
+        type(r["spurious"]) for r in records]
+    assert streamed(log) == encode_lines(records)
+    assert list(log) == records
+    # more bools after the list turned stay in the list
+    log.write("pkt_deliver", 0, "cnap", 0, "stream", 1400, 1, True)
+    assert stored_column(log, "pkt_deliver", "spurious")[-1] is True
+
+
+def test_a_bool_column_costs_about_one_byte_per_value():
+    """10,000 bools written as a run writes them hold at most 1.1 B each
+    (traced), where a list of them held one 8 B pointer each."""
+    s = _SCHEMAS["pkt_deliver"]
+    j = s.stored.index("spurious")
+    tracemalloc.start()
+    try:
+        log = EventLog()
+        for i in range(10_000):
+            log.write("pkt_deliver", i, "cnap", i, "stream", 1400, 1,
+                      i % 7 == 0)
+        assert log.count("pkt_deliver") == 10_000
+        held = tracemalloc.get_traced_memory()[0]
+        log._cols[s.sid][j] = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 10_000 <= freed <= 11_000
 
 
 READS = {
