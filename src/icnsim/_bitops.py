@@ -33,7 +33,8 @@ def select_covered(fid: int, patterns, n: int, width_bytes: int) -> list:
     patterns must hold exactly n vectors, and fid must fit in width_bytes
     bytes.  Off the data path: FidNode makes its decision in one pass of
     its own, so this stays only for the benchmark's tracer and
-    tests/test_fid.py until they are re-pointed (ROADMAP item 8).
+    tests/test_fid.py until they are re-pointed (ROADMAP item 9, which
+    item 15 unblocks).
     """
     if len(patterns) != n:
         raise ValueError("pattern count mismatch")

@@ -17,7 +17,7 @@ from .telemetry import EventLog
 
 class HlsCatalog(namedtuple(
         "HlsCatalog", "host path_prefix chunk_duration_us bitrates_mbps "
-        "playlist_window playlist_bytes")):
+        "playlist_window")):
     """One live stream: rolling playlist over constant-duration chunks."""
 
     __slots__ = ()
@@ -46,17 +46,19 @@ class HlsServer:
 
     The playlist is rewritten as the live edge advances, so two fetches
     straddling a chunk boundary see different chunk lists.  A downed
-    server never answers; the client timeout is the only recovery.
+    server never answers; the client timeout is the only recovery.  A
+    reply is back at the server's gateway or switch server_latency_us
+    plus access_latency_us after the request reached the server.
     """
 
     def __init__(self, name: str, nap: str, catalog: HlsCatalog,
-                 engine: Engine, log: EventLog, reply_delay_us: int):
+                 engine: Engine, log: EventLog, params):
         self.name = name
         self.nap = nap
         self.catalog = catalog
         self.engine = engine
         self.log = log
-        self.reply_delay_us = reply_delay_us
+        self.params = params
         self.up = True
 
     def set_up(self, up: bool) -> None:
@@ -73,13 +75,15 @@ class HlsServer:
         status, size, kind, meta = self._resolve(path)
         self.log.append(self.engine.now, self.name, "server_resp", kind=kind,
                         path=path, status=status, size=size)
-        self.engine.schedule(self.reply_delay_us, reply, status, size, kind,
-                             meta)
+        self.engine.schedule(
+            self.params.server_latency_us + self.params.access_latency_us,
+            reply, status, size, kind, meta)
 
     def _resolve(self, path: str):
         cat = self.catalog
         if path == cat.playlist_path():
-            return 200, cat.playlist_bytes, "playlist", cat.edge_index(self.engine.now)
+            return (200, self.params.playlist_bytes, "playlist",
+                    cat.edge_index(self.engine.now))
         parts = path.rsplit("/", 2)
         if len(parts) == 3 and parts[0] == cat.path_prefix:
             try:
@@ -90,13 +94,6 @@ class HlsServer:
                 return 200, cat.chunk_bytes(bitrate), "chunk", None
             return 404, 64, "error", None
         return 404, 64, "error", None
-
-
-class HlsClientParams(namedtuple(
-        "HlsClientParams", "start_us chunks timeout_us abr_safety "
-        "abr_upshift_chunks ewma_weight startup_hold_us chunk_offset_us "
-        "max_attempts")):
-    __slots__ = ()
 
 
 class HlsClient:
@@ -110,12 +107,14 @@ class HlsClient:
     n+1 is due one chunk duration after chunk n started playing.
     """
 
-    def __init__(self, name: str, transport, catalog: HlsCatalog,
-                 params: HlsClientParams, engine: Engine, log: EventLog):
+    def __init__(self, name: str, transport, catalog: HlsCatalog, params,
+                 start_us: int, chunks: int, engine: Engine, log: EventLog):
         self.name = name
         self.transport = transport
         self.catalog = catalog
         self.params = params
+        self.start_us = start_us
+        self.chunks = chunks
         self.engine = engine
         self.log = log
         self.done = False
@@ -129,7 +128,7 @@ class HlsClient:
         self._fetch = None  # (fetch_id, kind, path, t_req, attempts, timeout_ev)
         self._play_start = None
         self._period = 0
-        engine.schedule_at(params.start_us, self._tick)
+        engine.schedule_at(start_us, self._tick)
 
     # -- request schedule ---------------------------------------------------
 
@@ -139,12 +138,12 @@ class HlsClient:
         period = self._period
         self._period += 1
         self.engine.schedule_at(
-            self.params.start_us + self._period * self.catalog.chunk_duration_us,
+            self.start_us + self._period * self.catalog.chunk_duration_us,
             self._tick)
         if self.busy:
             return
         self.busy = True
-        self._chunk_slot = (self.params.start_us
+        self._chunk_slot = (self.start_us
                             + period * self.catalog.chunk_duration_us
                             + self.params.chunk_offset_us)
         self._start_fetch("playlist", self.catalog.playlist_path(), attempts=0)
@@ -153,7 +152,7 @@ class HlsClient:
         self._fetch_seq += 1
         fetch_id = self._fetch_seq
         t = self.engine.now
-        timeout_ev = self.engine.schedule(self.params.timeout_us,
+        timeout_ev = self.engine.schedule(self.params.client_timeout_us,
                                           self._on_timeout, fetch_id)
         self._fetch = (fetch_id, kind, path, t, attempts, timeout_ev)
         self.log.append(t, self.name, "http_req", kind=kind, path=path,
@@ -206,7 +205,7 @@ class HlsClient:
                         size=size, ewma_bps=round(self.ewma_bps),
                         n=self.chunks_done)
         self._maybe_upshift()
-        if self.chunks_done >= self.params.chunks:
+        if self.chunks_done >= self.chunks:
             self.done = True
         self.busy = False
 
@@ -224,7 +223,7 @@ class HlsClient:
             self._switch_bitrate(0)
         self.good_streak = 0
         self.ewma_bps = 0.0
-        if attempts + 1 >= self.params.max_attempts:
+        if attempts + 1 >= self.params.max_attempts_per_fetch:
             self.log.append(t, self.name, "fetch_abandoned", kind=kind, path=path)
             self.busy = False
             return
@@ -303,13 +302,12 @@ class Stb:
     and can zap; measures how long each switch takes to show video."""
 
     def __init__(self, name: str, adapter, channel: str, join_us: int,
-                 active_until_us: int, query_interval_us: int,
-                 engine: Engine, log: EventLog):
+                 active_until_us: int, params, engine: Engine, log: EventLog):
         self.name = name
         self.adapter = adapter
         self.channel = channel
         self.active_until_us = active_until_us
-        self.query_interval_us = query_interval_us
+        self.params = params
         self.engine = engine
         self.log = log
         self._awaiting_since = None
@@ -320,13 +318,13 @@ class Stb:
         self.log.append(t, self.name, "stb_active", until=self.active_until_us)
         self._awaiting_since = t
         self.adapter.act(self, "join", self.channel)
-        self.engine.schedule(self.query_interval_us, self._refresh)
+        self.engine.schedule(self.params.igmp_query_us, self._refresh)
 
     def _refresh(self) -> None:
         if self.engine.now >= self.active_until_us:
             return
         self.adapter.act(self, "join", self.channel)
-        self.engine.schedule(self.query_interval_us, self._refresh)
+        self.engine.schedule(self.params.igmp_query_us, self._refresh)
 
     def zap(self, channel: str) -> None:
         t = self.engine.now
@@ -355,14 +353,13 @@ class SurrogateAgent:
     """
 
     def __init__(self, server: HlsServer, pce, scope: str,
-                 engine: Engine, log: EventLog,
-                 control_latency_us: int, registered: bool):
+                 engine: Engine, log: EventLog, params, registered: bool):
         self.server = server
         self.pce = pce
         self.scope = scope
         self.engine = engine
         self.log = log
-        self.control_latency_us = control_latency_us
+        self.params = params
         self.registered = registered
         if pce is not None and registered:
             pce.register_publisher(scope, server.nap)
@@ -374,10 +371,10 @@ class SurrogateAgent:
             return
         self.registered = on
         if on:
-            self.engine.schedule(self.control_latency_us,
+            self.engine.schedule(self.params.control_latency_us,
                                  self.pce.register_publisher, self.scope,
                                  self.server.nap)
         else:
-            self.engine.schedule(self.control_latency_us,
+            self.engine.schedule(self.params.control_latency_us,
                                  self.pce.unregister_publisher, self.scope,
                                  self.server.nap)

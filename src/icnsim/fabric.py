@@ -95,16 +95,11 @@ class FidNode:
         return h.hexdigest()
 
 
-class FabricParams(namedtuple(
-        "FabricParams", "detection_delay_us queue_cap_bytes default_ttl")):
-    __slots__ = ()
-
-
 class Fabric:
     """Event-driven packet transport shared by both data planes."""
 
     def __init__(self, engine: Engine, topo: TopologyGraph, log: EventLog,
-                 telemetry: Telemetry, params: FabricParams):
+                 telemetry: Telemetry, params):
         self.engine = engine
         self.topo = topo
         self.log = log
@@ -131,7 +126,7 @@ class Fabric:
         t = self.engine.now
         self.log.write("pkt_inject", t, node, packet.pid, packet.kind,
                        packet.name, packet.size)
-        self._process(node, packet, self.params.default_ttl, None)
+        self._process(node, packet, self.params.ttl, None)
 
     def _process(self, node: str, packet: Packet, ttl: int, in_link) -> None:
         t = self.engine.now

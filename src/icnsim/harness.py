@@ -13,18 +13,20 @@ import hashlib
 import json
 import math
 import os
+import re
+from collections import namedtuple
 
 from . import telemetry
-from .apps import (HlsCatalog, HlsClient, HlsClientParams, HlsServer,
-                   IptvSource, Stb, SurrogateAgent, packet_interval_us)
-from .fabric import Fabric, FabricParams, FidNode, trace_delivery
+from .apps import (HlsCatalog, HlsClient, HlsServer, IptvSource, Stb,
+                   SurrogateAgent, packet_interval_us)
+from .fabric import Fabric, FidNode, trace_delivery
 from .fid import FidConfig, assign_link_ids
-from .ip_baseline import (DnsDirectory, IpEndpointParams, IpHttpTransport,
-                          IpIgmpAdapter, IpServerEndpoint, IpStreamSender,
-                          IpSwitch, StpController)
+from .ip_baseline import (DnsDirectory, IpHttpTransport, IpIgmpAdapter,
+                          IpServerEndpoint, IpStreamSender, IpSwitch,
+                          StpController)
 from .nap import (IcnHttpTransport, IcnIgmpAdapter, IcnStreamSender, Nap,
-                  NapParams, channel_name, http_scope)
-from .pce import Pce, PceParams
+                  channel_name, http_scope)
+from .pce import Pce
 from .simkernel import Engine, US_PER_MS
 from .telemetry import (EventLog, RunArtifacts, Telemetry, canonical_json,
                         conservation_from_events)
@@ -65,7 +67,7 @@ POSITIVE = (0, math.inf, int, "be a positive integer")
 NON_NEGATIVE = (-1, math.inf, int, "be a non-negative integer")
 FRACTION = (0, 1, (int, float), "lie in (0, 1]")
 
-# every parameter, with its default and its number rule
+# every parameter, the seed first, with its default and its number rule
 PARAMS = {
     "seed": (1, (-math.inf, math.inf, int, "be an integer")),
     "mtu": (1400, POSITIVE),
@@ -93,6 +95,23 @@ PARAMS = {
     "max_attempts_per_fetch": (6, POSITIVE),
 }
 DEFAULT_PARAMS = {key: default for key, (default, _) in PARAMS.items()}
+
+
+class RunParams(namedtuple(
+        "RunParams", [re.sub("_ms$", "_us", key) for key in PARAMS][1:])):
+    """The parameters as every element of a run reads them: each one but
+    the seed, which --seed may override, under its own name, except that a
+    time in ms (*_ms) is held in us (*_us)."""
+
+    __slots__ = ()
+
+
+def run_params(params: dict) -> RunParams:
+    """Validated params as a RunParams: the one place a parameter is
+    converted."""
+    return RunParams(*[params[key] * US_PER_MS if key.endswith("_ms")
+                       else params[key] for key in PARAMS][1:])
+
 
 HLS_DEFAULTS = {"path_prefix": "/live", "chunk_duration_ms": 2000,
                 "bitrates_mbps": [2, 8], "playlist_window": 5}
@@ -405,6 +424,7 @@ class World:
         self.engine = None
         self.log = None
         self.telemetry = None
+        self.params = None
         self.topo = None
         self.fabric = None
         self.pce = None
@@ -422,42 +442,31 @@ class World:
 
 def build_world(effective: dict, mode: str, seed: int,
                 telemetry_enabled: bool = True) -> World:
-    params = effective["params"]
     w = World()
     w.engine = Engine()
     w.log = EventLog()
     w.telemetry = Telemetry(telemetry_enabled)
+    w.params = run_params(effective["params"])
     w.topo = _build_topology(effective)
-    w.fabric = Fabric(w.engine, w.topo, w.log, w.telemetry, FabricParams(
-        detection_delay_us=params["detection_delay_ms"] * US_PER_MS,
-        queue_cap_bytes=params["queue_cap_bytes"],
-        default_ttl=params["ttl"]))
+    w.fabric = Fabric(w.engine, w.topo, w.log, w.telemetry, w.params)
     if mode == "icn":
         _wire_icn(w, effective, seed)
     else:
-        _wire_ip(w, effective)
+        _wire_ip(w)
     _wire_apps(w, effective, mode)
     _schedule_events(w, effective, mode)
     return w
 
 
 def _wire_icn(w: World, effective: dict, seed: int) -> None:
-    params = effective["params"]
     fid_cfg = FidConfig(effective["fid"]["m"], effective["fid"]["k"],
                         effective["fid"]["mode"])
     w.link_ids = assign_link_ids(w.topo, fid_cfg, seed)
-    w.pce = Pce(w.engine, w.topo, w.link_ids, fid_cfg, w.log, PceParams(
-        control_latency_us=params["control_latency_ms"] * US_PER_MS,
-        processing_delay_us=params["pce_processing_ms"] * US_PER_MS))
+    w.pce = Pce(w.engine, w.topo, w.link_ids, fid_cfg, w.log, w.params)
     w.fabric.add_topology_listener(w.pce.on_topology_event)
-    nap_params = NapParams(
-        coalesce_window_us=params["coalesce_window_ms"] * US_PER_MS,
-        access_latency_us=params["access_latency_ms"] * US_PER_MS,
-        control_latency_us=params["control_latency_ms"] * US_PER_MS,
-        mtu=params["mtu"])
     for node in w.topo.node_list():
         if node.role == ROLE_NAP:
-            nap = Nap(node.name, w.engine, w.fabric, w.pce, w.log, nap_params)
+            nap = Nap(node.name, w.engine, w.fabric, w.pce, w.log, w.params)
             w.naps[node.name] = nap
             w.pce.attach_nap(nap)
             handler = FidNode(node.name, w.topo.egress(node.name), w.link_ids,
@@ -468,81 +477,51 @@ def _wire_icn(w: World, effective: dict, seed: int) -> None:
         w.fabric.add_handler(node.name, handler)
 
 
-def _wire_ip(w: World, effective: dict) -> None:
-    params = effective["params"]
-    w.stp = StpController(
-        w.engine, w.topo, w.log,
-        reconvergence_us=params["stp_reconvergence_ms"] * US_PER_MS)
+def _wire_ip(w: World) -> None:
+    w.stp = StpController(w.engine, w.topo, w.log, w.params)
     w.fabric.add_topology_listener(w.stp.on_topology_event)
     for node in w.topo.node_list():
-        sw = IpSwitch(node.name, w.engine, w.topo, w.stp, w.log,
-                      access_latency_us=params["access_latency_ms"] * US_PER_MS)
+        sw = IpSwitch(node.name, w.engine, w.topo, w.stp, w.log, w.params)
         w.switches[node.name] = sw
         w.fabric.add_handler(node.name, sw)
     w.dns = DnsDirectory()
 
 
-def _endpoint_params(params: dict) -> IpEndpointParams:
-    return IpEndpointParams(
-        access_latency_us=params["access_latency_ms"] * US_PER_MS,
-        mtu=params["mtu"],
-        request_bytes=params["request_bytes"],
-        igmp_bytes=params["igmp_bytes"],
-        attempts_per_address=params["dns_attempts_per_address"])
-
-
 def _wire_apps(w: World, effective: dict, mode: str) -> None:
-    params = effective["params"]
-    ep_params = _endpoint_params(params)
-    ctrl_us = params["control_latency_ms"] * US_PER_MS
-    reply_delay_us = (params["server_latency_ms"]
-                      + params["access_latency_ms"]) * US_PER_MS
-
     hls = effective["apps"].get("hls")
     if hls:
         catalog = HlsCatalog(
             host=hls["host"], path_prefix=hls["path_prefix"],
             chunk_duration_us=hls["chunk_duration_ms"] * US_PER_MS,
             bitrates_mbps=tuple(hls["bitrates_mbps"]),
-            playlist_window=hls["playlist_window"],
-            playlist_bytes=params["playlist_bytes"])
+            playlist_window=hls["playlist_window"])
         scope = http_scope(hls["host"])
         for s in hls["servers"]:
             server = HlsServer(s["name"], s["nap"], catalog, w.engine, w.log,
-                               reply_delay_us=reply_delay_us)
+                               w.params)
             w.servers[s["name"]] = server
             if mode == "icn":
                 w.naps[s["nap"]].attach_server(hls["host"], server)
-                agent = SurrogateAgent(server, w.pce, scope, w.engine, w.log,
-                                       ctrl_us, registered=s["registered"])
             else:
                 endpoint = IpServerEndpoint(server, s["name"], s["nap"],
-                                            w.fabric, w.engine, ep_params)
+                                            w.fabric, w.engine, w.params)
                 w.switches[s["nap"]].attach_host(s["name"], endpoint)
-                agent = SurrogateAgent(server, None, scope, w.engine, w.log,
-                                       ctrl_us, registered=s["registered"])
-            w.agents[s["name"]] = agent
+            # w.pce is None over IP, where the agent has nothing to toggle
+            w.agents[s["name"]] = SurrogateAgent(
+                server, w.pce, scope, w.engine, w.log, w.params,
+                registered=s["registered"])
         if mode == "ip":
             w.dns.add(hls["host"], [s["name"] for s in hls["servers"]])
         for c in hls.get("clients") or []:
-            cp = HlsClientParams(
-                start_us=c["start_ms"] * US_PER_MS,
-                chunks=c["chunks"],
-                timeout_us=params["client_timeout_ms"] * US_PER_MS,
-                abr_safety=params["abr_safety"],
-                abr_upshift_chunks=params["abr_upshift_chunks"],
-                ewma_weight=params["ewma_weight"],
-                startup_hold_us=params["startup_hold_ms"] * US_PER_MS,
-                chunk_offset_us=params["chunk_offset_ms"] * US_PER_MS,
-                max_attempts=params["max_attempts_per_fetch"])
             if mode == "icn":
                 transport = IcnHttpTransport(w.engine, w.naps[c["nap"]])
             else:
                 transport = IpHttpTransport(c["name"], c["nap"], w.fabric,
-                                            w.dns, w.engine, w.log, ep_params)
+                                            w.dns, w.engine, w.log, w.params)
                 w.switches[c["nap"]].attach_host(c["name"], transport)
-            w.clients[c["name"]] = HlsClient(c["name"], transport, catalog,
-                                             cp, w.engine, w.log)
+            w.clients[c["name"]] = HlsClient(
+                c["name"], transport, catalog, w.params,
+                c["start_ms"] * US_PER_MS, c["chunks"], w.engine, w.log)
 
     iptv = effective["apps"].get("iptv")
     if iptv:
@@ -553,18 +532,18 @@ def _wire_apps(w: World, effective: dict, mode: str) -> None:
             else:
                 sender = IpStreamSender(f"{ch['name']}_src", ch["nap"], w.fabric)
             # the engine holds the source through its scheduled emissions
-            IptvSource(ch["name"], sender, ch["bitrate_mbps"], params["mtu"],
+            IptvSource(ch["name"], sender, ch["bitrate_mbps"], w.params.mtu,
                        ch["start_ms"] * US_PER_MS, ch["stop_ms"] * US_PER_MS,
                        w.engine)
         for s in iptv.get("stbs") or []:
             if mode == "icn":
                 adapter = IcnIgmpAdapter(w.engine, w.naps[s["nap"]])
             else:
-                adapter = IpIgmpAdapter(s["nap"], w.fabric, w.engine, ep_params)
+                adapter = IpIgmpAdapter(s["nap"], w.fabric, w.engine, w.params)
             stb = Stb(s["name"], adapter, s["channel"],
                       s["join_ms"] * US_PER_MS,
-                      s["active_until_ms"] * US_PER_MS,
-                      params["igmp_query_ms"] * US_PER_MS, w.engine, w.log)
+                      s["active_until_ms"] * US_PER_MS, w.params, w.engine,
+                      w.log)
             w.stbs[s["name"]] = stb
             if mode == "ip":
                 w.switches[s["nap"]].attach_host(s["name"], stb)
@@ -578,23 +557,23 @@ def _schedule_events(w: World, effective: dict, mode: str) -> None:
         w.engine.schedule_at(at, *call(w, ev))
         if "link" in refs:
             link_events.append(at)
-    if mode == "icn" and link_events:
-        _schedule_digest_probes(w, effective, link_events)
+    if mode == "icn":
+        _schedule_digest_probes(w, link_events)
 
 
-def _schedule_digest_probes(w: World, effective: dict, times_us: list) -> None:
+def _schedule_digest_probes(w: World, times_us: list) -> None:
     """Log routing-state digests of every element just before each link
     event and again once the control plane has settled."""
-    params = effective["params"]
-    settle_us = (params["detection_delay_ms"] + params["pce_processing_ms"]
-                 + 2 * params["control_latency_ms"] + 2) * US_PER_MS
+    p = w.params
+    settle_us = (p.detection_delay_us + p.pce_processing_us
+                 + 2 * p.control_latency_us + 2 * US_PER_MS)
 
     def probe(tag: str) -> None:
         t = w.engine.now
         w.log.append(t, w.pce.name, "digest", tag=tag,
                      value=w.pce.routing_digest())
         for name in sorted(w.fid_nodes):
-            element = w.naps.get(name) or w.fid_nodes[name]
+            element = w.naps.get(name, w.fid_nodes[name])
             w.log.append(t, name, "digest", tag=tag,
                          value=element.routing_digest())
 
@@ -688,11 +667,11 @@ def _check_invariants(w: World, effective: dict, mode: str) -> list:
         # identifier may also reach non-receivers, which the summary
         # counts as spurious deliveries, so only an exact one must not
         exact = effective["fid"]["mode"] == "exact"
-        naps = {n.name for n in w.topo.node_list() if n.role == ROLE_NAP}
         for (name, snap), fid in w.pce._issued.items():
             receivers = set(w.pce._stream_receivers(name))
             trace = trace_delivery(w.topo, w.link_ids, fid, snap,
-                                   ttl=effective["params"]["ttl"], sinks=naps)
+                                   ttl=w.params.ttl,
+                                   sinks=w.naps.keys())
             reached = {snap} | {w.topo.links[key].dst
                                 for key in trace.links_used}
             missing = receivers - reached

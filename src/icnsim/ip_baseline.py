@@ -11,8 +11,6 @@ stream is identical across processes.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .fabric import Fabric, Packet, segment_sizes
 from .simkernel import Engine
 from .telemetry import EventLog
@@ -38,11 +36,11 @@ class StpController:
     name = "stp"
 
     def __init__(self, engine: Engine, topo: TopologyGraph, log: EventLog,
-                 reconvergence_us: int):
+                 params):
         self.engine = engine
         self.topo = topo
         self.log = log
-        self.reconvergence_us = reconvergence_us
+        self.params = params
         self.switches: dict[str, IpSwitch] = {}
         self.active: dict[str, bool] = {}
         self._pending = 0
@@ -91,9 +89,9 @@ class StpController:
     def on_topology_event(self, event: TopologyEvent) -> None:
         self.log.append(self.engine.now, self.name, "stp_reconverge",
                         physical=event.physical, up=event.up,
-                        window_us=self.reconvergence_us)
+                        window_us=self.params.stp_reconvergence_us)
         self._pending += 1
-        self.engine.schedule(self.reconvergence_us, self._complete)
+        self.engine.schedule(self.params.stp_reconvergence_us, self._complete)
 
     def _complete(self) -> None:
         self._pending -= 1
@@ -116,13 +114,13 @@ class IpSwitch:
     """
 
     def __init__(self, name: str, engine: Engine, topo: TopologyGraph,
-                 stp: StpController, log: EventLog, access_latency_us: int):
+                 stp: StpController, log: EventLog, params):
         self.name = name
         self.engine = engine
         self.topo = topo
         self.stp = stp
         self.log = log
-        self.access_latency_us = access_latency_us
+        self.params = params
         self.hosts: dict[str, object] = {}
         self.mac: dict[str, object] = {}
         # group -> port -> ordered set of member device names
@@ -188,7 +186,7 @@ class IpSwitch:
             return [], None, "no_snoop"
         egress = []
         consumers = 0
-        t_host = t + self.access_latency_us
+        t_host = t + self.params.access_latency_us
         for port in ports:
             if isinstance(port, tuple):
                 for device in ports[port]:
@@ -240,23 +238,17 @@ class DnsDirectory:
             raise KeyError(f"no DNS record for {hostname!r}") from None
 
 
-class IpEndpointParams(namedtuple(
-        "IpEndpointParams", "access_latency_us mtu request_bytes igmp_bytes "
-        "attempts_per_address")):
-    __slots__ = ()
-
-
 class IpHttpTransport:
     """Per-client HTTP-over-IP stack with sticky DNS failover.
 
     Each timed-out fetch counts against the currently selected address;
-    after the configured attempt budget the client advances to the next
-    address and stays there (no fail-back).
+    after params.dns_attempts_per_address of them the client advances to
+    the next address and stays there (no fail-back).
     """
 
     def __init__(self, client_id: str, node: str, fabric: Fabric,
                  dns: DnsDirectory, engine: Engine, log: EventLog,
-                 params: IpEndpointParams):
+                 params):
         self.client_id = client_id
         self.node = node
         self.fabric = fabric
@@ -296,7 +288,7 @@ class IpHttpTransport:
             if ph is handle and pf == fetch_id:
                 del self._pending[rid]
         failures = self._failures.get(host, 0) + 1
-        if failures < self.params.attempts_per_address:
+        if failures < self.params.dns_attempts_per_address:
             self._failures[host] = failures
             return
         self._failures[host] = 0
@@ -330,7 +322,7 @@ class IpServerEndpoint:
     """Server host: answers request packets with segmented responses."""
 
     def __init__(self, server, host_id: str, node: str, fabric: Fabric,
-                 engine: Engine, params: IpEndpointParams):
+                 engine: Engine, params):
         self.server = server
         self.host_id = host_id
         self.node = node
@@ -361,8 +353,7 @@ class IpServerEndpoint:
 class IpIgmpAdapter:
     """Set-top-box membership reports as flooded packets."""
 
-    def __init__(self, node: str, fabric: Fabric, engine: Engine,
-                 params: IpEndpointParams):
+    def __init__(self, node: str, fabric: Fabric, engine: Engine, params):
         self.node = node
         self.fabric = fabric
         self.engine = engine

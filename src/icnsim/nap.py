@@ -12,7 +12,6 @@ by control-plane notifications.
 from __future__ import annotations
 
 import hashlib
-from collections import namedtuple
 
 from .fabric import Fabric, Packet, segment_sizes
 from .fid import FID, zero_fid
@@ -43,12 +42,6 @@ def scope_key(name: str) -> str:
     return name.rsplit("/", 1)[0]
 
 
-class NapParams(namedtuple(
-        "NapParams",
-        "coalesce_window_us access_latency_us control_latency_us mtu")):
-    __slots__ = ()
-
-
 class _Pending:
     """Requests from local clients awaiting one named response."""
 
@@ -74,7 +67,7 @@ class Nap:
     """One gateway; client-side and server-side behaviour in one element."""
 
     def __init__(self, name: str, engine: Engine, fabric: Fabric, pce,
-                 log: EventLog, params: NapParams):
+                 log: EventLog, params):
         self.name = name
         self.engine = engine
         self.fabric = fabric

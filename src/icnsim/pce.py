@@ -30,11 +30,6 @@ class PathResult(namedtuple("PathResult", "links fid cost")):
     __slots__ = ()
 
 
-class PceParams(namedtuple("PceParams",
-                           "control_latency_us processing_delay_us")):
-    __slots__ = ()
-
-
 class Pce:
     """Rendezvous + topology manager, co-located as one control element."""
 
@@ -42,7 +37,7 @@ class Pce:
 
     def __init__(self, engine: Engine, topo: TopologyGraph,
                  link_ids: dict[str, FID], fid_config: FidConfig,
-                 log: EventLog, params: PceParams):
+                 log: EventLog, params):
         self.engine = engine
         self.topo = topo
         self.link_ids = link_ids
@@ -259,7 +254,7 @@ class Pce:
         self.log.append(self.engine.now, self.name, "topo_event",
                         physical=event.physical, up=event.up,
                         epoch=self.topo.epoch)
-        self.engine.schedule(self.params.processing_delay_us,
+        self.engine.schedule(self.params.pce_processing_us,
                              self._reroute, event)
 
     def _reroute(self, event: TopologyEvent) -> None:

@@ -118,8 +118,9 @@ class TopologyGraph:
         return TopologyEvent(physical, up, keys)
 
     def sorted_link_keys(self) -> list[str]:
-        """Directed link keys in insertion order (stable across runs)."""
-        return sorted(self.links, key=lambda k: self.links[k].index)
+        """Directed link keys in index order, which is insertion order."""
+        return list(self.links)
 
     def node_list(self) -> list[Node]:
-        return sorted(self.nodes.values(), key=lambda n: n.index)
+        """Nodes in index order, which is insertion order."""
+        return list(self.nodes.values())

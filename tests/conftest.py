@@ -1,4 +1,5 @@
-"""Shared helpers: random topology generation and the acceptance summary.
+"""Shared helpers: default run parameters, random topology generation
+and the acceptance summary.
 
 The terminal summary hook prints one PASS/FAIL line per acceptance
 criterion after the run, so the gate's verdict is readable without
@@ -9,7 +10,12 @@ import random
 
 import pytest
 
+from icnsim.harness import DEFAULT_PARAMS, run_params
 from icnsim.topology import TopologyGraph
+
+# the run parameters at their defaults, for building single elements; a
+# test that needs another value passes PARAMS._replace(...)
+PARAMS = run_params(DEFAULT_PARAMS)
 
 
 def random_connected_topology(rng: random.Random, max_nodes: int = 30,

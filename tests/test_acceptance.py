@@ -31,15 +31,16 @@ import time
 
 import pytest
 
+from conftest import PARAMS
 from icnsim import cli
 from icnsim.fabric import trace_delivery
 from icnsim.fid import (FidConfig, assign_link_ids, combine_trees,
                         encode_path, false_positive_rate, should_forward)
 from icnsim.harness import load_scenario, run_scenario
-from icnsim.pce import Pce, PceParams, UnreachableError
+from icnsim.pce import Pce, UnreachableError
 from icnsim.simkernel import Engine
-from icnsim.telemetry import (EVENT_FIELDS, EVENTS_FILE, SUMMARY_FILE,
-                              VARIANT_FIELD, EventLog,
+from icnsim.telemetry import (CONFIG_FILE, EVENT_FIELDS, EVENTS_FILE,
+                              META_FILE, SUMMARY_FILE, VARIANT_FIELD, EventLog,
                               conservation_from_events, encode_lines,
                               events_hash, export, import_artifacts,
                               link_bytes_from_events, summarize)
@@ -120,6 +121,46 @@ PINNED_COMPARE_SHA256 = {
         "e2004c27f98d5106e64c5dca44048e692000d9747e51e1384eaac0e8b4f4df1c",
     "trial_topology":
         "a85c7b0998884f2cadadcfa611fe9f1e64cb0ac6e550b14412a0a5ecfccf63fa",
+}
+
+# sha256 of every shipped run's exported meta.json (config_hash,
+# engine_events and both log hashes among them) and effective_config.json:
+# the rest of the export, pinned as the report bytes are.
+PINNED_META_SHA256 = {
+    ("coincidental_multicast", "icn"):
+        "541a007efbc266beb5d7e72b6be919ab70710f1503b2a22aa880a7674f1bc4c5",
+    ("coincidental_multicast", "ip"):
+        "81e4209c473180c21ec7c67e5547b2158d3184f9a32a713377334baf5bd58e77",
+    ("hls_failover", "icn"):
+        "43cbfc5d93451fc868c59ba0a9566c146cd349fd434bcc6191515d26a09013b2",
+    ("hls_failover", "ip"):
+        "bbf8c509f71fd9d1e2f9cfdaf7fb2e0f8112ab395c630ceb03d370d76b534e78",
+    ("iptv_failover", "icn"):
+        "087250acfa30a0425a44c8286f709e77392667421cbee813d4ccb4995b75f613",
+    ("iptv_failover", "ip"):
+        "ec0cf0c8638629b531cb28c48c26f66bc0938fa01bae1dff1395481d089f53f4",
+    ("trial_topology", "icn"):
+        "1dcf414cab1a50e33c5bd56ab932ad61f1dace233ce0c6b0e70a2c06a4f8bb60",
+    ("trial_topology", "ip"):
+        "7c0e231f5fc370363d27c7c7d0936b93eb0441fff593eb0abc3e88925f14269e",
+}
+PINNED_CONFIG_SHA256 = {
+    ("coincidental_multicast", "icn"):
+        "40209476a3ec44014448f2401804e1fc6564f087077bf5dd4a9757fbc4859f57",
+    ("coincidental_multicast", "ip"):
+        "40209476a3ec44014448f2401804e1fc6564f087077bf5dd4a9757fbc4859f57",
+    ("hls_failover", "icn"):
+        "70d5ddcb2a4b0ff6b97e1647f348b06d81a3f1bc6339a255ca7429c7c5254cdf",
+    ("hls_failover", "ip"):
+        "70d5ddcb2a4b0ff6b97e1647f348b06d81a3f1bc6339a255ca7429c7c5254cdf",
+    ("iptv_failover", "icn"):
+        "1ae0a6ed03da200271107793a06ad6d43770bb890a5113b4e4d513e0daf6eee2",
+    ("iptv_failover", "ip"):
+        "1ae0a6ed03da200271107793a06ad6d43770bb890a5113b4e4d513e0daf6eee2",
+    ("trial_topology", "icn"):
+        "5c46ea5422c46fa7d775f81109c318d24b6dee50ad12aac7ddbdfb49c8d07892",
+    ("trial_topology", "ip"):
+        "5c46ea5422c46fa7d775f81109c318d24b6dee50ad12aac7ddbdfb49c8d07892",
 }
 
 
@@ -365,7 +406,7 @@ def test_c6_path_computation_optimality(topo_factory, bfs_oracle):
         names = [n.name for n in topo.node_list()]
         cfg = FidConfig(m=2 * len(topo.physical), k=5, mode="exact")
         lids = assign_link_ids(topo, cfg, 1)
-        pce = Pce(Engine(), topo, lids, cfg, EventLog(), PceParams(1_000, 5_000))
+        pce = Pce(Engine(), topo, lids, cfg, EventLog(), PARAMS)
 
         src, dst = rng.choice(names), rng.choice(names)
         expected = bfs_oracle(topo, src, dst)
@@ -474,6 +515,21 @@ def test_pinned_report_bytes(suite, tmp_path, capsys):
         report = capsys.readouterr().out.encode()
         assert hashlib.sha256(report).hexdigest() \
             == PINNED_COMPARE_SHA256[name], name
+
+
+def test_pinned_meta_and_config_bytes(suite, tmp_path):
+    """Every shipped run's exported meta.json and effective_config.json
+    keep their pinned sha256."""
+    assert set(suite["runs"]) == set(PINNED_META_SHA256) \
+        == set(PINNED_CONFIG_SHA256)
+    for (name, mode), artifacts in suite["runs"].items():
+        outdir = tmp_path / f"{name}_{mode}"
+        export(artifacts, str(outdir))
+        for filename, pins in ((META_FILE, PINNED_META_SHA256),
+                               (CONFIG_FILE, PINNED_CONFIG_SHA256)):
+            raw = (outdir / filename).read_bytes()
+            assert hashlib.sha256(raw).hexdigest() == pins[(name, mode)], \
+                (name, mode, filename)
 
 
 def test_every_record_matches_declared_vocabulary(suite):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from icnsim.apps import (HlsCatalog, HlsClient, HlsClientParams, HlsServer,
-                         IptvSource, Stb, SurrogateAgent)
+from conftest import PARAMS
+from icnsim.apps import (HlsCatalog, HlsClient, HlsServer, IptvSource, Stb,
+                         SurrogateAgent)
 from icnsim.fid import FidConfig, assign_link_ids
 from icnsim.harness import MODES, build_world, load_scenario, validate_config
-from icnsim.pce import Pce, PceParams
+from icnsim.pce import Pce
 from icnsim.simkernel import Engine, US_PER_MS, US_PER_S
 from icnsim.telemetry import EventLog
 from icnsim.topology import TopologyGraph
@@ -14,7 +15,9 @@ from icnsim.topology import TopologyGraph
 # one live stream: 2 s chunks at 2 or 8 Mb/s, a five-chunk playlist window
 CATALOG = HlsCatalog(host="video.test", path_prefix="/live",
                      chunk_duration_us=2_000_000, bitrates_mbps=(2, 8),
-                     playlist_window=5, playlist_bytes=500)
+                     playlist_window=5)
+# a server behind a 1 ms access link that answers 2 ms after a request
+SERVER_PARAMS = PARAMS._replace(server_latency_us=1_000)
 
 
 class ScriptedTransport:
@@ -36,7 +39,7 @@ class ScriptedTransport:
             return
         if path == self.catalog.playlist_path():
             def answer():
-                handle.on_response(fetch_id, 200, self.catalog.playlist_bytes,
+                handle.on_response(fetch_id, 200, PARAMS.playlist_bytes,
                                    self.catalog.edge_index(self.engine.now))
             self.engine.schedule(self.delay_us, answer)
         else:
@@ -54,12 +57,8 @@ def make_client(chunks=4, delay_us=100_000, start_us=2_500_000, **overrides):
     log = EventLog()
     catalog = CATALOG
     transport = ScriptedTransport(engine, catalog, delay_us)
-    params = HlsClientParams(
-        start_us=start_us, chunks=chunks, timeout_us=4_000_000,
-        abr_safety=0.8, abr_upshift_chunks=3, ewma_weight=0.5,
-        startup_hold_us=750_000, chunk_offset_us=500_000,
-        max_attempts=6)._replace(**overrides)
-    client = HlsClient("c1", transport, catalog, params, engine, log)
+    client = HlsClient("c1", transport, catalog, PARAMS._replace(**overrides),
+                       start_us, chunks, engine, log)
     return engine, log, catalog, transport, client
 
 
@@ -89,8 +88,7 @@ def run_server(path, now_us=12_000_000, up=True):
     engine = Engine()
     log = EventLog()
     catalog = CATALOG
-    server = HlsServer("origin", "snap", catalog, engine, log,
-                       reply_delay_us=2_000)
+    server = HlsServer("origin", "snap", catalog, engine, log, SERVER_PARAMS)
     if not up:
         server.set_up(False)
     replies = []
@@ -156,7 +154,7 @@ def test_client_upshifts_after_streak():
 def test_slow_chunks_never_upshift():
     # 2.5 s per 500 kB chunk is 1.6 Mb/s, below the 8 Mb/s step
     engine, log, catalog, transport, client = make_client(
-        chunks=3, delay_us=2_500_000, timeout_us=3_000_000)
+        chunks=3, delay_us=2_500_000, client_timeout_us=3_000_000)
     engine.run_until(30 * US_PER_S)
     assert client.chunks_done == 3
     assert not any(r["ev"] == "bitrate_switch" for r in log)
@@ -185,7 +183,7 @@ def test_timeout_downshifts_cancels_and_refetches_playlist():
 
 def test_fetch_abandoned_after_max_attempts():
     engine, log, catalog, transport, client = make_client(
-        chunks=2, max_attempts=3, timeout_us=1_000_000)
+        chunks=2, max_attempts_per_fetch=3, client_timeout_us=1_000_000)
     transport.mute = 3
     engine.run_until(30 * US_PER_S)
     abandoned = [r for r in log if r["ev"] == "fetch_abandoned"]
@@ -263,7 +261,8 @@ def test_stb_joins_refreshes_and_expires():
     log = EventLog()
     adapter = RecordingAdapter(engine)
     Stb("stb1", adapter, "ch1", join_us=1_000, active_until_us=20_000_000,
-        query_interval_us=5_000_000, engine=engine, log=log)
+        params=PARAMS._replace(igmp_query_us=5_000_000), engine=engine,
+        log=log)
     engine.run_until(40 * US_PER_S)
     joins = [t for t, action, _ in adapter.acts if action == "join"]
     assert joins == [1_000, 5_001_000, 10_001_000, 15_001_000]
@@ -274,7 +273,8 @@ def test_stb_zap_switches_membership_and_times_acquisition():
     log = EventLog()
     adapter = RecordingAdapter(engine)
     stb = Stb("stb1", adapter, "ch1", join_us=1_000,
-              active_until_us=60_000_000, query_interval_us=50_000_000,
+              active_until_us=60_000_000,
+              params=PARAMS._replace(igmp_query_us=50_000_000),
               engine=engine, log=log)
     engine.schedule_at(4_000, stb.on_stream_packet, "ch:ch1", 4_000, 1400)
     engine.schedule_at(9_000, stb.on_stream_packet, "ch:ch1", 9_000, 1400)
@@ -298,12 +298,12 @@ def test_surrogate_toggle_drives_publisher_registration():
     topo.add_node("snap_b", "nap")
     topo.add_link("l1", "snap_a", "snap_b", 10_000_000, 100)
     cfg = FidConfig(m=2, k=5, mode="exact")
-    pce = Pce(engine, topo, assign_link_ids(topo, cfg, 1), cfg, log,
-              PceParams(1_000, 5_000))
+    pce = Pce(engine, topo, assign_link_ids(topo, cfg, 1), cfg, log, PARAMS)
     catalog = CATALOG
-    server = HlsServer("surrogate", "snap_b", catalog, engine, log, 2_000)
-    agent = SurrogateAgent(server, pce, "scope", engine, log,
-                           control_latency_us=1_000, registered=False)
+    server = HlsServer("surrogate", "snap_b", catalog, engine, log,
+                       SERVER_PARAMS)
+    agent = SurrogateAgent(server, pce, "scope", engine, log, PARAMS,
+                           registered=False)
     assert pce._pubs.get("scope") is None or "snap_b" not in pce._pubs["scope"]
     engine.schedule_at(5_000, agent.toggle, True)
     engine.run_until(10_000)
@@ -319,9 +319,9 @@ def test_surrogate_toggle_without_control_plane_is_inert():
     engine = Engine()
     log = EventLog()
     catalog = CATALOG
-    server = HlsServer("origin", "snap", catalog, engine, log, 2_000)
-    agent = SurrogateAgent(server, None, "scope", engine, log,
-                           control_latency_us=1_000, registered=False)
+    server = HlsServer("origin", "snap", catalog, engine, log, SERVER_PARAMS)
+    agent = SurrogateAgent(server, None, "scope", engine, log, PARAMS,
+                           registered=False)
     agent.toggle(True)
     agent.toggle(False)
     assert [r["on"] for r in log if r["ev"] == "surrogate_toggle"] \

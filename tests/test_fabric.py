@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from icnsim.fabric import Fabric, FabricParams, FidNode, Packet, trace_delivery
+from conftest import PARAMS
+from icnsim.fabric import Fabric, FidNode, Packet, trace_delivery
 from icnsim.fid import (FID, FidConfig, assign_link_ids, encode_path,
                         should_forward, zero_fid)
 from icnsim.simkernel import Engine
@@ -53,8 +54,8 @@ def chain_topology(capacity_bps=8_000_000, latency_us=500):
 def make_fabric(topo, **params):
     engine = Engine()
     log = EventLog()
-    params = FabricParams(10_000, None, 64)._replace(**params)
-    fabric = Fabric(engine, topo, log, Telemetry(True), params)
+    fabric = Fabric(engine, topo, log, Telemetry(True),
+                    PARAMS._replace(**params))
     return engine, log, fabric
 
 
@@ -195,7 +196,7 @@ def test_ttl_stops_forwarding_loops():
     topo.add_node("a", "fn")
     topo.add_node("b", "fn")
     topo.add_link("ab", "a", "b", 1_000_000_000, 10)
-    engine, log, fabric = make_fabric(topo, default_ttl=8)
+    engine, log, fabric = make_fabric(topo, ttl=8)
     fabric.add_handler("a", StaticForwarder(topo.egress("a")))
     fabric.add_handler("b", StaticForwarder(topo.egress("b")))
     fabric.inject("a", packet(fabric))
@@ -410,8 +411,7 @@ def test_queued_copy_costs_one_flat_heap_entry():
     topo.add_node("b", "fn")
     topo.add_link("ab", "a", "b", 1_000, 0)
     engine = Engine()
-    fabric = Fabric(engine, topo, _NoLog(), Telemetry(True),
-                    FabricParams(10_000, None, 64))
+    fabric = Fabric(engine, topo, _NoLog(), Telemetry(True), PARAMS)
     fabric.add_handler("a", StaticForwarder(topo.egress("a")))
     pkt = Packet(pid=0, kind="chunk", name="x", size=1400)
     fabric.inject("a", pkt)

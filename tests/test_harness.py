@@ -11,10 +11,11 @@ import pytest
 
 from icnsim import harness, telemetry
 from icnsim.fid import FID
-from icnsim.harness import (ConfigError, _check_invariants, build_world,
+from icnsim.harness import (DEFAULT_PARAMS, MODES, PARAMS, ConfigError,
+                            RunParams, _check_invariants, build_world,
                             compare_artifacts, config_hash, list_scenarios,
-                            load_scenario, render_comparison, run_scenario,
-                            validate_config)
+                            load_scenario, render_comparison, run_params,
+                            run_scenario, validate_config)
 from icnsim.telemetry import (drops_by_reason, export, import_artifacts,
                               summarize)
 
@@ -340,6 +341,67 @@ def test_traffic_on_the_wire_at_the_horizon_is_undrained_not_lost(
     assert cons["balanced"]
     assert (cons["injected_bytes"] + cons["branch_extra_bytes"]
             == cons["delivered_bytes"] + cons["dropped_bytes"] + on_wire)
+
+
+def run_field(key):
+    """The name of a parameter's field in RunParams."""
+    return key[:-3] + "_us" if key.endswith("_ms") else key
+
+
+@pytest.mark.parametrize("params", [
+    DEFAULT_PARAMS, {key: i + 1 for i, key in enumerate(PARAMS)}],
+    ids=["defaults", "distinct"])
+def test_run_params_converts_each_time_once_and_keeps_the_rest(params):
+    """RunParams holds every parameter but the seed, in PARAMS's order:
+    a *_ms one as *_us at exactly 1000 times its value, any other under
+    its own name, unchanged."""
+    expected = {}
+    for key, value in params.items():
+        expected[run_field(key)] = value * 1000 if key.endswith("_ms") \
+            else value
+    del expected["seed"]
+    run = run_params(params)
+    assert isinstance(run, RunParams)
+    assert list(RunParams._fields) == list(expected)
+    assert run._asdict() == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_build_world_hands_every_element_one_run_params(mode):
+    """One RunParams per world, and every element that reads a parameter
+    holds that very object."""
+    w = build_world(validate_config(copy.deepcopy(FULL)), mode, seed=1)
+    assert isinstance(w.params, RunParams)
+    elements = [w.fabric, *w.servers.values(), *w.clients.values(),
+                *w.stbs.values(), *w.agents.values()]
+    if mode == "icn":
+        elements += [w.pce, *w.naps.values()]
+    else:
+        # each switch's hosts: server endpoints, client transports, boxes
+        hosts = [h for sw in w.switches.values() for h in sw.hosts.values()]
+        assert len(hosts) == 3
+        elements += [w.stp, *w.switches.values(), *hosts,
+                     *(stb.adapter for stb in w.stbs.values())]
+    assert [e for e in elements if e.params is not w.params] == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("key", [key for key in PARAMS if key != "seed"])
+def test_each_parameter_reaches_the_worlds_run_params(key, mode):
+    """A value other than the default, of each parameter, is the one the
+    world's RunParams holds."""
+    default = DEFAULT_PARAMS[key]
+    if default is None:
+        value = 1000
+    elif isinstance(default, float):
+        value = default / 2
+    else:
+        value = default + 1
+    config = copy.deepcopy(FULL)
+    config["params"] = {key: value}
+    w = build_world(validate_config(config), mode, seed=1)
+    scale = 1000 if key.endswith("_ms") else 1
+    assert getattr(w.params, run_field(key)) == value * scale
 
 
 def test_config_hash_covers_defaults_and_overrides():

@@ -1,17 +1,13 @@
 """IP data plane: spanning tree, snooping switches, DNS failover."""
 
-from icnsim.fabric import Fabric, FabricParams, Packet
-from icnsim.ip_baseline import (DnsDirectory, IpEndpointParams,
-                                IpHttpTransport, IpIgmpAdapter,
+from conftest import PARAMS
+from icnsim.fabric import Fabric, Packet
+from icnsim.ip_baseline import (DnsDirectory, IpHttpTransport, IpIgmpAdapter,
                                 IpServerEndpoint, IpStreamSender, IpSwitch,
                                 StpController, group_address)
 from icnsim.simkernel import Engine
 from icnsim.telemetry import EventLog, Telemetry, drops_by_reason
 from icnsim.topology import TopologyGraph
-
-ENDPOINT = IpEndpointParams(access_latency_us=1_000, mtu=1400,
-                            request_bytes=400, igmp_bytes=64,
-                            attempts_per_address=2)
 
 
 class RecordingHost:
@@ -51,12 +47,12 @@ class StubFetchHandle:
 def ip_world(topo, reconvergence_us=100_000):
     engine = Engine()
     log = EventLog()
-    fabric = Fabric(engine, topo, log, Telemetry(True),
-                    FabricParams(10_000, None, 64))
-    stp = StpController(engine, topo, log, reconvergence_us)
+    fabric = Fabric(engine, topo, log, Telemetry(True), PARAMS)
+    stp = StpController(engine, topo, log, PARAMS._replace(
+        stp_reconvergence_us=reconvergence_us))
     switches = {}
     for node in topo.node_list():
-        switch = IpSwitch(node.name, engine, topo, stp, log, 1_000)
+        switch = IpSwitch(node.name, engine, topo, stp, log, PARAMS)
         switches[node.name] = switch
         fabric.add_handler(node.name, switch)
     fabric.add_topology_listener(stp.on_topology_event)
@@ -131,8 +127,7 @@ def test_snooped_group_reaches_only_members():
     engine, log, fabric, stp, switches = ip_world(topo)
     stb = RecordingHost("stb1")
     switches["swl"].attach_host("stb1", stb)
-    params = ENDPOINT
-    adapter = IpIgmpAdapter("swl", fabric, engine, params)
+    adapter = IpIgmpAdapter("swl", fabric, engine, PARAMS)
     sender = IpStreamSender("src1", "swr", fabric)
     engine.schedule_at(1_000, adapter.act, stb, "join", "ch1")
     engine.schedule_at(10_000, sender.send_stream, "ch1", 1400)
@@ -154,9 +149,8 @@ def test_leave_prunes_single_receiver():
     stb1, stb2 = RecordingHost("stb1"), RecordingHost("stb2")
     switches["swl"].attach_host("stb1", stb1)
     switches["swx"].attach_host("stb2", stb2)
-    params = ENDPOINT
-    adapter1 = IpIgmpAdapter("swl", fabric, engine, params)
-    adapter2 = IpIgmpAdapter("swx", fabric, engine, params)
+    adapter1 = IpIgmpAdapter("swl", fabric, engine, PARAMS)
+    adapter2 = IpIgmpAdapter("swx", fabric, engine, PARAMS)
     sender = IpStreamSender("src1", "swr", fabric)
     engine.schedule_at(1_000, adapter1.act, stb1, "join", "ch1")
     engine.schedule_at(2_000, adapter2.act, stb2, "join", "ch1")
@@ -184,13 +178,12 @@ def test_stream_without_members_drops_at_ingress():
 def test_unicast_floods_until_reverse_path_learned():
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)
-    params = ENDPOINT
     dns = DnsDirectory()
     dns.add("video.test", ["s1"])
     server = StubServer(engine)
-    endpoint = IpServerEndpoint(server, "s1", "swr", fabric, engine, params)
+    endpoint = IpServerEndpoint(server, "s1", "swr", fabric, engine, PARAMS)
     switches["swr"].attach_host("s1", endpoint)
-    transport = IpHttpTransport("c1", "swl", fabric, dns, engine, log, params)
+    transport = IpHttpTransport("c1", "swl", fabric, dns, engine, log, PARAMS)
     switches["swl"].attach_host("c1", transport)
     handle = StubFetchHandle()
     engine.schedule_at(1_000, transport.fetch, handle, 1, "video.test",
@@ -214,14 +207,13 @@ def test_segments_of_one_response_share_name_and_payload():
     carries the same two objects."""
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)
-    params = ENDPOINT
     endpoint = IpServerEndpoint(StubServer(engine, size=5000), "s1", "swr",
-                                fabric, engine, params)
+                                fabric, engine, PARAMS)
     switches["swr"].attach_host("s1", endpoint)
     client = RecordingHost("c1")
     switches["swl"].attach_host("c1", client)
     request = Packet(pid=fabric.next_pid(), kind="request",
-                     name="video.test/x", size=params.request_bytes,
+                     name="video.test/x", size=PARAMS.request_bytes,
                      src="c1", dst="s1", payload=(1, "/x"))
     engine.schedule_at(1_000, endpoint.on_packet, request, 1_000)
     engine.run_until(1_000_000)
@@ -236,10 +228,9 @@ def test_segments_of_one_response_share_name_and_payload():
 def test_dns_failover_is_sticky_and_budgeted():
     topo = star()
     engine, log, fabric, stp, switches = ip_world(topo)
-    params = ENDPOINT
     dns = DnsDirectory()
     dns.add("video.test", ["primary", "surrogate"])
-    transport = IpHttpTransport("c1", "swl", fabric, dns, engine, log, params)
+    transport = IpHttpTransport("c1", "swl", fabric, dns, engine, log, PARAMS)
     handle = StubFetchHandle()
     assert transport._address("video.test") == "primary"
     # one timeout stays on the primary; the second advances
@@ -279,8 +270,7 @@ def test_trunk_failure_needs_reconvergence_and_reannouncement():
     engine, log, fabric, stp, switches = ip_world(topo)
     stb = RecordingHost("stb1")
     switches["sw_b"].attach_host("stb1", stb)
-    params = ENDPOINT
-    adapter = IpIgmpAdapter("sw_b", fabric, engine, params)
+    adapter = IpIgmpAdapter("sw_b", fabric, engine, PARAMS)
     sender = IpStreamSender("src1", "sw_a", fabric)
 
     engine.schedule_at(0, adapter.act, stb, "join", "ch1")
@@ -321,8 +311,7 @@ def test_switch_flush_counts_learned_state():
     engine, log, fabric, stp, switches = ip_world(topo)
     stb = RecordingHost("stb1")
     switches["swl"].attach_host("stb1", stb)
-    params = ENDPOINT
-    adapter = IpIgmpAdapter("swl", fabric, engine, params)
+    adapter = IpIgmpAdapter("swl", fabric, engine, PARAMS)
     engine.schedule_at(1_000, adapter.act, stb, "join", "ch1")
     engine.run_until(100_000)
     hub = switches["swm"]

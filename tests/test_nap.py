@@ -1,10 +1,10 @@
 """Gateways: request coalescing, response demux, membership handling."""
 
-from icnsim.fabric import Fabric, FabricParams, FidNode
+from conftest import PARAMS
+from icnsim.fabric import Fabric, FidNode
 from icnsim.fid import FidConfig, assign_link_ids
-from icnsim.nap import (Nap, NapParams, channel_name, http_name, http_scope,
-                        scope_key)
-from icnsim.pce import Pce, PceParams
+from icnsim.nap import Nap, channel_name, http_name, http_scope, scope_key
+from icnsim.pce import Pce
 from icnsim.simkernel import Engine, US_PER_MS
 from icnsim.telemetry import EventLog, Telemetry, conservation_from_events
 from icnsim.topology import TopologyGraph
@@ -58,13 +58,12 @@ def star_world(n_cnaps=3, window_ms=100):
     for i in range(n_cnaps):
         topo.add_node(f"cnap{i}", "nap")
         topo.add_link(f"acc{i}", "sw", f"cnap{i}", 1_000_000_000, 100)
-    fabric = Fabric(engine, topo, log, Telemetry(True),
-                    FabricParams(10_000, None, 64))
+    fabric = Fabric(engine, topo, log, Telemetry(True), PARAMS)
     cfg = FidConfig(m=len(topo.links), k=5, mode="exact")
     lids = assign_link_ids(topo, cfg, 1)
-    pce = Pce(engine, topo, lids, cfg, log, PceParams(1_000, 5_000))
+    pce = Pce(engine, topo, lids, cfg, log, PARAMS)
     fabric.add_topology_listener(pce.on_topology_event)
-    params = NapParams(window_ms * US_PER_MS, 1_000, 1_000, 1400)
+    params = PARAMS._replace(coalesce_window_us=window_ms * US_PER_MS)
     naps = {}
     for node in topo.node_list():
         if node.role == "nap":

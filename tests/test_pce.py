@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from icnsim.fabric import Fabric, FabricParams, FidNode, trace_delivery
+from conftest import PARAMS
+from icnsim.fabric import Fabric, FidNode, trace_delivery
 from icnsim.fid import FidConfig, assign_link_ids
-from icnsim.pce import Pce, PceParams, UnreachableError
+from icnsim.pce import Pce, UnreachableError
 from icnsim.simkernel import Engine
 from icnsim.telemetry import EventLog, Telemetry
 from icnsim.topology import TopologyGraph
@@ -17,7 +18,7 @@ def make_pce(topo, seed=1):
     log = EventLog()
     cfg = FidConfig(m=max(2, len(topo.links)), k=5, mode="exact")
     lids = assign_link_ids(topo, cfg, seed)
-    pce = Pce(engine, topo, lids, cfg, log, PceParams(1_000, 5_000))
+    pce = Pce(engine, topo, lids, cfg, log, PARAMS)
     return engine, log, lids, pce
 
 
@@ -224,8 +225,7 @@ def test_multicast_tree_carries_one_trunk_copy_in_fabric():
     topo.add_link("t1", "mid", "r1", 10_000_000, 100)
     topo.add_link("t2", "mid", "r2", 10_000_000, 100)
     engine, log, lids, pce = make_pce(topo)
-    fabric = Fabric(engine, topo, log, Telemetry(True),
-                    FabricParams(10_000, None, 64))
+    fabric = Fabric(engine, topo, log, Telemetry(True), PARAMS)
     hits = []
     for node in topo.node_list():
         sink = (lambda n: lambda pkt, t: hits.append(n) or 1)(node.name) \

@@ -9,6 +9,7 @@ import pytest
 import icnsim
 from icnsim.fabric import Packet
 from icnsim.fid import FID, FidConfig
+from icnsim.harness import DEFAULT_PARAMS, run_params
 from icnsim.pce import PathResult
 from icnsim.topology import TopologyGraph
 
@@ -34,6 +35,8 @@ def test_cli_and_harness_import_without_dataclasses_or_inspect():
     (FID(5, 8), "bits"),
     (FidConfig(m=16, k=5, mode="exact"), "m"),
     (PathResult(("a->b",), FID(1, 8), 1), "cost"),
+    # one object is shared by every element of a run: none may change it
+    (run_params(DEFAULT_PARAMS), "mtu"),
 ])
 def test_immutable_records_refuse_assignment(value, field):
     with pytest.raises(AttributeError):

@@ -10,8 +10,9 @@ from itertools import repeat
 
 import pytest
 
+from conftest import PARAMS
 from icnsim.apps import IptvSource
-from icnsim.fabric import Fabric, FabricParams
+from icnsim.fabric import Fabric
 from icnsim.harness import load_scenario, run_scenario
 from icnsim.simkernel import Engine
 from icnsim.telemetry import (_BATCH, _READ_BATCH, _SCHEMAS, EVENT_FIELDS,
@@ -161,8 +162,7 @@ def test_disabled_telemetry_records_nothing():
     log.write(("pkt_drop", "no_egress"), 2, "b", 2, "chunk", 10)
     tel = Telemetry(enabled=False)
     empty = tel.hash()
-    Fabric(Engine(), topo, log, tel, FabricParams(10_000, None, 64)
-           ).flush_counters()
+    Fabric(Engine(), topo, log, tel, PARAMS).flush_counters()
     assert tel.samples == []
     assert tel.hash() == empty
 
