@@ -36,6 +36,11 @@ class Packet(namedtuple("Packet", "pid kind name size fid src dst payload",
     __slots__ = ()
 
 
+def _tx_us(size: int, capacity_bps: int) -> int:
+    """Whole microseconds a size-byte packet occupies a link, rounded up."""
+    return (size * 8_000_000 + capacity_bps - 1) // capacity_bps
+
+
 def segment_sizes(size: int, mtu: int) -> list:
     """The packet sizes of a size-byte response cut at mtu bytes: full
     segments, then the rest; an empty response is one empty packet."""
@@ -108,6 +113,9 @@ class Fabric:
         self.handlers: dict[str, object] = {}
         self.topology_listeners: list[Callable] = []
         self._next_pid = 0
+        # bound once: a queued copy's heap entry then holds neither a
+        # bound method nor the fabric (harness._release breaks the cycle)
+        self._arrival = self._arrive
 
     def next_pid(self) -> int:
         pid = self._next_pid
@@ -166,19 +174,18 @@ class Fabric:
                 self._drop(node, packet, "queue_cap")
                 return
         start = busy if busy > t else t
-        busy = link.busy_until = (
-            start + (packet.size * 8_000_000 + capacity - 1) // capacity)
+        busy = link.busy_until = start + _tx_us(packet.size, capacity)
         arrive = busy + link.latency_us
         self.log.write("pkt_fwd", t, node, packet.pid, packet.kind, link.key,
                        packet.size, start, arrive)
-        # the plain function, made once, rather than a new bound method
-        # per queued copy
-        engine.schedule(arrive - t, Fabric._arrive, self, link, packet, ttl,
-                        start)
+        engine.schedule(arrive - t, self._arrival, link, packet, ttl)
 
-    def _arrive(self, link: Link, packet: Packet, ttl: int, start: int) -> None:
-        # a link that went down (or bounced) while the packet was on the
-        # wire loses the packet
+    def _arrive(self, link: Link, packet: Packet, ttl: int) -> None:
+        # the copy went on the wire (its pkt_fwd start) one serialization
+        # and one latency ago; a link that went down (or bounced) since
+        # then loses it
+        start = (self.engine.now - link.latency_us
+                 - _tx_us(packet.size, link.capacity_bps))
         if not link.up or link.up_since > start:
             self._drop(link.dst, packet, "link_down", link.key)
             return

@@ -637,6 +637,7 @@ def _release(w: World) -> None:
     """Break a finished world's reference cycles, so reference counting
     frees it, and its log with the artifacts; the PCE's counters stay."""
     w.engine._heap.clear()
+    w.fabric._arrival = None
     w.fabric.handlers.clear()
     w.fabric.topology_listeners.clear()
     if w.pce is not None:

@@ -3,9 +3,11 @@
 All simulation state advances through Engine.schedule / Engine.run_until.
 Two runs with the same callbacks and delays execute events in exactly
 the same order: ties on the virtual timestamp are broken by scheduling
-sequence number (FIFO).  The engine draws no random numbers; a component
-that needs them seeds its own generator with substream_seed, so draws on
-one label never perturb another.
+sequence number (FIFO).  One int orders the heap: an event's key is
+(time << _SEQ_BITS) | seq, which sorts exactly as the pair (time, seq)
+does, in one int object instead of two.  The engine draws no random
+numbers; a component that needs them seeds its own generator with
+substream_seed, so draws on one label never perturb another.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from collections.abc import Callable
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+
+# Bits of an event key below its time.  2**32 events take hours of host
+# time to schedule, and with 32 bits a key stays below 2**60, one 32 B
+# int, in any run shorter than 2**28 us (about 268 s) of virtual time.
+_SEQ_BITS = 32
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
 
 
 def substream_seed(master_seed: int, label: str) -> int:
@@ -38,10 +46,14 @@ class Engine:
         if delay_us < 0:
             raise ValueError(f"negative delay: {delay_us}")
         seq = self._seq
-        self._seq += 1
+        if seq > _SEQ_MASK:
+            # a wider seq would spill into the time and misorder events
+            raise OverflowError(f"more than 2**{_SEQ_BITS} events scheduled")
+        self._seq = seq + 1
         # one flat entry per event: no separate args tuple stays queued
-        heapq.heappush(self._heap, (self.now + int(delay_us), seq, action)
-                       + args)
+        heapq.heappush(self._heap,
+                       (((self.now + int(delay_us)) << _SEQ_BITS) | seq,
+                        action) + args)
         return seq
 
     def schedule_at(self, at_us: int, action: Callable, *args) -> int:
@@ -63,14 +75,16 @@ class Engine:
             raise ValueError("cannot run backwards")
         executed = 0
         heap = self._heap
-        while heap and heap[0][0] <= t_end_us:
+        cancelled = self._cancelled
+        limit = (t_end_us + 1) << _SEQ_BITS
+        while heap and heap[0][0] < limit:
             event = heapq.heappop(heap)
-            seq = event[1]
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
+            key = event[0]
+            if cancelled and key & _SEQ_MASK in cancelled:
+                cancelled.discard(key & _SEQ_MASK)
                 continue
-            self.now = event[0]
-            event[2](*event[3:])
+            self.now = key >> _SEQ_BITS
+            event[1](*event[2:])
             executed += 1
         self.now = t_end_us
         return executed

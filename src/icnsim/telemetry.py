@@ -23,9 +23,9 @@ a plain kind and in no set order for a variant kind, and count records
 with log.count(kind).  The canonical encoding (one sorted-key JSON
 object per line) is rendered through one "%" template per schema, a
 batch of records at a time, and streamed: log.hash(out) feeds each
-batch's bytes to sha256 and, when exporting, to events.jsonl, so a run
-encodes its log once and keeps none of the encoding.  Readers that want
-dicts iterate the log and get them built on access.
+quarter batch's bytes to sha256 and, when exporting, to events.jsonl,
+so a run encodes its log once and keeps none of the encoding.  Readers
+that want dicts iterate the log and get them built on access.
 
 Metric samples are a separate, optional stream reduced from the log;
 disabling them must not change the event log in any way (the
@@ -41,7 +41,7 @@ import json
 import os
 from array import array
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 
@@ -50,10 +50,12 @@ from operator import itemgetter, mul
 # separators=(",", ":")), without building an encoder per record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# Records encoded per step of encode_lines and of the log's encoder
-# (one chunk of EventLog.hash), and records an EventLog buffers before it
-# packs them into its columns; bounds their transient memory.
+# Records encoded per step of encode_lines and of the log's encoder, and
+# records an EventLog buffers before it packs them into its columns;
+# bounds their transient memory.  The log's encoder emits each batch in
+# chunks of _CHUNK lines (one chunk of EventLog.hash).
 _BATCH = 1024
+_CHUNK = _BATCH // 4
 
 # Bytes of lines import_artifacts parses per json.loads.  Each batch's
 # dicts are dropped once their values are in the log, so a
@@ -317,13 +319,14 @@ def _render(values, texts: list):
 
 def _encode(seq: bytearray, columns: list, table: _Table):
     """Canonical JSONL of a log's records, yielded as one bytes chunk per
-    _BATCH records; joined, the same bytes as encode_lines of their dicts.
+    _CHUNK records; joined, the same bytes as encode_lines of their dicts.
     Each str of the table is encoded once, up front.  Each batch is
     encoded a schema at a time: each column the template takes is sliced
     where its previous batch ended, rendered column by column and
     formatted into lines, and one cursor per schema then takes the lines
-    back in log order.  A chunk is dropped once the consumer moves on, so
-    memory peaks at one batch's text whatever the log's length."""
+    back in log order, _CHUNK lines per chunk.  A chunk is dropped once
+    the consumer moves on, so memory peaks at one chunk's text, on top of
+    one batch's rendered columns, whatever the log's length."""
     texts = list(map(encode_basestring_ascii, table.strs))
     done = [0] * len(columns)
     for i in range(0, len(seq), _BATCH):
@@ -335,8 +338,9 @@ def _encode(seq: bytearray, columns: list, table: _Table):
             hi = done[sid] = lo + sids.count(sid)
             rendered = [_render(cols[j][lo:hi], texts) for j in s.pick]
             lines[sid] = map(s.template.__mod__, zip(*rendered))
-        yield ("\n".join(map(next, map(lines.__getitem__, sids)))
-               + "\n").encode()
+        ordered = map(next, map(lines.__getitem__, sids))
+        for _ in range(0, len(sids), _CHUNK):
+            yield ("\n".join(islice(ordered, _CHUNK)) + "\n").encode()
 
 
 class EventLog:
@@ -507,16 +511,17 @@ class EventLog:
 
     def hash(self, out=None) -> str:
         """sha256 of the canonical JSONL encoding of the records.  The log
-        is encoded one batch at a time and each chunk is fed to the hash
-        and, when `out` is a binary file, written there, so the file gets
-        exactly the hashed bytes from the same pass.  No chunk is kept."""
+        is encoded one chunk of _CHUNK records at a time and each chunk
+        is fed to the hash and, when `out` is a binary file, written
+        there, so the file gets exactly the hashed bytes from the same
+        pass.  No chunk is kept."""
         self._pack()
         h = hashlib.sha256()
         for chunk in _encode(self._seq, self._cols, self._table):
             h.update(chunk)
             if out is not None:
                 out.write(chunk)
-            # drop it before the next batch is encoded, so one chunk
+            # drop it before the next chunk is encoded, so one chunk
             # is held at a time, not two
             del chunk
         return h.hexdigest()

@@ -71,6 +71,28 @@ def bfs_hops(topo: TopologyGraph, src: str, dst: str):
     return dist.get(dst)
 
 
+def assert_fwd_start_identity(artifacts) -> int:
+    """Every pkt_fwd record of a run went on the wire exactly one
+    serialization (ceil(size * 8e6 / capacity) us) and one latency before
+    it arrives, on the link it names: the fabric derives a queued copy's
+    start from its arrival by this identity.  Returns the records checked."""
+    links = {}
+    for l in artifacts.config["topology"]["links"]:
+        spec = (l["latency_us"], int(l["capacity_mbps"] * 1_000_000))
+        links[f"{l['name']}:{l['a']}->{l['b']}"] = spec
+        links[f"{l['name']}:{l['b']}->{l['a']}"] = spec
+    log = artifacts.events
+    checked = 0
+    for key, size, start, arrive in zip(*(log.column("pkt_fwd", name) for name
+                                          in ("link", "size", "start",
+                                              "arrive"))):
+        latency_us, capacity_bps = links[key]
+        tx_us = -(-size * 8_000_000 // capacity_bps)  # rounded up
+        assert start == arrive - latency_us - tx_us, key
+        checked += 1
+    return checked
+
+
 @pytest.fixture
 def topo_factory():
     return random_connected_topology

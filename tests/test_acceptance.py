@@ -31,7 +31,7 @@ import time
 
 import pytest
 
-from conftest import PARAMS
+from conftest import PARAMS, assert_fwd_start_identity
 from icnsim import cli
 from icnsim.fabric import trace_delivery
 from icnsim.fid import (FidConfig, assign_link_ids, combine_trees,
@@ -530,6 +530,14 @@ def test_pinned_meta_and_config_bytes(suite, tmp_path):
             raw = (outdir / filename).read_bytes()
             assert hashlib.sha256(raw).hexdigest() == pins[(name, mode)], \
                 (name, mode, filename)
+
+
+def test_every_forwarded_copy_starts_one_serialization_and_latency_early(
+        suite):
+    """Every pkt_fwd of every shipped run keeps the identity the fabric
+    derives a queued copy's start from."""
+    for (name, mode), artifacts in suite["runs"].items():
+        assert assert_fwd_start_identity(artifacts) > 0, (name, mode)
 
 
 def test_every_record_matches_declared_vocabulary(suite):

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from conftest import assert_fwd_start_identity
 from icnsim.harness import ConfigError, run_scenario, validate_config
 from icnsim.telemetry import export, import_artifacts, summarize
 
@@ -111,6 +112,7 @@ def test_generated_scenario_runs_clean_in_both_modes(seed, tmp_path):
         assert summary["conservation"]["balanced"]
         stbs = {stb["name"] for stb in config["apps"]["iptv"]["stbs"]}
         assert set(art.events.column("stb_rx", "el")) == stbs
+        assert assert_fwd_start_identity(art) > 0
         quiet = run_scenario(config, mode, telemetry_enabled=False)
         quiet_bytes, art_bytes = io.BytesIO(), io.BytesIO()
         quiet.events.hash(quiet_bytes)

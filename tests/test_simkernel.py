@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from icnsim.simkernel import Engine, substream_seed
+from icnsim.simkernel import _SEQ_BITS, Engine, substream_seed
 
 
 def test_fifo_order_for_equal_timestamps():
@@ -97,13 +97,14 @@ def test_event_is_called_with_exactly_its_args(args):
 
 
 def test_pending_event_is_one_flat_entry():
-    """A queued event holds its args in its heap entry, with no separate
-    args tuple per event."""
+    """A queued event holds one int key, its action and its args in its
+    heap entry, with no separate args tuple per event."""
     engine = Engine()
     action = print
     engine.schedule(10, action, "a", 2)
     engine.schedule(20, action)
-    assert sorted(engine._heap) == [(10, 0, action, "a", 2), (20, 1, action)]
+    assert sorted(engine._heap) == [((10 << _SEQ_BITS) | 0, action, "a", 2),
+                                    ((20 << _SEQ_BITS) | 1, action)]
 
 
 def test_cancelled_event_with_args_never_runs():
@@ -203,6 +204,121 @@ def test_order_matches_reference_scheduler():
     reference = [tag for _, _, tag in
                  sorted((t, seq, tag) for seq, (t, tag) in enumerate(plan))]
     assert got == reference
+
+
+class ReferenceEngine:
+    """The engine's contract on a plain list of (time, seq, action, args)
+    entries: fire the least (time, seq) due entry, one at a time."""
+
+    def __init__(self):
+        self.now = 0
+        self.queue = []
+        self.seq = 0
+        self.cancelled = set()
+
+    def schedule(self, delay_us, action, *args):
+        if delay_us < 0:
+            raise ValueError(delay_us)
+        self.queue.append((self.now + delay_us, self.seq, action, args))
+        self.seq += 1
+        return self.seq - 1
+
+    def cancel(self, event_id):
+        self.cancelled.add(event_id)
+
+    def run_until(self, t_end_us):
+        executed = 0
+        while True:
+            due = [e for e in self.queue if e[0] <= t_end_us]
+            if not due:
+                break
+            event = min(due, key=lambda e: (e[0], e[1]))
+            self.queue.remove(event)
+            if event[1] in self.cancelled:
+                self.cancelled.discard(event[1])
+                continue
+            self.now = event[0]
+            event[2](*event[3])
+            executed += 1
+        self.now = t_end_us
+        return executed
+
+    def pending(self):
+        return len(self.queue)
+
+
+DELAYS = (0, 0, 0, 1, 2, 5, 10)
+
+
+def _twin(engine, seed):
+    """An event for `engine` that records (tag, now, pending) and, with
+    draws from its own generator, schedules children (zero delays
+    included) and cancels issued ids, fired ones included."""
+    draws = random.Random(seed)
+    trace, issued = [], []
+
+    def fire(tag):
+        trace.append((tag, engine.now, engine.pending()))
+        if draws.random() < 0.4:
+            issued.append(engine.schedule(draws.choice(DELAYS), fire,
+                                          (tag, len(issued))))
+        if issued and draws.random() < 0.15:
+            engine.cancel(draws.choice(issued))
+    return fire, trace, issued
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_key_orders_exactly_as_time_then_seq(seed):
+    """Random schedules, cancels and horizons run on the engine and on
+    the reference give the same firing order, clock and queue length
+    after every step."""
+    rng = random.Random(seed)
+    engine, ref = Engine(), ReferenceEngine()
+    fire, trace, issued = _twin(engine, seed)
+    ref_fire, ref_trace, ref_issued = _twin(ref, seed)
+    for step in range(150):
+        op = rng.random()
+        if op < 0.55:
+            delay = rng.choice(DELAYS)
+            issued.append(engine.schedule(delay, fire, step))
+            ref_issued.append(ref.schedule(delay, ref_fire, step))
+        elif op < 0.7 and issued:
+            # may hit a pending, a fired or an already cancelled event
+            i = rng.randrange(len(issued))
+            engine.cancel(issued[i])
+            ref.cancel(ref_issued[i])
+        else:
+            if ref.queue and rng.random() < 0.6:
+                # a horizon exactly on a queued event's time
+                horizon = rng.choice(ref.queue)[0]
+            else:
+                horizon = ref.now + rng.choice(DELAYS)
+            assert engine.run_until(horizon) == ref.run_until(horizon)
+        assert issued == ref_issued
+        assert trace == ref_trace
+        assert (engine.now, engine.pending()) == (ref.now, ref.pending())
+    end = ref.now + 100
+    assert engine.run_until(end) == ref.run_until(end)
+    assert trace == ref_trace and len(trace) > 50
+    assert (engine.now, engine.pending()) == (ref.now, ref.pending()) \
+        == (end, 0)
+
+
+def test_schedule_refuses_a_seq_past_the_key_width():
+    """The last seqs that fit still order FIFO; the next schedule raises
+    and queues nothing, rather than spill into the key's time."""
+    engine = Engine()
+    engine._seq = (1 << _SEQ_BITS) - 2
+    fired = []
+    late = engine.schedule(10, fired.append, "late")
+    early = engine.schedule(9, fired.append, "early")
+    assert (late, early) == ((1 << _SEQ_BITS) - 2, (1 << _SEQ_BITS) - 1)
+    with pytest.raises(OverflowError):
+        engine.schedule(0, fired.append, "never")
+    assert engine.pending() == 2
+    engine.run_until(10)
+    assert fired == ["early", "late"]
+    assert engine.pending() == 0
 
 
 def test_substream_seed_stable_and_distinct():

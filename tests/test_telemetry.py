@@ -150,6 +150,60 @@ def test_hash_streams_the_encoding_and_keeps_none_of_it():
             assert out.size == size
 
 
+class ChunkRecorder:
+    """A binary file that keeps every chunk written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, data):
+        self.chunks.append(bytes(data))
+
+
+def mixed_log(records):
+    """A log of pkt_fwd, pkt_deliver and stb_rx records, as a run writes
+    them."""
+    log = EventLog()
+    for i in range(records):
+        if i % 4 == 3:
+            log.write("stb_rx", 7 * i, f"stb{i % 13}", f"ch{i % 3}", 1316)
+        elif i % 4 == 2:
+            log.write("pkt_deliver", 7 * i, f"nap{i % 11}", i, "stream",
+                      1316, 1, False)
+        else:
+            log.write("pkt_fwd", 7 * i, f"sw{i % 7}", i, "stream",
+                      f"l{i % 5}:sw{i % 7}->sw{i % 3}", 1316, 7 * i + 3,
+                      7 * i + 1500)
+    return log
+
+
+def test_hash_emits_each_batch_in_quarters():
+    """hash(out) writes chunks of at most a quarter batch of lines, which
+    join to the canonical encoding; on a log of 20,000 records it peaks
+    under 150 KB above its start (about 310 KB when it emitted whole
+    batches)."""
+    log = mixed_log(20_000)
+    out = ChunkRecorder()
+    digest = log.hash(out)
+    lines = [chunk.count(b"\n") for chunk in out.chunks]
+    # a batch is a whole number of quarters: only the log's last chunk
+    # is short
+    assert lines[:-1] == [_BATCH // 4] * (len(lines) - 1)
+    assert 0 < lines[-1] <= _BATCH // 4 and sum(lines) == 20_000
+    joined = b"".join(out.chunks)
+    assert joined == encode_lines(list(log))
+    assert digest == hashlib.sha256(joined).hexdigest()
+    for sink in (None, ByteCounter()):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert log.hash(sink) == digest
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 1024
+
+
 def test_disabled_telemetry_records_nothing():
     """The fabric's counter flush is the one writer of samples; with
     telemetry off it records none, however much the log holds."""
