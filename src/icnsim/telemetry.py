@@ -9,23 +9,25 @@ keeps, for each schema (a plain kind, or one variant of a variant kind),
 one column per stored field (all fields but ev and the variant field,
 which are constant per schema), plus one schema id byte per record in
 log order.  A column is as compact as its content allows, and its type
-follows from that content: an array of the narrowest signed typecode
-while every value in it is an int (never a bool), an unsigned array of
-codes into the log's one string table while every value is a str, a
-bytearray of one byte per value while every value is a bool, else a
-list.  The hot data-plane kinds are written with log.write(key,
-t, el, *values), which checks the number of values and extends the
-schema's flat buffer; the generic append() rejects any record dict the
-schema does not declare.  The buffered values are moved into the
-columns in bulk, every _BATCH records and before any read.  Reducers
-read a field with log.column(kind, name), an iterator in log order for
-a plain kind and in no set order for a variant kind, and count records
-with log.count(kind).  The canonical encoding (one sorted-key JSON
-object per line) is rendered through one "%" template per schema, a
-batch of records at a time, and streamed: log.hash(out) feeds each
-quarter batch's bytes to sha256 and, when exporting, to events.jsonl,
-so a run encodes its log once and keeps none of the encoding.  Readers
-that want dicts iterate the log and get them built on access.
+follows from that content: while every value in it is an int (never a
+bool), its first value and an array of the differences between
+consecutive values, of the narrowest signed typecode that holds them;
+an unsigned array of codes into the log's one string table while every
+value is a str; a bytearray of one byte per value while every value is
+a bool; else a list.  The hot data-plane kinds are written with
+log.write(key, t, el, *values), which checks the number of values and
+extends the schema's flat buffer; the generic append() rejects any
+record dict the schema does not declare.  The buffered values are moved
+into the columns in bulk, every _BATCH records and before any read.
+Reducers read a field with log.column(kind, name), an iterator in log
+order for a plain kind and in no set order for a variant kind, and
+count records with log.count(kind).  The canonical encoding (one
+sorted-key JSON object per line) is rendered through one "%" template
+per schema, from one lazy cursor per schema over its columns, and
+streamed: log.hash(out) feeds each chunk of _CHUNK lines to sha256 and,
+when exporting, to events.jsonl, so a run encodes its log once and
+keeps none of the encoding.  Readers that want dicts iterate the log
+and get them built on access.
 
 Metric samples are a separate, optional stream reduced from the log;
 disabling them must not change the event log in any way (the
@@ -41,19 +43,19 @@ import json
 import os
 from array import array
 from collections import Counter
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 
 
 # One shared encoder: the same text as json.dumps(record, sort_keys=True,
 # separators=(",", ":")), without building an encoder per record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# Records encoded per step of encode_lines and of the log's encoder, and
-# records an EventLog buffers before it packs them into its columns;
-# bounds their transient memory.  The log's encoder emits each batch in
-# chunks of _CHUNK lines (one chunk of EventLog.hash).
+# Records encoded per step of encode_lines, and records an EventLog
+# buffers before it packs them into its columns; bounds their transient
+# memory.  The log's encoder emits chunks of _CHUNK lines (one chunk of
+# EventLog.hash), and a pack appends _CHUNK values per fromlist.
 _BATCH = 1024
 _CHUNK = _BATCH // 4
 
@@ -155,16 +157,19 @@ _HEAD = ("t", "el", "ev")
 class _Schema:
     """One record layout, compiled: its kind and id, its names in record
     order, the names the log stores (all but ev and the variant field,
-    which are constant) and their number, the "%" template of its
+    which are constant), their number and the index of the first of them
+    among the stored fields of every schema, in id order (the log's
+    per-field state is indexed so), the "%" template of its
     canonical JSON (keys sorted; the constants are text in it), the
     positions among the stored values of those the template takes, in
     key order, its record dict with the constants filled in, and the
     getter of the stored values of a record dict."""
 
-    __slots__ = ("kind", "sid", "names", "stored", "width", "template",
-                 "pick", "blank", "read")
+    __slots__ = ("kind", "sid", "names", "stored", "width", "base",
+                 "template", "pick", "blank", "read")
 
-    def __init__(self, sid: int, kind: str, fields: tuple, variant=None):
+    def __init__(self, sid: int, base: int, kind: str, fields: tuple,
+                 variant=None):
         names = _HEAD + fields
         if len(set(names)) != len(names):
             raise ValueError(f"{kind}: duplicate field in {names}")
@@ -186,6 +191,7 @@ class _Schema:
         self.names = names
         self.stored = stored
         self.width = len(stored)
+        self.base = base
         self.template = "{" + ",".join(parts) + "}"
         self.pick = picked
         self.blank = {**dict.fromkeys(names), **fixed}
@@ -204,17 +210,21 @@ def _compile() -> dict:
     a variant kind, mapped to its _Schema.  Ids follow the declaration
     order; an EventLog keeps one id byte per record."""
     table = {}
+    base = 0
     for kind, decl in EVENT_FIELDS.items():
         variants = decl.items() if isinstance(decl, dict) else [(None, decl)]
         for variant, fields in variants:
             key = kind if variant is None else (kind, variant)
-            table[key] = _Schema(len(table), kind, fields, variant)
+            s = table[key] = _Schema(len(table), base, kind, fields, variant)
+            base += s.width
     assert len(table) <= 256, "more schemas than an id byte holds"
     return table
 
 
 _SCHEMAS = _compile()
 _BY_SID = tuple(_SCHEMAS.values())
+# the stored fields of every schema
+_FIELDS = _BY_SID[-1].base + _BY_SID[-1].width
 # the schemas of each declared kind
 _KINDS = {kind: tuple(s for s in _BY_SID if s.kind == kind)
           for kind in EVENT_FIELDS}
@@ -272,19 +282,32 @@ _WIDER = {"b": "h", "h": "i", "i": "q", "B": "H", "H": "I"}
 _CODED = frozenset("BHI")
 
 
-def _fill(col: array, values: list):
-    """col with values appended, widened by one typecode each time
-    fromlist overflows (it appends nothing then); None when the widest
-    overflows too."""
-    while True:
+def _fill(col: array, values):
+    """col with the values of an iterator appended, _CHUNK at a time,
+    widened by one typecode each time a chunk overflows it (fromlist
+    appends nothing then, and the chunk is tried again); None when the
+    widest overflows too, col then holding the chunks before.  So no list
+    of all the values is built."""
+    chunk = list(islice(values, _CHUNK))
+    while chunk:
         try:
-            col.fromlist(values)
-            return col
+            col.fromlist(chunk)
         except OverflowError:
             wider = _WIDER.get(col.typecode)
             if wider is None:
                 return None
             col = array(wider, col)
+        else:
+            chunk = list(islice(values, _CHUNK))
+    return col
+
+
+def _ints(diffs, before: int):
+    """The values of an int column: its differences summed onto `before`,
+    its first value, lazily."""
+    values = accumulate(diffs, initial=before)
+    next(values)
+    return values
 
 
 # A bool column's byte decoded, and rendered as JSON; a bool indexes
@@ -293,54 +316,55 @@ _BOOL = (False, True)
 _BOOL_TEXT = ("false", "true")
 
 
-def _render(values, texts: list):
-    """One template field's values, as the template takes them: an int as
+def _text(value):
+    """One value as the template takes it: an int as itself, any other
+    value through canonical_json."""
+    return value if value.__class__ is int else canonical_json(value)
+
+
+def _render(col, first, texts: list):
+    """A column's values, lazily, as the template takes them: an int as
     itself, a str as its JSON text, any other value (bool, None, float,
-    list) through canonical_json.  An int array is taken as it is, a
-    coded array is one index per value into texts, the JSON text of each
-    str of the log's table, and a bool column one index per byte into
-    _BOOL_TEXT; a list's values of one type are rendered in a single
-    C-level pass."""
-    if values.__class__ is array:
-        if values.typecode in _CODED:
-            return map(texts.__getitem__, values)
-        return values
-    if values.__class__ is bytearray:
-        return map(_BOOL_TEXT.__getitem__, values)
-    types = set(map(type, values))
+    list) through canonical_json.  An int column is summed from `first`,
+    its first value, a coded column is one index per value into texts,
+    the JSON text of each str of the log's table, and a bool column one
+    index per byte into _BOOL_TEXT; a list's values of one type are
+    rendered in a single C-level pass."""
+    if col.__class__ is array:
+        if col.typecode in _CODED:
+            return map(texts.__getitem__, col)
+        return _ints(col, first)
+    if col.__class__ is bytearray:
+        return map(_BOOL_TEXT.__getitem__, col)
+    types = set(map(type, col))
     if types == {int}:
-        return values
+        return col
     if types == {str}:
-        return map(encode_basestring_ascii, values)
+        return map(encode_basestring_ascii, col)
     if types == {bool}:
-        return map(_BOOL_TEXT.__getitem__, values)
-    return [x if x.__class__ is int else canonical_json(x) for x in values]
+        return map(_BOOL_TEXT.__getitem__, col)
+    return map(_text, col)
 
 
-def _encode(seq: bytearray, columns: list, table: _Table):
+def _encode(seq: bytearray, columns: list, firsts: list, table: _Table):
     """Canonical JSONL of a log's records, yielded as one bytes chunk per
     _CHUNK records; joined, the same bytes as encode_lines of their dicts.
-    Each str of the table is encoded once, up front.  Each batch is
-    encoded a schema at a time: each column the template takes is sliced
-    where its previous batch ended, rendered column by column and
-    formatted into lines, and one cursor per schema then takes the lines
-    back in log order, _CHUNK lines per chunk.  A chunk is dropped once
-    the consumer moves on, so memory peaks at one chunk's text, on top of
-    one batch's rendered columns, whatever the log's length."""
+    Each str of the table is encoded once, up front.  One cursor per
+    schema renders its columns lazily and formats each record's values
+    into a line through the schema's template, and the schema ids take
+    the lines back in log order, _CHUNK lines per chunk.  A chunk is
+    dropped once the consumer moves on, and nothing else of the encoding
+    is built, so memory peaks at one chunk's text whatever the log's
+    length."""
     texts = list(map(encode_basestring_ascii, table.strs))
-    done = [0] * len(columns)
-    for i in range(0, len(seq), _BATCH):
-        sids = seq[i:i + _BATCH]
-        lines = {}
-        for sid in set(sids):
-            s, cols = _BY_SID[sid], columns[sid]
-            lo = done[sid]
-            hi = done[sid] = lo + sids.count(sid)
-            rendered = [_render(cols[j][lo:hi], texts) for j in s.pick]
-            lines[sid] = map(s.template.__mod__, zip(*rendered))
-        ordered = map(next, map(lines.__getitem__, sids))
-        for _ in range(0, len(sids), _CHUNK):
-            yield ("\n".join(islice(ordered, _CHUNK)) + "\n").encode()
+    lines = [map(s.template.__mod__,
+                 zip(*[_render(cols[j], firsts[s.base + j], texts)
+                       for j in s.pick]))
+             if cols[0] else None
+             for s, cols in zip(_BY_SID, columns)]
+    ordered = map(next, map(lines.__getitem__, seq))
+    for _ in range(0, len(seq), _CHUNK):
+        yield ("\n".join(islice(ordered, _CHUNK)) + "\n").encode()
 
 
 class EventLog:
@@ -352,8 +376,10 @@ class EventLog:
     compact form its content allows, and its type follows from that
     content alone:
     - an int column, while every value in it is an int (never a bool):
-      an array of the narrowest signed typecode that holds them, widened
-      b -> h -> i -> q as values need;
+      its first value, kept beside the columns, and an array of the
+      difference of each value from the one before (0 for the first), of
+      the narrowest signed typecode that holds them, widened
+      b -> h -> i -> q as the differences need;
     - a coded column, while every value in it is a str: an unsigned array
       (B -> H -> I, as the codes need) of codes into the log's one string
       table, which holds each distinct str once;
@@ -361,8 +387,9 @@ class EventLog:
       one 0 or 1 byte per value, read back through (False, True); bools
       stay out of the string table, whose keys 1 and True would collide;
     - otherwise a list of the values, which stays one.
-    Written records go to the schema's flat buffer first, record after
-    record, and _pack() moves them into the columns in bulk.  A bytearray
+    A column is () until its first values are packed.  Written records go
+    to the schema's flat buffer first, record after record, and _pack()
+    moves them into the columns in bulk.  A bytearray
     holds the schema id of each record, in log order.  Nothing is changed
     once appended.  Iterated, the log reads as record dicts, built on
     access; column() and count() are what the reducers read.  The
@@ -374,8 +401,12 @@ class EventLog:
         self._seq = bytearray()
         # schema id -> the values written since the last pack
         self._buf = [[] for _ in _BY_SID]
-        # schema id -> one column per stored field
-        self._cols = [[array("b") for _ in s.stored] for s in _BY_SID]
+        # schema id -> one column per stored field, () while it is empty
+        self._cols = [[()] * s.width for s in _BY_SID]
+        # per stored field of every schema (schema.base + index): the first
+        # and the last value of an int column
+        self._first = [0] * _FIELDS
+        self._last = [0] * _FIELDS
         self._table = _Table()
 
     def write(self, key, *row) -> None:
@@ -398,14 +429,16 @@ class EventLog:
     def _pack(self) -> None:
         """Move every buffered value into its column, a field at a time.
         A column holds one type of value: an int column ints (bool
-        excluded), widened as fromlist needs, a coded column strs, as
-        codes, and a bool column bools, one byte each.  An empty column
-        takes the form of the type of its first value.  A column takes a
-        field's values when all of them are of its type; one that meets
-        any other value, or an int beyond 64 bits, turns into a list of
-        its values, so a None, float or larger int keeps the type it is
+        excluded), as differences, widened as they need, a coded column
+        strs, as codes, and a bool column bools, one byte each.  An empty
+        column takes the form of the type of its first value, and an int
+        column takes that value as its first.  A column takes a field's
+        values when all of them are of its type; one that meets any other
+        value, or a difference beyond 64 bits, turns into a list of its
+        values, so a None, float or larger int keeps the type it is
         encoded by."""
         table = self._table
+        first, last = self._first, self._last
         for s, buf, cols in zip(_BY_SID, self._buf, self._cols):
             if not buf:
                 continue
@@ -423,26 +456,36 @@ class EventLog:
                 else:
                     held = str if col.typecode in _CODED else int
                 packed = None
+                k = s.base + j
+                n = len(col)
                 if kinds.count(held) == len(part):
                     if held is int:
-                        packed = _fill(col, part)
+                        if not col:
+                            first[k] = last[k] = part[0]
+                        packed = _fill(col if col else array("b"),
+                                       map(sub, part, chain((last[k],), part)))
+                        last[k] = part[-1]
                     elif held is str:
                         packed = _fill(col if col else array("B"),
-                                       list(map(table.__getitem__, part)))
+                                       map(table.__getitem__, part))
                     elif held is bool:
                         packed = col if col else bytearray()
                         packed += bytes(part)
-                cols[j] = (packed if packed is not None
-                           else [*self._values(col), *part])
+                # a failed _fill may have appended to col past its n values
+                cols[j] = (packed if packed is not None else
+                           [*islice(self._values(col, first[k]), n), *part])
             buf.clear()
 
-    def _values(self, col):
-        """A column's values, a coded one decoded through the table and a
-        bool one through _BOOL."""
+    def _values(self, col, first=None):
+        """A column's values: an int one's differences summed from
+        `first`, its first value, a coded one decoded through the table
+        and a bool one through _BOOL."""
         if col.__class__ is bytearray:
             return map(_BOOL.__getitem__, col)
-        if col.__class__ is array and col.typecode in _CODED:
-            return map(self._table.strs.__getitem__, col)
+        if col.__class__ is array:
+            if col.typecode in _CODED:
+                return map(self._table.strs.__getitem__, col)
+            return _ints(col, first)
         return col
 
     def append(self, t: int, element: str, event: str, **fields) -> None:
@@ -497,8 +540,11 @@ class EventLog:
         undeclared kind, and when a schema of the kind has no such stored
         field."""
         self._pack()
-        parts = [self._values(self._cols[s.sid][s.stored.index(name)])
-                 for s in _group(kind)]
+        parts = []
+        for s in _group(kind):
+            j = s.stored.index(name)
+            parts.append(self._values(self._cols[s.sid][j],
+                                      self._first[s.base + j]))
         return iter(parts[0]) if len(parts) == 1 else chain(*parts)
 
     def count(self, kind: str, variant=None) -> int:
@@ -517,7 +563,8 @@ class EventLog:
         pass.  No chunk is kept."""
         self._pack()
         h = hashlib.sha256()
-        for chunk in _encode(self._seq, self._cols, self._table):
+        for chunk in _encode(self._seq, self._cols, self._first,
+                             self._table):
             h.update(chunk)
             if out is not None:
                 out.write(chunk)
@@ -535,7 +582,9 @@ class EventLog:
         """Record dicts in log order, built on access: one cursor per
         schema walks its columns together."""
         self._pack()
-        cursors = [map(s.record, zip(*map(self._values, cols)))
+        firsts = self._first
+        cursors = [map(s.record, zip(*map(self._values, cols,
+                                          firsts[s.base:s.base + s.width])))
                    for s, cols in zip(_BY_SID, self._cols)]
         return map(next, map(cursors.__getitem__, self._seq))
 
@@ -545,9 +594,10 @@ class EventLog:
             other._pack()
             # codes follow first-pack order, so compare what they stand for
             return self._seq == other._seq and all(
-                list(self._values(a)) == list(other._values(b))
-                for a, b in zip(chain.from_iterable(self._cols),
-                                chain.from_iterable(other._cols)))
+                list(self._values(a, fa)) == list(other._values(b, fb))
+                for a, fa, b, fb in zip(
+                    chain.from_iterable(self._cols), self._first,
+                    chain.from_iterable(other._cols), other._first))
         return NotImplemented
 
     def __repr__(self) -> str:

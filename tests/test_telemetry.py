@@ -963,10 +963,12 @@ def test_log_bytes_per_record():
 
 def test_log_bytes_per_record_with_distinct_ints():
     """The same records with t, pid, start and arrive made afresh for each
-    record, as a run makes them: each is 4 bytes in its column and its int
-    object is freed, and each str field is one code byte, so the log stays
-    under 30 B per record, where one object per value takes about 130 B
-    and array('q') columns with str lists about 53 B."""
+    record, as a run makes them: each is a one-byte difference in its
+    column and its int object is freed, and each str field is one code
+    byte, so the log stays under 12 B per record (about 10 B, the buffer
+    of the last unpacked batch included), where columns of the values
+    themselves take about 19 B, one object per value about 130 B and
+    array('q') columns with str lists about 53 B."""
     n = 25_000
     links = [f"l{i}:sw1->sw2" for i in range(8)]
     tracemalloc.start()
@@ -981,7 +983,7 @@ def test_log_bytes_per_record_with_distinct_ints():
     finally:
         tracemalloc.stop()
     assert len(log) == 2 * n
-    assert size / len(log) < 30
+    assert size / len(log) < 12
 
 
 def stored_column(log, key, name):
@@ -1029,30 +1031,41 @@ def build(records, route):
 @pytest.mark.parametrize("route", ["write", "extend"])
 def test_an_int_column_widens_across_packs_and_turns_into_a_list_past_64_bits(
         route):
-    """Each pack widens the size column as far as its values need, and no
-    further; 2**63 fits no array, so the column becomes a list."""
+    """An int column holds the differences between consecutive values.
+    Each pack widens the size column as far as its differences need, and
+    no further, whatever the values themselves: a value past 64 bits
+    whose difference fits stays in the array.  A difference past 64 bits,
+    either way, fits no array, so the column becomes a list."""
     steps = [(0, "b"), (-2**7, "b"), (2**7 - 1, "b"), (2**7, "h"),
              (-2**7 - 1, "h"), (2**15, "i"), (-2**15 - 1, "i"),
              (2**31, "q"), (-2**31 - 1, "q"), (2**63 - 1, "q"),
              (-2**63, "q")]
     records, widths = [], []
-    for value, typecode in steps:
-        records += [fwd(i, size=5) for i in range(len(records),
-                                                  len(records) + _BATCH - 1)]
-        records.append(fwd(len(records), size=value))
+    size = 5
+    for step, typecode in steps:
+        records += [fwd(i, size=size)
+                    for i in range(len(records), len(records) + _BATCH - 1)]
+        size += step
+        records.append(fwd(len(records), size=size))
         widths.append((len(records), typecode))
+    assert max(r["size"] for r in records) >= 2**63
     log = EventLog()
     done = 0
     for stop, typecode in widths:
         log.extend(records[done:stop])
         done = stop
-        assert stored_column(log, "pkt_fwd", "size").typecode == typecode
+        col = stored_column(log, "pkt_fwd", "size")
+        assert col.typecode == typecode and col[0] == 0
+    assert list(log.column("pkt_fwd", "size")) == [r["size"] for r in records]
     assert streamed(log) == encode_lines(records)
-    log = build(records + [fwd(len(records), size=2**63)], route)
-    col = stored_column(log, "pkt_fwd", "size")
-    assert col.__class__ is list and col[-1] == 2**63
-    assert col[:len(records)] == [r["size"] for r in records]
-    assert stored_column(log, "pkt_fwd", "pid").typecode == "h"
+    for step in (2**63, -2**63 - 1):
+        last = fwd(len(records), size=records[-1]["size"] + step)
+        log = build(records + [last], route)
+        col = stored_column(log, "pkt_fwd", "size")
+        assert col.__class__ is list and col[-1] == last["size"]
+        assert col[:len(records)] == [r["size"] for r in records]
+        assert stored_column(log, "pkt_fwd", "pid").typecode == "b"
+        assert streamed(log) == encode_lines(records + [last])
 
 
 @pytest.mark.parametrize("route", ["write", "extend"])
@@ -1143,8 +1156,9 @@ ODD_INTS = [True, False, 1.0, "7", 2**70, -(2**63) - 1, None]
 @pytest.mark.parametrize("odd", ODD_INTS, ids=repr)
 def test_an_int_column_that_meets_another_value_becomes_a_list(odd, route):
     """Ints fill an array over more than one pack; one value that is no
-    int in 64 bits, written or extended in, turns that column into a list
-    for good, and the log still streams the bytes of its dicts."""
+    int, or whose difference from the one before is past 64 bits, written
+    or extended in, turns that column into a list for good, and the log
+    still streams the bytes of its dicts."""
     records = [ev(i, "sw1", "pkt_fwd", pid=i, kind="chunk", link="l:a->b",
                   size=1400, start=i, arrive=2**63 - 1 - i)
                for i in range(_BATCH + 5)]
@@ -1163,8 +1177,12 @@ def test_an_int_column_that_meets_another_value_becomes_a_list(odd, route):
         log.extend(records[:_BATCH // 2])
         log.extend(records[_BATCH // 2:])
     assert stored_column(log, "pkt_fwd", "size").__class__ is list
-    for name in ("t", "pid", "start", "arrive"):
-        assert stored_column(log, "pkt_fwd", name).__class__ is array
+    # the differences of t and pid are 1, those of start at most 1,028;
+    # arrive's last one, -2**63 - (2**63 - 1 - 1,028), is past 64 bits
+    for name, typecode in (("t", "b"), ("pid", "b"), ("start", "h")):
+        col = stored_column(log, "pkt_fwd", name)
+        assert col.__class__ is array and col.typecode == typecode
+    assert stored_column(log, "pkt_fwd", "arrive").__class__ is list
     assert streamed(log) == encode_lines(records)
     assert list(log) == records
     assert [type(v) for v in log.column("pkt_fwd", "size")] == [
@@ -1172,6 +1190,141 @@ def test_an_int_column_that_meets_another_value_becomes_a_list(odd, route):
     # more ints after the list turned stay in the list
     log.write("pkt_fwd", 0, "sw1", 0, "chunk", "l:a->b", 9, 0, 0)
     assert stored_column(log, "pkt_fwd", "size")[-2:] == [1400, 9]
+
+
+# the range of differences each signed typecode holds, narrowest first
+INT_RANGES = {"b": 2**7, "h": 2**15, "i": 2**31, "q": 2**63}
+INT_FIELDS = ("t", "pid", "size", "start", "arrive")
+# what a column of random ints is made to become
+INT_OUTCOMES = ("b", "h", "i", "q", "past64", "odd")
+ODD_VALUES = (True, False, None, 1.5, "7")
+
+
+def int_sequence(rng, n, outcome):
+    """n ints whose differences need exactly typecode `outcome`, its edges
+    and the edge below it included, starting anywhere from 0 to past 64
+    bits either side, the first value sometimes far from the rest; or
+    ones with one difference past 64 bits ("past64"), or with one value
+    that is not an int ("odd")."""
+    typecodes = list(INT_RANGES)
+    typecode = outcome if outcome in INT_RANGES else "b"
+    limit = INT_RANGES[typecode]
+    # the narrowest difference that needs this typecode, 1 for "b"
+    k = typecodes.index(typecode)
+    below = INT_RANGES[typecodes[k - 1]] if k else 1
+    edges = [limit - 1, -limit, below, -below - 1]
+    diffs = [rng.randrange(-below, below) for _ in range(n - 1)]
+    for d in edges:
+        diffs[rng.randrange(n - 1)] = d
+    if rng.random() < 0.5:
+        diffs[0] = rng.choice(edges[:2])
+    values = [rng.choice([0, -3, 10**12, -2**62, 2**70, -2**70])]
+    for d in diffs:
+        values.append(values[-1] + d)
+    at = rng.randrange(1, n)
+    if outcome == "past64":
+        values[at] = values[at - 1] + rng.choice([2**63, -2**63 - 1])
+    elif outcome == "odd":
+        values[at] = rng.choice(ODD_VALUES)
+    return values
+
+
+def expected_form(values):
+    """The form a column of these values takes: the narrowest typecode
+    that holds every difference, else list."""
+    if any(v.__class__ is not int for v in values):
+        return list
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    for typecode, limit in INT_RANGES.items():
+        if all(-limit <= d < limit for d in diffs):
+            return typecode
+    return list
+
+
+def built_at_random_splits(records, rng):
+    """A log of records, written one by one and extended in runs of random
+    lengths, across pack boundaries, with reads in between that pack what
+    is buffered."""
+    log = EventLog()
+    done = 0
+    while done < len(records):
+        stop = min(len(records), done + rng.choice(
+            [1, 2, rng.randrange(1, _BATCH), _BATCH - done % _BATCH,
+             _BATCH + 1, rng.randrange(1, 3 * _BATCH)]))
+        if rng.random() < 0.5:
+            log.extend(records[done:stop])
+        else:
+            for rec in records[done:stop]:
+                key, values = stored_values(rec)
+                log.write(key, *values)
+        if rng.random() < 0.3:
+            log.count("pkt_fwd")
+        done = stop
+    return log
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_int_columns_hold_differences_whatever_the_values_and_splits(seed):
+    """Random int columns, written and extended at random splits across
+    pack boundaries, read back as written through column(), iteration,
+    count(), == and hash(); each takes the form its differences need
+    (an array of the narrowest typecode, or a list past 64 bits or with
+    a value that is no int), and logs of the same records packed at
+    other points are equal and hash the same."""
+    rng = random.Random(seed)
+    n = rng.randrange(2 * _BATCH, 4 * _BATCH)
+    outcomes = [INT_OUTCOMES[(seed + k) % len(INT_OUTCOMES)]
+                for k in range(len(INT_FIELDS))]
+    columns = {name: int_sequence(rng, n, outcome)
+               for name, outcome in zip(INT_FIELDS, outcomes)}
+    records = []
+    for i in range(n):
+        records.append(ev(columns["t"][i], f"sw{i % 3}", "pkt_fwd",
+                          pid=columns["pid"][i], kind="stream",
+                          link=f"l{i % 4}:a->b", size=columns["size"][i],
+                          start=columns["start"][i],
+                          arrive=columns["arrive"][i]))
+        if rng.random() < 0.3:
+            records.append(ev(rng.randrange(-5, 2**40), "stb", "stb_rx",
+                              name="ch:a", size=rng.randrange(2**16)))
+    fwd_at = [j for j, r in enumerate(records) if r["ev"] == "pkt_fwd"]
+    logs = [built_at_random_splits(records, random.Random(seed * 10 + k))
+            for k in range(3)]
+    log = logs[0]
+    for name, outcome in zip(INT_FIELDS, outcomes):
+        col = stored_column(log, "pkt_fwd", name)
+        form = expected_form(columns[name])
+        if outcome in ("past64", "odd"):
+            assert form is list
+        else:
+            assert form == outcome
+        if form is list:
+            assert col.__class__ is list
+        else:
+            assert col.__class__ is array and col.typecode == form
+            assert col[0] == 0
+        values = list(log.column("pkt_fwd", name))
+        assert values == columns[name]
+        assert list(map(type, values)) == list(map(type, columns[name]))
+    assert log.count("pkt_fwd") == n
+    assert log.count("stb_rx") == len(records) - n
+    assert list(log) == records
+    assert all(list(map(type, rec.values())) == list(map(type, r.values()))
+               for rec, r in zip(log, records))
+    digest = hashlib.sha256(encode_lines(records)).hexdigest()
+    assert log.hash() == digest
+    assert streamed(log) == encode_lines(records)
+    whole = log_of(records)
+    for other in logs[1:] + [whole]:
+        assert other == log and log == other
+        assert other.hash() == digest
+    # one value one off changes two differences, and the log
+    at = fwd_at[rng.randrange(1, n - 1)]
+    changed = [dict(r) for r in records]
+    name = rng.choice([f for f in INT_FIELDS
+                       if records[at][f].__class__ is int])
+    changed[at][name] += 1
+    assert log_of(changed) != log
 
 
 def deliver(i, spurious):
